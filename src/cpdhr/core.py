@@ -11,6 +11,9 @@ from functools import reduce
 
 import numpy as np
 
+# Order 3 goes through kernels.<name> looked up at each call, never a
+# name bound at import, so a wrapper installed on the kernels module sees
+# every call.
 from . import kernels
 
 # Guard against shapes whose element count cannot be allocated; products are
@@ -210,8 +213,6 @@ def reconstruct(model):
     factors = _factor_list(model)
     if len(factors) == 3:
         return kernels.reconstruct3(factors[0], factors[1], factors[2])
-    if len(factors) == 1:
-        return factors[0].sum(axis=1)
     shape = tuple(f.shape[0] for f in factors)
     return fold(factors[0] @ kr_chain(factors, 0).T, 0, shape)
 

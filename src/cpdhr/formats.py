@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import IncompleteTensor
+from .core import IncompleteTensor, element_count
 from .scene import DoaScene, MaskPattern, SourceSet, SourceSpec
 from .solvers import ALGORITHMS, MISSING_STRATEGIES
 
@@ -67,9 +67,9 @@ def parse_tensor(text):
         shape = tuple(int(x) for x in head[2:])
     except (IndexError, ValueError):
         raise ValueError(f"malformed tensor header: {lines[0]!r}") from None
-    if len(shape) != order or order < 1 or any(d < 1 for d in shape):
+    if len(shape) != order:
         raise ValueError(f"malformed tensor header: {lines[0]!r}")
-    count = int(np.prod(shape))
+    count = element_count(shape)
     body = [ln for ln in lines[1:] if ln.strip()]
     if len(body) != count:
         raise ValueError(f"expected {count} entry lines, found {len(body)}")

@@ -1,121 +1,25 @@
-"""Hot order-3 kernels: numba-compiled loops with a pure-numpy fallback.
+"""The order-3 contractions both CPD solvers run on every iteration.
 
-The backend is fixed once at import time. Numba is used when it imports
-cleanly, unless the environment variable ``CPDHR_DISABLE_NUMBA`` is set to
-1/true/yes/on, in which case the vectorized numpy implementations are used
-instead. Both backends are deterministic for a fixed input; they may differ
-from each other in the last bits because the summation order differs.
-
-Only the order-3 case is accelerated (it dominates solver runtime at the
-scales this package targets). Arbitrary-order tensors are handled by the
-callers through the generic numpy routines in :mod:`cpdhr.core`.
-
-Run ``python benchmarks/bench_kernels.py`` for a backend comparison.
+Each kernel is exactly the order-N matrix-product formula of
+:mod:`cpdhr.core`: a matricization times a Khatri-Rao chain, so all
+tensor orders share one arithmetic path and one rounding behaviour.
 """
 
-import os
+from . import core
 
-import numpy as np
-
-_TRUTHY = ("1", "true", "yes", "on")
-
-NUMBA_DISABLED = os.environ.get("CPDHR_DISABLE_NUMBA", "").strip().lower() in _TRUTHY
-
-try:
-    if NUMBA_DISABLED:
-        raise ImportError("numba disabled via CPDHR_DISABLE_NUMBA")
-    from numba import njit
-
-    NUMBA_ENABLED = True
-except ImportError:
-    NUMBA_ENABLED = False
-
-    def njit(*args, **kwargs):
-        # identity decorator: keeps the jit kernels importable without numba
-        if len(args) == 1 and callable(args[0]) and not kwargs:
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
+# There is no compiled backend; the constant stays because the benchmark's
+# run record (perfbench/run.py) reads it.
+NUMBA_ENABLED = False
 
 
-def mttkrp3_numpy(t, u0, u1, u2, mode):
-    """unfold(t, mode) times the Khatri-Rao product of the other two factors."""
-    if mode == 0:
-        return np.einsum("ijk,jr,kr->ir", t, u1, u2)
-    if mode == 1:
-        return np.einsum("ijk,ir,kr->jr", t, u0, u2)
-    return np.einsum("ijk,ir,jr->kr", t, u0, u1)
-
-
-@njit(cache=True)
-def mttkrp3_jit(t, u0, u1, u2, mode):  # pragma: no cover - exercised via dispatch
-    i0, i1, i2 = t.shape
-    if mode == 0:
-        rank = u1.shape[1]
-        out = np.zeros((i0, rank), dtype=np.complex128)
-        for r in range(rank):
-            for k in range(i2):
-                for j in range(i1):
-                    w = u1[j, r] * u2[k, r]
-                    for i in range(i0):
-                        out[i, r] += t[i, j, k] * w
-        return out
-    if mode == 1:
-        rank = u0.shape[1]
-        out = np.zeros((i1, rank), dtype=np.complex128)
-        for r in range(rank):
-            for k in range(i2):
-                for i in range(i0):
-                    w = u0[i, r] * u2[k, r]
-                    for j in range(i1):
-                        out[j, r] += t[i, j, k] * w
-        return out
-    rank = u0.shape[1]
-    out = np.zeros((i2, rank), dtype=np.complex128)
-    for r in range(rank):
-        for j in range(i1):
-            for i in range(i0):
-                w = u0[i, r] * u1[j, r]
-                for k in range(i2):
-                    out[k, r] += t[i, j, k] * w
-    return out
-
-
-def reconstruct3_numpy(u0, u1, u2):
-    """Sum of rank-one terms u0[:,r] o u1[:,r] o u2[:,r]."""
-    return np.einsum("ir,jr,kr->ijk", u0, u1, u2)
-
-
-@njit(cache=True)
-def reconstruct3_jit(u0, u1, u2):  # pragma: no cover - exercised via dispatch
-    i0 = u0.shape[0]
-    i1 = u1.shape[0]
-    i2 = u2.shape[0]
-    rank = u0.shape[1]
-    out = np.zeros((i0, i1, i2), dtype=np.complex128)
-    for r in range(rank):
-        for k in range(i2):
-            for j in range(i1):
-                w = u1[j, r] * u2[k, r]
-                for i in range(i0):
-                    out[i, j, k] += u0[i, r] * w
-    return out
-
-
-def _c(a):
-    return np.ascontiguousarray(a, dtype=np.complex128)
-
-
+# The names mttkrp3 and reconstruct3 stay: perfbench's tracer wraps them and
+# reports its kernel metrics under them.
 def mttkrp3(t, u0, u1, u2, mode):
-    if NUMBA_ENABLED:
-        return mttkrp3_jit(_c(t), _c(u0), _c(u1), _c(u2), mode)
-    return mttkrp3_numpy(t, u0, u1, u2, mode)
+    """unfold(t, mode) times the Khatri-Rao product of the other two factors."""
+    return core.unfold(t, mode) @ core.kr_chain((u0, u1, u2), mode)
 
 
 def reconstruct3(u0, u1, u2):
-    if NUMBA_ENABLED:
-        return reconstruct3_jit(_c(u0), _c(u1), _c(u2))
-    return reconstruct3_numpy(u0, u1, u2)
+    """Sum of rank-one terms u0[:,r] o u1[:,r] o u2[:,r]."""
+    shape = (u0.shape[0], u1.shape[0], u2.shape[0])
+    return core.fold(u0 @ core.kr_chain((u0, u1, u2), 0).T, 0, shape)

@@ -73,8 +73,8 @@ def verdict(log, criterion, ok, detail):
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
-    # first call of the jit kernels compiles them; keep that out of the
-    # timed sections below
+    # one small solve up front, so one-time first-call costs stay out of
+    # the timed sections below
     t = core.reconstruct(init_model((3, 3, 3), 2, seed=0))
     cpd(t, CpdOptions(rank=2, init=1))
 

@@ -108,6 +108,11 @@ class TestTensorFile:
         with pytest.raises(ValueError):
             serialize_tensor(np.array([np.inf + 0j]))
 
+    def test_oversized_header_hits_element_limit(self):
+        # the element count must not wrap around before the size guard
+        with pytest.raises(ValueError, match="exceeds limit"):
+            parse_tensor("tns 2 9223372036854775807 2\n1.0 0.0\n")
+
     def test_serialization_deterministic(self):
         rng = np.random.default_rng(6)
         t = crandn(rng, 5, 5)

@@ -1,8 +1,4 @@
-"""Backend checks: jit kernels vs the numpy fallbacks, and determinism."""
-
-import os
-import subprocess
-import sys
+"""Order-3 kernels against naive loops, over the memory layouts they meet."""
 
 import numpy as np
 
@@ -19,19 +15,60 @@ def _random_problem(seed):
     return t, factors
 
 
-def test_mttkrp3_backends_agree():
-    t, (u0, u1, u2) = _random_problem(7)
-    for mode in range(3):
-        a = kernels.mttkrp3(t, u0, u1, u2, mode)
-        b = kernels.mttkrp3_numpy(t, u0, u1, u2, mode)
-        assert np.linalg.norm(a - b) / np.linalg.norm(b) < 1e-12
+def _layouts(a):
+    """The values of a C-ordered, F-ordered (what parse_tensor returns) and
+    as a non-contiguous slice of a larger array."""
+    big = np.zeros(tuple(2 * s for s in a.shape), dtype=a.dtype)
+    window = tuple(slice(1, None, 2) for _ in a.shape)
+    big[window] = a
+    sliced = big[window]
+    assert not sliced.flags.c_contiguous and not sliced.flags.f_contiguous
+    return {"C": np.ascontiguousarray(a), "F": np.asfortranarray(a), "sliced": sliced}
 
 
-def test_reconstruct3_backends_agree():
-    _, (u0, u1, u2) = _random_problem(8)
-    a = kernels.reconstruct3(u0, u1, u2)
-    b = kernels.reconstruct3_numpy(u0, u1, u2)
-    assert np.linalg.norm(a - b) / np.linalg.norm(b) < 1e-12
+def naive_mttkrp3(t, factors, mode):
+    rank = factors[0].shape[1]
+    out = np.zeros((t.shape[mode], rank), dtype=complex)
+    for idx in np.ndindex(*t.shape):
+        for r in range(rank):
+            w = t[idx]
+            for m in range(3):
+                if m != mode:
+                    w *= factors[m][idx[m], r]
+            out[idx[mode], r] += w
+    return out
+
+
+def naive_reconstruct3(u0, u1, u2):
+    out = np.zeros((u0.shape[0], u1.shape[0], u2.shape[0]), dtype=complex)
+    for i, j, k in np.ndindex(*out.shape):
+        for r in range(u0.shape[1]):
+            out[i, j, k] += u0[i, r] * u1[j, r] * u2[k, r]
+    return out
+
+
+def _relerr(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+def test_mttkrp3_matches_naive_loops():
+    t, factors = _random_problem(7)
+    want = [naive_mttkrp3(t, factors, mode) for mode in range(3)]
+    for layout, tl in _layouts(t).items():
+        fl = [_layouts(f)[layout] for f in factors]
+        for mode in range(3):
+            got = kernels.mttkrp3(tl, *fl, mode)
+            assert got.shape == want[mode].shape
+            assert _relerr(got, want[mode]) < 1e-12, (layout, mode)
+
+
+def test_reconstruct3_matches_naive_loops():
+    _, factors = _random_problem(8)
+    want = naive_reconstruct3(*factors)
+    for layout in ("C", "F", "sliced"):
+        got = kernels.reconstruct3(*(_layouts(f)[layout] for f in factors))
+        assert got.shape == want.shape
+        assert _relerr(got, want) < 1e-12, layout
 
 
 def test_kernels_bitwise_deterministic():
@@ -43,24 +80,3 @@ def test_kernels_bitwise_deterministic():
     assert np.array_equal(
         kernels.reconstruct3(u0, u1, u2), kernels.reconstruct3(u0, u1, u2)
     )
-
-
-def test_disable_flag_selects_numpy_backend():
-    env = dict(os.environ, CPDHR_DISABLE_NUMBA="1")
-    code = (
-        "from cpdhr import kernels\n"
-        "assert not kernels.NUMBA_ENABLED\n"
-        "import numpy as np\n"
-        "rng = np.random.default_rng(7)\n"
-        "t = rng.standard_normal((4,5,6)) + 1j*rng.standard_normal((4,5,6))\n"
-        "fs = [rng.standard_normal((s,3)) + 1j*rng.standard_normal((s,3)) for s in t.shape]\n"
-        "out = kernels.mttkrp3(t, fs[0], fs[1], fs[2], 0)\n"
-        "ref = kernels.mttkrp3_numpy(t, fs[0], fs[1], fs[2], 0)\n"
-        "assert np.array_equal(out, ref)\n"
-        "print('numpy-backend-ok')\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "numpy-backend-ok" in proc.stdout
