@@ -8,8 +8,9 @@ checks live with the metrics tests.
 import numpy as np
 import pytest
 
-from cpdhr import core, solvers
+from cpdhr import core, scene, solvers
 from cpdhr.core import CpdModel, IncompleteTensor
+from cpdhr.pipeline import INIT_SEED_OFFSET
 from cpdhr.solvers import CpdOptions, cpd, cpd_als, cpd_gradient, cpd_nls, init_model, normalize_model
 
 
@@ -331,60 +332,138 @@ def test_fully_missing_fiber_tolerated(strategy):
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Newton operator oracles. The dense fast-form matvec and the masked
-# tangent-form matvec are independent implementations of the same operator;
-# the finite-difference Jacobian is a third, slower route.
+# Gauss-Newton operator oracles. The explicit and the structured dense
+# operators and the masked tangent-form operator are independent
+# implementations of the same v -> J^H J v on the flat parameter vector; the
+# finite-difference Jacobian is a fourth, slower route.
+
+DENSE_BUILDERS = [solvers._explicit_gn_operator, solvers._structured_gn_operator]
+
+
+def flat_factors(rng, shape, rank):
+    x = crandn(rng, sum(shape) * rank)
+    return x, solvers._factor_views(x, shape, rank)
+
+
+def dense_operator(build, factors):
+    w, w_pair = solvers._gramian_products(factors)
+    return build(factors, w, w_pair)
 
 
 def test_dense_matvec_agrees_with_tangent_form():
     rng = np.random.default_rng(61)
-    for _ in range(8):
-        order = int(rng.integers(3, 5))
-        shape = tuple(int(x) for x in rng.integers(2, 5, size=order))
-        rank = int(rng.integers(1, 4))
-        factors = [crandn(rng, i, rank) for i in shape]
-        delta = [crandn(rng, i, rank) for i in shape]
-        dense = solvers._make_dense_matvec(factors)
-        tangent = solvers._make_masked_matvec(factors, np.ones(shape, dtype=bool))
-        a, b = dense(delta), tangent(delta)
-        scale = max(np.abs(x).max() for x in a)
-        for x, y in zip(a, b):
-            assert np.abs(x - y).max() < 1e-11 * max(scale, 1.0)
+    for build in DENSE_BUILDERS:
+        for order in (3, 4):
+            for _ in range(4):
+                shape = tuple(int(x) for x in rng.integers(2, 5, size=order))
+                rank = int(rng.integers(1, 4))
+                _, factors = flat_factors(rng, shape, rank)
+                delta = crandn(rng, sum(shape) * rank)
+                dense = dense_operator(build, factors)
+                tangent = solvers._masked_gn_operator(factors, np.ones(shape, dtype=bool))
+                a, b = dense(delta), tangent(delta)
+                scale = np.abs(a).max()
+                assert np.abs(a - b).max() < 1e-11 * max(scale, 1.0), (build.__name__, shape)
 
 
 def test_dense_matvec_matches_fd_gauss_newton_operator():
     rng = np.random.default_rng(62)
-    shape, rank = (4, 3, 5), 2
-    factors = [crandn(rng, i, rank) for i in shape]
-    delta = [crandn(rng, i, rank) for i in shape]
+    rank = 2
+    for shape in [(4, 3, 5), (3, 2, 4, 3)]:
+        x, factors = flat_factors(rng, shape, rank)
+        delta = crandn(rng, x.size)
 
-    def resid_vec(fs):
-        return np.asarray(core.reconstruct(CpdModel(fs))).ravel(order="F")
+        def resid_vec(v):
+            return np.asarray(core.reconstruct(solvers._factor_views(v, shape, rank))).ravel()
 
-    h = 1e-6
-    cols = []
-    for n in range(3):
+        # columns of the real Jacobian with respect to (Re x, Im x)
+        h = 1e-6
+        cols = []
         for part in (1.0, 1.0j):
-            for idx in range(factors[n].size):
-                plus = [f.copy() for f in factors]
-                flat = plus[n].ravel(order="F")
-                flat[idx] += h * part
-                plus[n] = flat.reshape(factors[n].shape, order="F")
-                minus = [f.copy() for f in factors]
-                flat = minus[n].ravel(order="F")
-                flat[idx] -= h * part
-                minus[n] = flat.reshape(factors[n].shape, order="F")
+            for idx in range(x.size):
+                plus, minus = x.copy(), x.copy()
+                plus[idx] += h * part
+                minus[idx] -= h * part
                 cols.append((resid_vec(plus) - resid_vec(minus)) / (2 * h))
-    jac = np.array(cols).T
-    jac_real = np.vstack([jac.real, jac.imag])
-    gauss_newton = jac_real.T @ jac_real
+        jac = np.array(cols).T
+        jac_real = np.vstack([jac.real, jac.imag])
+        ref = jac_real.T @ jac_real @ np.concatenate([delta.real, delta.imag])
+        for build in DENSE_BUILDERS:
+            got = dense_operator(build, factors)(delta)
+            got = np.concatenate([got.real, got.imag])
+            assert np.abs(ref - got).max() < 1e-6 * max(np.abs(ref).max(), 1.0), (build.__name__, shape)
 
-    def stack(blocks):
-        return np.concatenate([
-            np.concatenate([b.real.ravel(order="F"), b.imag.ravel(order="F")])
-            for b in blocks
-        ])
 
-    ref = gauss_newton @ stack(delta)
-    got = stack(solvers._make_dense_matvec(factors)(delta))
-    assert np.abs(ref - got).max() < 1e-6 * max(np.abs(ref).max(), 1.0)
+def test_solver_picks_the_operator_form_by_parameter_count(monkeypatch):
+    # the 10x10x15 rank-3 demo scene (105 unknowns) gets the explicit J^H J,
+    # the 32x32x64 rank-6 large array (768 unknowns) the structured form
+    assert sum((10, 10, 15)) * 3 <= solvers.EXPLICIT_GN_MAX_PARAMS < sum((32, 32, 64)) * 6
+    used = []
+    for build in DENSE_BUILDERS:
+        def spy(factors, w, w_pair, build=build):
+            used.append(build.__name__)
+            return build(factors, w, w_pair)
+        monkeypatch.setattr(solvers, build.__name__, spy)
+    for shape, rank, form in [((10, 10, 15), 3, "_explicit_gn_operator"),
+                              ((32, 32, 64), 6, "_structured_gn_operator")]:
+        used.clear()
+        t = core.reconstruct(init_model(shape, rank, 0))
+        cpd_nls(t, CpdOptions(rank=rank, init=1, max_iterations=2))
+        assert used and set(used) == {form}
+
+
+# ---------------------------------------------------------------------------
+# what converged means, and the masked ALS sweep
+
+
+# two sources 40 degrees apart in azimuth on a 6x6 array, 12 samples, no
+# noise: with scene and init seed 3 the warm-started Gauss-Newton solve
+# stalls in a swamp at relative residual 0.055 (a 5000-iteration run still
+# reaches 1e-15)
+SWAMP_SCENE = scene.DoaScene(
+    sources=[scene.SourceSpec(15.0, 25.0), scene.SourceSpec(55.0, 40.0)],
+    grid_m1=6, grid_m2=6, time_len=12,
+)
+
+
+@pytest.mark.parametrize("certificate", [solvers.GRAD_CERTIFICATE, 1e-4])
+def test_gauss_newton_converged_implies_small_residual_on_noiseless_scenes(monkeypatch, certificate):
+    # Loosened to 1e-4, the gradient certificate passes inside the swamp on
+    # iterations whose step is rejected, so the stall test sees zero
+    # progress; only the predicted-decrease witness then refuses to call
+    # the swamp converged.
+    monkeypatch.setattr(solvers, "GRAD_CERTIFICATE", certificate)
+    for seed in range(6):
+        sources = scene.synthetic_sources(SWAMP_SCENE.time_len, SWAMP_SCENE.rank, seed=seed)
+        clean, _ = scene.build_scene_tensor(SWAMP_SCENE, sources)
+        for algorithm in ("gauss_newton", "gauss_newton_als_warmstart"):
+            opts = CpdOptions(rank=2, algorithm=algorithm, init=seed + INIT_SEED_OFFSET)
+            _, diag = cpd(clean, opts)
+            if diag.converged:
+                assert diag.final_relative_residual <= 1e-8, (seed, algorithm)
+
+
+def test_masked_als_sweep_matches_per_row_solves():
+    rng = np.random.default_rng(63)
+    shape, rank = (5, 4, 6), 3
+    tvals = crandn(rng, *shape)
+    mask = rng.random(shape) < 0.7
+    mask[1, :, :] = False  # a row with nothing observed
+    tvals = np.where(mask, tvals, 0.0)
+    start = [crandn(rng, i, rank) for i in shape]
+    batched = [f.copy() for f in start]
+    solvers._als_sweep_masked(tvals, mask, batched)
+
+    looped = [f.copy() for f in start]
+    for n in range(len(shape)):
+        z = core.kr_chain(looped, n)
+        zc = np.conj(z)
+        mask_n = solvers._masked_unfold_mask(mask, n)
+        b = core.unfold(tvals, n) @ zc
+        a = np.einsum("ij,jr,js->irs", mask_n, z, zc, optimize=True)
+        rows = np.empty_like(b)
+        for i in range(b.shape[0]):
+            rows[i] = b[i] @ np.linalg.pinv(a[i], rcond=solvers.PINV_RCOND, hermitian=True)
+        looped[n] = rows
+    for fb, fl in zip(batched, looped):
+        assert np.array_equal(fb, fl)
