@@ -3,7 +3,9 @@
 Tensors are plain numpy ``complex128`` arrays. The flat layout convention
 used by the text formats and by :func:`unfold` is first-index-fastest
 (Fortran order); modes are 0-based everywhere in code and 1-based only at
-the CLI / file-format boundary.
+the CLI / file-format boundary. The contractions :func:`mttkrp` and
+:func:`reconstruct` instead work on C-order reshapes, which are views of a
+C-contiguous tensor, so they never copy one.
 """
 
 from dataclasses import dataclass, field
@@ -170,6 +172,17 @@ def fold(m, mode, shape):
     return np.moveaxis(moved, 0, mode)
 
 
+def _kr(mats, rank):
+    """Khatri-Rao product of mats, unchecked, last matrix's index fastest:
+    row (i_0, ..., i_k) in C order. No matrices give one row of ones."""
+    if not mats:
+        return np.ones((1, rank), dtype=np.complex128)
+    out = mats[0]
+    for m in mats[1:]:
+        out = (out[:, None, :] * m[None, :, :]).reshape(-1, rank)
+    return out
+
+
 def khatri_rao(a, b):
     """Columnwise Kronecker product, second-argument index fastest."""
     a = np.asarray(a)
@@ -178,7 +191,7 @@ def khatri_rao(a, b):
         raise ValueError("khatri_rao expects two matrices")
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"column mismatch: {a.shape[1]} vs {b.shape[1]}")
-    return (a[:, None, :] * b[None, :, :]).reshape(a.shape[0] * b.shape[0], a.shape[1])
+    return _kr((a, b), a.shape[1])
 
 
 def kr_chain(factors, skip):
@@ -208,13 +221,19 @@ def _factor_list(model):
     return [np.asarray(f, dtype=np.complex128) for f in model]
 
 
+def _reconstruct(factors):
+    """Order-N reconstruct, unchecked: one GEMM whose C-order result is the
+    tensor, kr(U_0, ..., U_{N-2}) @ U_{N-1}^T."""
+    shape = tuple(f.shape[0] for f in factors)
+    return (_kr(factors[:-1], factors[0].shape[1]) @ factors[-1].T).reshape(shape)
+
+
 def reconstruct(model):
     """Dense tensor of the model: sum of its rank-one terms."""
     factors = _factor_list(model)
     if len(factors) == 3:
         return kernels.reconstruct3(factors[0], factors[1], factors[2])
-    shape = tuple(f.shape[0] for f in factors)
-    return fold(factors[0] @ kr_chain(factors, 0).T, 0, shape)
+    return _reconstruct(factors)
 
 
 def mode_n_product(t, m, mode):
@@ -266,4 +285,20 @@ def mttkrp(t, factors, mode):
             )
     if t.ndim == 3:
         return kernels.mttkrp3(t, factors[0], factors[1], factors[2], mode)
-    return unfold(t, mode) @ kr_chain(factors, mode)
+    return _mttkrp(t, factors, mode)
+
+
+def _mttkrp(t, factors, mode):
+    """Order-N mttkrp, unchecked, on the C-order view (left, I_n, right) of
+    t: one GEMM contracts the right modes against their Khatri-Rao product,
+    then a broadcast multiply-and-sum contracts the left ones. The last
+    mode has no right modes and takes one transposed GEMM."""
+    extent, rank = t.shape[mode], factors[mode].shape[1]
+    if mode == t.ndim - 1:
+        return t.reshape(-1, extent).T @ _kr(factors[:mode], rank)
+    right = _kr(factors[mode + 1:], rank)
+    partial = t.reshape(-1, right.shape[0]) @ right
+    if mode == 0:
+        return partial
+    left = _kr(factors[:mode], rank)
+    return (partial.reshape(-1, extent, rank) * left[:, None, :]).sum(axis=0)

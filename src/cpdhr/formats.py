@@ -86,6 +86,9 @@ def parse_tensor(text):
             values[pos] = complex(float(parts[0]), float(parts[1]))
         except ValueError:
             raise ValueError(f"non-numeric entry on line {pos + 2}: {ln!r}") from None
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"non-finite entry on line {bad[0] + 2}: {body[bad[0]]!r}")
     values = values.reshape(shape, order="F")
     if mask.all():
         return values
@@ -130,7 +133,11 @@ def parse_signals(text):
             data.append([float(c) for c in row])
         except ValueError:
             raise ValueError(f"non-numeric cell on line {lineno}") from None
-    return SourceSet(np.array(data), labels)
+    data = np.array(data)
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:
+        raise ValueError(f"non-finite cell on line {bad[0] + 2}")
+    return SourceSet(data, labels)
 
 
 def save_signals(sources, path):

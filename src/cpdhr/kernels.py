@@ -1,8 +1,17 @@
 """The order-3 contractions both CPD solvers run on every iteration.
 
-Each kernel is exactly the order-N matrix-product formula of
-:mod:`cpdhr.core`: a matricization times a Khatri-Rao chain, so all
-tensor orders share one arithmetic path and one rounding behaviour.
+Each kernel is the order-3 case of the order-N formula in :mod:`cpdhr.core`,
+computed on C-order reshapes of the tensor:
+
+- mttkrp, mode n: view the tensor as (left, I_n, right); one GEMM contracts
+  ``right`` against the C-order Khatri-Rao product of the modes after n, a
+  broadcast multiply-and-sum contracts ``left`` against that of the modes
+  before n. Mode 0 is the GEMM alone, mode 2 one transposed GEMM.
+- reconstruct: ``(kr(U_0, U_1) @ U_2.T).reshape(shape)``.
+
+Those reshapes are views of a C-contiguous tensor, so the kernels copy
+none and re-validate no shapes; the solvers make their tensor and mask
+C-contiguous once per solve. Any other layout is copied by the reshape.
 """
 
 from . import core
@@ -16,10 +25,9 @@ NUMBA_ENABLED = False
 # reports its kernel metrics under them.
 def mttkrp3(t, u0, u1, u2, mode):
     """unfold(t, mode) times the Khatri-Rao product of the other two factors."""
-    return core.unfold(t, mode) @ core.kr_chain((u0, u1, u2), mode)
+    return core._mttkrp(t, (u0, u1, u2), mode)
 
 
 def reconstruct3(u0, u1, u2):
     """Sum of rank-one terms u0[:,r] o u1[:,r] o u2[:,r]."""
-    shape = (u0.shape[0], u1.shape[0], u2.shape[0])
-    return core.fold(u0 @ core.kr_chain((u0, u1, u2), 0).T, 0, shape)
+    return core._reconstruct((u0, u1, u2))

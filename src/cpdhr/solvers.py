@@ -138,12 +138,14 @@ def _finalize(factors):
 
 
 def _observed(t):
-    """(values, mask-or-None, norm of observed part)."""
+    """(values, mask-or-None, norm of observed part), values and mask
+    C-contiguous so that the kernels' C-order reshapes are views: a parsed
+    tensor is F-ordered and would otherwise be copied on every call."""
     if isinstance(t, IncompleteTensor):
-        vals = t.values
-        mask = t.mask
+        vals = np.ascontiguousarray(t.values)
+        mask = np.ascontiguousarray(t.mask)
     else:
-        vals = np.asarray(t, dtype=np.complex128)
+        vals = np.ascontiguousarray(t, dtype=np.complex128)
         mask = None
     if not np.isfinite(vals).all():
         raise ValueError("tensor contains non-finite values")
@@ -397,21 +399,22 @@ def _structured_gn_operator(factors, w, w_pair):
 
 def _masked_gn_operator(factors, mask):
     """v -> J^H J v restricted to the observed entries, in tangent form:
-    the directional derivative of the model, masked, then mttkrp'd back."""
+    the directional derivative of the model, masked, then mttkrp'd back.
+
+    The tangent sum_m [[U with U_m <- delta_m]] is one reconstruct of rank
+    N*R: factor n is [U_n ... delta_n ... U_n], delta_n in column block n.
+    """
     shape = tuple(f.shape[0] for f in factors)
     rank = factors[0].shape[1]
     n_modes = len(factors)
     conj_factors = [np.conj(f) for f in factors]
+    wide = [np.tile(f, (1, n_modes)) for f in factors]
+    blocks = [w[:, n * rank:(n + 1) * rank] for n, w in enumerate(wide)]
 
     def matvec(v):
-        delta = _factor_views(v, shape, rank)
-        tangent = None
-        for m in range(n_modes):
-            swapped = list(factors)
-            swapped[m] = delta[m]
-            term = core.reconstruct(swapped)
-            tangent = term if tangent is None else tangent + term
-        tangent = np.where(mask, tangent, 0.0)
+        for block, d in zip(blocks, _factor_views(v, shape, rank)):
+            block[...] = d
+        tangent = np.where(mask, core.reconstruct(wide), 0.0)
         return np.concatenate([core.mttkrp(tangent, conj_factors, n).ravel() for n in range(n_modes)])
 
     return matvec
@@ -419,8 +422,14 @@ def _masked_gn_operator(factors, mask):
 
 def _block_jacobi(w, shape):
     """Preconditioner: block n of the result is r_n pinv(conj(W_n)), applied
-    as one batched product over the rows of all factors."""
-    pinvs = np.linalg.pinv(np.conj(w), rcond=PINV_RCOND, hermitian=True)
+    as one batched product over the rows of all factors. The pseudo-inverses
+    come from one stacked eigh, eigenvalues at or below PINV_RCOND times the
+    largest in magnitude dropped, as pinv(..., hermitian=True) would."""
+    eigvals, vecs = np.linalg.eigh(np.conj(w))
+    magnitude = np.abs(eigvals)
+    kept = magnitude > PINV_RCOND * magnitude.max(axis=-1, keepdims=True)
+    inverse = np.divide(1.0, eigvals, out=np.zeros_like(eigvals), where=kept)
+    pinvs = (vecs * inverse[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
     row_pinvs = np.repeat(pinvs, shape, axis=0)
     rank = row_pinvs.shape[-1]
 

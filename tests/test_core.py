@@ -112,6 +112,15 @@ def random_factors(rng, shape, rank):
     ]
 
 
+def layouts(a):
+    """The values of a as a C-ordered array, an F-ordered one and a
+    non-contiguous slice of a larger array."""
+    big = np.zeros(tuple(2 * s for s in a.shape), dtype=a.dtype)
+    window = tuple(slice(1, None, 2) for _ in a.shape)
+    big[window] = a
+    return {"C": np.ascontiguousarray(a), "F": np.asfortranarray(a), "sliced": big[window]}
+
+
 # ---------------------------------------------------------------------------
 # shape / containers
 
@@ -298,13 +307,15 @@ def test_reconstruct_matches_naive_order3():
 
 
 def test_reconstruct_matches_naive_order4():
-    # orders 1 and 2 ride along: every order but 3 takes the same line
+    # orders 1 to 4, every factor in each memory layout
     rng = np.random.default_rng(34)
-    for shape in [(2, 3, 2, 4), (5,), (3, 4)]:
+    for shape in [(2, 3, 2, 4), (5,), (3, 4), (3, 1, 4)]:
         factors = random_factors(rng, shape, 3)
-        got = reconstruct(factors)
-        assert got.shape == shape
-        assert np.allclose(got, naive_reconstruct(factors), atol=1e-12)
+        want = naive_reconstruct(factors)
+        for layout in ("C", "F", "sliced"):
+            got = reconstruct([layouts(f)[layout] for f in factors])
+            assert got.shape == shape
+            assert np.allclose(got, want, atol=1e-12), (shape, layout)
 
 
 def test_reconstruct_agrees_with_identity_tensor_route():
@@ -409,15 +420,19 @@ def test_mttkrp_matches_naive_order3():
 
 
 def test_mttkrp_matches_naive_order4():
-    # orders 1 and 2 ride along: every order but 3 takes the same line
+    # orders 1 to 4, tensor and factors in each memory layout
     rng = np.random.default_rng(62)
-    for shape in [(2, 3, 2, 3), (5,), (3, 4)]:
+    for shape in [(2, 3, 2, 3), (5,), (3, 4), (3, 1, 4)]:
         t = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         factors = random_factors(rng, shape, 3)
-        for mode in range(len(shape)):
-            got = mttkrp(t, factors, mode)
-            want = naive_mttkrp(t, factors, mode)
-            assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-10
+        for layout in ("C", "F", "sliced"):
+            tl = layouts(t)[layout]
+            fl = [layouts(f)[layout] for f in factors]
+            for mode in range(len(shape)):
+                got = mttkrp(tl, fl, mode)
+                want = naive_mttkrp(t, factors, mode)
+                assert got.shape == want.shape
+                assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-10, (shape, layout, mode)
 
 
 def test_mttkrp_gramian_identity():

@@ -108,6 +108,13 @@ class TestTensorFile:
         with pytest.raises(ValueError):
             serialize_tensor(np.array([np.inf + 0j]))
 
+    def test_non_finite_entries_rejected_with_line(self):
+        # the same guard serialize_tensor applies on the way out
+        for text, line in [("tns 1 2\nnan 0\ninf 1\n", 2),
+                           ("tns 1 3\n1.0 0.0\n* *\n0.0 -inf\n", 4)]:
+            with pytest.raises(ValueError, match=f"non-finite entry on line {line}"):
+                parse_tensor(text)
+
     def test_oversized_header_hits_element_limit(self):
         # the element count must not wrap around before the size guard
         with pytest.raises(ValueError, match="exceeds limit"):
@@ -143,6 +150,12 @@ class TestSignalCsv:
             parse_signals("a,b\n1.0,x\n")  # non-numeric
         with pytest.raises(ValueError):
             parse_signals("a,b\n1.0,1.0\n1.0,2.0\n")  # constant column
+
+    def test_non_finite_cells_rejected_with_line(self):
+        # the same guard serialize_signals applies on the way out
+        for cell in ("nan", "inf", "-inf"):
+            with pytest.raises(ValueError, match="non-finite cell on line 3"):
+                parse_signals(f"a,b\n1.0,2.0\n3.0,{cell}\n4.0,1.0\n")
 
 
 class TestSceneConfig:

@@ -1,5 +1,7 @@
 """Order-3 kernels against naive loops, over the memory layouts they meet."""
 
+import tracemalloc
+
 import numpy as np
 
 from cpdhr import kernels
@@ -80,3 +82,20 @@ def test_kernels_bitwise_deterministic():
     assert np.array_equal(
         kernels.reconstruct3(u0, u1, u2), kernels.reconstruct3(u0, u1, u2)
     )
+
+
+def test_mttkrp3_does_not_copy_a_c_contiguous_tensor():
+    # the C-order reshapes are views; a copy of the tensor alone would
+    # already reach its nbytes
+    rng = np.random.default_rng(10)
+    shape, rank = (32, 32, 64), 6
+    t = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    factors = [rng.standard_normal((s, rank)) + 1j * rng.standard_normal((s, rank)) for s in shape]
+    for mode in range(3):
+        tracemalloc.start()
+        try:
+            kernels.mttkrp3(t, *factors, mode)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < t.nbytes, (mode, peak / t.nbytes)

@@ -366,6 +366,41 @@ def test_dense_matvec_agrees_with_tangent_form():
                 assert np.abs(a - b).max() < 1e-11 * max(scale, 1.0), (build.__name__, shape)
 
 
+def loop_masked_operator(factors, mask):
+    """The masked operator with its tangent as N reconstructs, factor m of
+    the m-th one swapped for delta_m."""
+    shape = tuple(f.shape[0] for f in factors)
+    rank = factors[0].shape[1]
+    conj_factors = [np.conj(f) for f in factors]
+
+    def matvec(v):
+        delta = solvers._factor_views(v, shape, rank)
+        tangent = sum(core.reconstruct([delta[n] if n == m else f for n, f in enumerate(factors)])
+                      for m in range(len(factors)))
+        tangent = np.where(mask, tangent, 0.0)
+        return np.concatenate([core.mttkrp(tangent, conj_factors, n).ravel()
+                               for n in range(len(factors))])
+
+    return matvec
+
+
+def test_masked_matvec_matches_per_mode_tangent_loop():
+    rng = np.random.default_rng(64)
+    for order in (3, 4):
+        for _ in range(4):
+            shape = tuple(int(x) for x in rng.integers(2, 5, size=order))
+            rank = int(rng.integers(1, 4))
+            _, factors = flat_factors(rng, shape, rank)
+            mask = rng.random(shape) < 0.6
+            fast = solvers._masked_gn_operator(factors, mask)
+            slow = loop_masked_operator(factors, mask)
+            # repeated applies must not see each other's input
+            for _ in range(2):
+                delta = crandn(rng, sum(shape) * rank)
+                a, b = fast(delta), slow(delta)
+                assert np.abs(a - b).max() < 1e-12 * max(np.abs(b).max(), 1.0), shape
+
+
 def test_dense_matvec_matches_fd_gauss_newton_operator():
     rng = np.random.default_rng(62)
     rank = 2
