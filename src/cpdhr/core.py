@@ -200,10 +200,8 @@ def kr_chain(factors, skip):
     With this ordering unfold(reconstruct(model), n) equals
     factors[n] @ kr_chain(factors, n).T.
     """
-    mats = [factors[m] for m in range(len(factors) - 1, -1, -1) if m != skip]
-    if not mats:
-        return np.ones((1, factors[skip].shape[1]), dtype=np.complex128)
-    return reduce(khatri_rao, mats)
+    mats = [np.asarray(factors[m]) for m in range(len(factors) - 1, -1, -1) if m != skip]
+    return _kr(mats, np.shape(factors[skip])[1])
 
 
 def outer_product(vectors):

@@ -157,12 +157,7 @@ def build_scene_tensor(scene, sources):
             f"signals shape {signals.shape} does not match scene "
             f"(K={scene.time_len}, R={scene.rank})"
         )
-    a = np.column_stack(
-        [steering_vector(s.azimuth_deg, s.elevation_deg, 1, scene.grid_m1) for s in scene.sources]
-    )
-    b = np.column_stack(
-        [steering_vector(s.azimuth_deg, s.elevation_deg, 2, scene.grid_m2) for s in scene.sources]
-    )
+    a, b = _truth_steering_model(scene).factors
     attens = np.array([s.attenuation for s in scene.sources])
     c = signals.astype(np.complex128) * attens[None, :]
     truth = CpdModel([a, b, c])

@@ -9,6 +9,7 @@ parameter vector (Re U, Im U) is (Re g, Im g), where g is the mttkrp of the
 residual against the conjugated factors.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -204,8 +205,16 @@ def _hadamard_except(grams, *skip):
     return w
 
 
-def _masked_unfold_mask(mask, mode):
-    return np.moveaxis(mask, mode, 0).reshape((mask.shape[mode], -1), order="F")
+def _hermitian_pinv(a):
+    """Pseudo-inverse of a Hermitian matrix or stack of them, from one
+    eigh: eigenvalues at or below PINV_RCOND times the largest in
+    magnitude are dropped, as pinv(a, rcond=PINV_RCOND, hermitian=True)
+    would, so a zero matrix gives zero."""
+    eigvals, vecs = np.linalg.eigh(a)
+    magnitude = np.abs(eigvals)
+    kept = magnitude > PINV_RCOND * magnitude.max(axis=-1, keepdims=True)
+    inverse = np.divide(1.0, eigvals, out=np.zeros_like(eigvals), where=kept)
+    return (vecs * inverse[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def _als_sweep_dense(tvals, factors):
@@ -213,29 +222,40 @@ def _als_sweep_dense(tvals, factors):
     for n in range(len(factors)):
         m = core.mttkrp(tvals, conj_factors, n)
         w = _hadamard_except(_gramians(factors), n)
-        factors[n] = m @ np.linalg.pinv(np.conj(w), rcond=PINV_RCOND, hermitian=True)
+        factors[n] = m @ _hermitian_pinv(np.conj(w))
         conj_factors[n] = np.conj(factors[n])
 
 
+def _pair_columns(f):
+    """Columns f[:, r] * conj(f[:, s]), ordered (r, s). Row j of their
+    Khatri-Rao product over some modes is the flattened outer product
+    z_j^T conj(z_j) of row j of the factors' Khatri-Rao product."""
+    return (f[:, :, None] * np.conj(f)[:, None, :]).reshape(f.shape[0], -1)
+
+
 def _als_sweep_masked(tvals, mask, factors):
-    # per-row normal equations restricted to the observed entries; rows
-    # with nothing observed get the least-norm answer (zero)
+    # Per-row normal equations restricted to the observed entries: row i of
+    # mode n solves u_i a_i = b_i with a_i = sum_j mask[i, j] z_j^T conj(z_j),
+    # z_j the Khatri-Rao row of the other modes, so the stack of a_i is one
+    # mttkrp of the mask against the pair columns. Rows with nothing
+    # observed get the least-norm answer (zero).
+    weights = mask.astype(tvals.dtype)
+    conj_factors = [np.conj(f) for f in factors]
+    pairs = [_pair_columns(f) for f in factors]
+    rank = factors[0].shape[1]
     for n in range(len(factors)):
-        z = core.kr_chain(factors, n)
-        zc = np.conj(z)
-        mask_n = _masked_unfold_mask(mask, n)
-        b = core.unfold(tvals, n) @ zc  # masked values are zero-filled
-        a = np.einsum("ij,jr,js->irs", mask_n, z, zc, optimize=True)
-        pinvs = np.linalg.pinv(a, rcond=PINV_RCOND, hermitian=True)
-        factors[n] = (b[:, None, :] @ pinvs)[:, 0, :]
+        b = core.mttkrp(tvals, conj_factors, n)  # masked values are zero-filled
+        a = core.mttkrp(weights, pairs, n).reshape(-1, rank, rank)
+        factors[n] = (b[:, None, :] @ _hermitian_pinv(a))[:, 0, :]
+        conj_factors[n] = np.conj(factors[n])
+        pairs[n] = _pair_columns(factors[n])
 
 
-def _relative_residual(tvals, mask, factors, norm):
-    xhat = core.reconstruct(factors)
-    diff = xhat - tvals
+def _residual(tvals, mask, factors):
+    r = core.reconstruct(factors) - tvals
     if mask is not None:
-        diff = np.where(mask, diff, 0.0)
-    return float(np.linalg.norm(diff.ravel())) / norm
+        r = np.where(mask, r, 0.0)
+    return r
 
 
 def _als_iterate(tvals, mask, norm, factors, opts, n_sweeps, strategy):
@@ -251,7 +271,7 @@ def _als_iterate(tvals, mask, norm, factors, opts, n_sweeps, strategy):
         else:
             _als_sweep_masked(tvals, mask, factors)
         _rebalance(factors)
-        rel = _relative_residual(tvals, mask, factors, norm)
+        rel = float(np.linalg.norm(_residual(tvals, mask, factors).ravel())) / norm
         trace.append(rel)
         if len(trace) >= 2 and trace[-2] - trace[-1] < opts.rel_objective_tol:
             converged = True
@@ -270,7 +290,10 @@ def cpd_als(t, opts):
     product of the other modes' Gramians. Missing entries are either
     imputed from the current reconstruction before every sweep or excluded
     via per-row masked normal equations, depending on
-    opts.missing_data_strategy.
+    opts.missing_data_strategy. Those take their right-hand sides from the
+    same mttkrp and their R x R matrices from one mttkrp of the mask
+    against the columns U_m[:, r] * conj(U_m[:, s]). Every pseudo-inverse
+    is a Hermitian one from eigh, cut at PINV_RCOND.
     """
     tvals, mask, norm = _observed(t)
     factors = _start_factors(tvals.shape, opts, data_norm=norm)
@@ -313,13 +336,6 @@ def _factor_views(x, shape, rank):
         views.append(x[start:start + extent * rank].reshape(extent, rank))
         start += extent * rank
     return views
-
-
-def _residual(tvals, mask, factors):
-    r = core.reconstruct(factors) - tvals
-    if mask is not None:
-        r = np.where(mask, r, 0.0)
-    return r
 
 
 def cpd_gradient(t, factors):
@@ -422,14 +438,8 @@ def _masked_gn_operator(factors, mask):
 
 def _block_jacobi(w, shape):
     """Preconditioner: block n of the result is r_n pinv(conj(W_n)), applied
-    as one batched product over the rows of all factors. The pseudo-inverses
-    come from one stacked eigh, eigenvalues at or below PINV_RCOND times the
-    largest in magnitude dropped, as pinv(..., hermitian=True) would."""
-    eigvals, vecs = np.linalg.eigh(np.conj(w))
-    magnitude = np.abs(eigvals)
-    kept = magnitude > PINV_RCOND * magnitude.max(axis=-1, keepdims=True)
-    inverse = np.divide(1.0, eigvals, out=np.zeros_like(eigvals), where=kept)
-    pinvs = (vecs * inverse[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
+    as one batched product over the rows of all factors."""
+    pinvs = _hermitian_pinv(np.conj(w))
     row_pinvs = np.repeat(pinvs, shape, axis=0)
     rank = row_pinvs.shape[-1]
 
@@ -620,13 +630,4 @@ def cpd(t, opts):
     tvals, mask, norm = _observed(t)
     factors = _start_factors(tvals.shape, opts)
     _als_iterate(tvals, mask, norm, factors, opts, WARMSTART_SWEEPS, opts.missing_data_strategy)
-    warm_opts = CpdOptions(
-        rank=opts.rank,
-        algorithm="gauss_newton",
-        max_iterations=opts.max_iterations,
-        rel_objective_tol=opts.rel_objective_tol,
-        rel_step_tol=opts.rel_step_tol,
-        init=CpdModel(factors),
-        missing_data_strategy=opts.missing_data_strategy,
-    )
-    return cpd_nls(t, warm_opts)
+    return cpd_nls(t, dataclasses.replace(opts, algorithm="gauss_newton", init=CpdModel(factors)))

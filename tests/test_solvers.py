@@ -478,27 +478,66 @@ def test_gauss_newton_converged_implies_small_residual_on_noiseless_scenes(monke
                 assert diag.final_relative_residual <= 1e-8, (seed, algorithm)
 
 
-def test_masked_als_sweep_matches_per_row_solves():
-    rng = np.random.default_rng(63)
-    shape, rank = (5, 4, 6), 3
+def masked_normal_equations(tvals, mask, factors, n):
+    """Right-hand sides b (I_n, R) and normal matrices a (I_n, R, R) of the
+    masked ALS update of mode n, as the sweep forms them: two mttkrps."""
+    rank = factors[0].shape[1]
+    pairs = [(f[:, :, None] * np.conj(f)[:, None, :]).reshape(f.shape[0], -1) for f in factors]
+    b = core.mttkrp(tvals, [np.conj(f) for f in factors], n)
+    a = core.mttkrp(mask.astype(complex), pairs, n).reshape(-1, rank, rank)
+    return b, a
+
+
+def masked_sweep_problem(rng, shape, rank):
     tvals = crandn(rng, *shape)
     mask = rng.random(shape) < 0.7
-    mask[1, :, :] = False  # a row with nothing observed
-    tvals = np.where(mask, tvals, 0.0)
-    start = [crandn(rng, i, rank) for i in shape]
-    batched = [f.copy() for f in start]
-    solvers._als_sweep_masked(tvals, mask, batched)
+    mask[1] = False  # a row of mode 0 with nothing observed
+    return np.where(mask, tvals, 0.0), mask, [crandn(rng, i, rank) for i in shape]
 
-    looped = [f.copy() for f in start]
-    for n in range(len(shape)):
-        z = core.kr_chain(looped, n)
-        zc = np.conj(z)
-        mask_n = solvers._masked_unfold_mask(mask, n)
-        b = core.unfold(tvals, n) @ zc
-        a = np.einsum("ij,jr,js->irs", mask_n, z, zc, optimize=True)
-        rows = np.empty_like(b)
-        for i in range(b.shape[0]):
-            rows[i] = b[i] @ np.linalg.pinv(a[i], rcond=solvers.PINV_RCOND, hermitian=True)
-        looped[n] = rows
-    for fb, fl in zip(batched, looped):
-        assert np.array_equal(fb, fl)
+
+def test_masked_als_sweep_matches_per_row_solves():
+    rng = np.random.default_rng(63)
+    for shape in ((5, 4, 6), (3, 4, 2, 5)):
+        tvals, mask, start = masked_sweep_problem(rng, shape, 3)
+        batched = [f.copy() for f in start]
+        solvers._als_sweep_masked(tvals, mask, batched)
+
+        looped = [f.copy() for f in start]
+        for n in range(len(shape)):
+            b, a = masked_normal_equations(tvals, mask, looped, n)
+            rows = np.empty_like(b)
+            for i in range(b.shape[0]):
+                rows[i] = b[i] @ solvers._hermitian_pinv(a[i])
+            looped[n] = rows
+        for fb, fl in zip(batched, looped):
+            assert np.array_equal(fb, fl), shape
+
+
+def test_masked_normal_equations_match_unfolded_formulas():
+    # oracle: the matricized formulas, Khatri-Rao rows z_j of the other
+    # modes, b = unfold(t) conj(Z) and a_i = sum_j mask[i, j] z_j^T conj(z_j)
+    rng = np.random.default_rng(65)
+    for shape in ((5, 4, 6), (3, 4, 2, 5)):
+        tvals, mask, factors = masked_sweep_problem(rng, shape, 3)
+        for n in range(len(shape)):
+            z = core.kr_chain(factors, n)
+            zc = np.conj(z)
+            b_ref = core.unfold(tvals, n) @ zc
+            a_ref = np.einsum("ij,jr,js->irs", core.unfold(mask, n), z, zc)
+            b, a = masked_normal_equations(tvals, mask, factors, n)
+            assert np.abs(b - b_ref).max() <= 1e-12 * np.abs(b_ref).max(), (shape, n)
+            assert np.abs(a - a_ref).max() <= 1e-12 * np.abs(a_ref).max(), (shape, n)
+            if n == 0:
+                assert not a[1].any() and not b[1].any()
+
+
+def test_hermitian_pinv_matches_numpy():
+    rng = np.random.default_rng(66)
+    g = crandn(rng, 4, 4)
+    v = crandn(rng, 4, 1)
+    stack = np.stack([g @ g.conj().T, v @ v.conj().T, np.zeros((4, 4), complex)])
+    ours = solvers._hermitian_pinv(stack)
+    ref = np.linalg.pinv(stack, rcond=solvers.PINV_RCOND, hermitian=True)
+    for mine, theirs in zip(ours, ref):
+        assert np.abs(mine - theirs).max() <= 1e-12 * max(np.abs(theirs).max(), 1.0)
+    assert not ours[2].any()

@@ -1,0 +1,109 @@
+#!/usr/bin/env python3
+"""Solver parity check: 180 seeded in-memory solves on the 0 dB demo scene.
+
+    python3 tools/solver_parity.py > parent.jsonl            # on one checkout
+    python3 tools/solver_parity.py --against parent.jsonl    # on another
+
+Seeds 0-19 of configs/demo_scene.json, each under three conditions (dense,
+masked with expectation_imputation, masked with masked_residuals) and the
+three algorithms, with the noise and solver seeds the pipeline derives from
+the scene seed. Every solve prints one JSON line: seed, condition,
+algorithm, iterations, converged and final residual.
+
+With --against FILE, the solves are compared with those recorded in FILE.
+Each solve whose iteration count or converged flag differs, whose residual
+differs by more than RESIDUAL_RTOL relative, or that is missing on either
+side is listed on standard error, and the exit status is 1. The cpdhr
+package is imported from the src/ directory of the checkout that holds
+this script.
+"""
+
+import os
+
+# One BLAS thread, so that a threaded GEMM cannot change the rounding
+# between two runs of the same checkout.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from cpdhr import formats, scene, solvers  # noqa: E402
+from cpdhr.pipeline import INIT_SEED_OFFSET, NOISE_SEED_OFFSET  # noqa: E402
+from cpdhr.solvers import CpdOptions  # noqa: E402
+
+SEEDS = range(20)
+CONDITIONS = ("dense", "expectation_imputation", "masked_residuals")
+RESIDUAL_RTOL = 1e-12
+
+
+def solves():
+    """One record per (seed, condition, algorithm), in a fixed order."""
+    cfg = formats.load_config(os.path.join(ROOT, "configs", "demo_scene.json"))
+    for seed in SEEDS:
+        sources = scene.synthetic_sources(cfg.scene.time_len, cfg.scene.rank, seed=seed)
+        clean, _ = scene.build_scene_tensor(cfg.scene, sources)
+        noisy = scene.add_noise(clean, cfg.snr_db, seed=seed + NOISE_SEED_OFFSET)
+        masked = scene.apply_mask(noisy, cfg.masks)
+        for condition in CONDITIONS:
+            tensor = noisy if condition == "dense" else masked
+            strategy = "expectation_imputation" if condition == "dense" else condition
+            for algorithm in solvers.ALGORITHMS:
+                opts = CpdOptions(rank=cfg.rank, algorithm=algorithm,
+                                  init=seed + INIT_SEED_OFFSET, missing_data_strategy=strategy)
+                _, diag = solvers.cpd(tensor, opts)
+                yield {"seed": seed, "condition": condition, "algorithm": algorithm,
+                       "iterations": diag.iterations, "converged": diag.converged,
+                       "residual": diag.final_relative_residual}
+
+
+def _key(rec):
+    return rec["seed"], rec["condition"], rec["algorithm"]
+
+
+def differences(records, reference):
+    """One line per solve that differs from the reference or is missing."""
+    ref = {_key(r): r for r in reference}
+    lines = []
+    for rec in records:
+        old = ref.pop(_key(rec), None)
+        if old is None:
+            lines.append(f"{_key(rec)}: not in the reference")
+            continue
+        diffs = [f"{name} {old[name]} -> {rec[name]}" for name in ("iterations", "converged")
+                 if rec[name] != old[name]]
+        gap = abs(rec["residual"] - old["residual"])
+        if not gap <= RESIDUAL_RTOL * abs(old["residual"]):
+            diffs.append(f"residual {old['residual']!r} -> {rec['residual']!r}")
+        if diffs:
+            lines.append(f"{_key(rec)}: " + ", ".join(diffs))
+    lines += [f"{key}: missing here" for key in ref]
+    return lines
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", metavar="FILE",
+                        help="JSON lines from an earlier run to compare with")
+    args = parser.parse_args(argv)
+    records = []
+    for rec in solves():
+        print(json.dumps(rec), flush=True)
+        records.append(rec)
+    if args.against is None:
+        return 0
+    with open(args.against, encoding="utf-8") as fh:
+        reference = [json.loads(line) for line in fh if line.strip()]
+    lines = differences(records, reference)
+    for line in lines:
+        print(line, file=sys.stderr)
+    print(f"{len(lines)} differences over {len(records)} solves", file=sys.stderr)
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
