@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import IncompleteTensor, element_count
 from .scene import DoaScene, MaskPattern, SourceSet, SourceSpec
-from .solvers import ALGORITHMS, MISSING_STRATEGIES
+from .solvers import CpdOptions
 
 _SENTINEL = "* *"
 
@@ -176,15 +176,8 @@ class SceneConfig:
         if self.snr_db is not None:
             self.snr_db = float(self.snr_db)
         self.seed = int(self.seed)
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
-        if self.missing_data_strategy not in MISSING_STRATEGIES:
-            raise ValueError(
-                f"missing_data_strategy must be one of {MISSING_STRATEGIES}, "
-                f"got {self.missing_data_strategy!r}"
-            )
+        CpdOptions(rank=self.rank, algorithm=self.algorithm,
+                   missing_data_strategy=self.missing_data_strategy)
         if not isinstance(self.signals, str) or not self.signals:
             raise ValueError("signals must be 'synthetic' or a CSV path")
 
@@ -209,6 +202,25 @@ def _check_keys(mapping, required, optional, what):
         raise ValueError(f"{what}: unknown key(s) {sorted(unknown)}")
 
 
+def _field(mapping, key, kind, what, default=None):
+    """mapping[key] from json.loads, or default when the key is absent,
+    refused unless its value is of the named kind; a bool is no number."""
+    if key not in mapping:
+        return default
+    value = mapping[key]
+    number = type(value) in (int, float)
+    ok = {
+        "an integer": type(value) is int,
+        "a number": number,
+        "a number or null": number or value is None,
+        "a pair of integers": type(value) is list and len(value) == 2 and all(type(v) is int for v in value),
+        "a list of objects": type(value) is list and all(type(v) is dict for v in value),
+    }[kind]
+    if not ok:
+        raise ValueError(f"{what}: {key} must be {kind}, got {json.dumps(value)}")
+    return value
+
+
 def parse_config(text):
     try:
         doc = json.loads(text)
@@ -217,30 +229,28 @@ def parse_config(text):
     if not isinstance(doc, dict):
         raise ValueError("config must be a JSON object")
     _check_keys(doc, _REQUIRED_KEYS, _OPTIONAL_KEYS, "config")
-    if not isinstance(doc["sources"], list) or not doc["sources"]:
+    sources = _field(doc, "sources", "a list of objects", "config")
+    if not sources:
         raise ValueError("config: sources must be a non-empty list")
     specs = []
-    for k, src in enumerate(doc["sources"], start=1):
-        _check_keys(src, _SOURCE_KEYS, _SOURCE_OPTIONAL, f"sources[{k}]")
+    for k, src in enumerate(sources, start=1):
+        what = f"sources[{k}]"
+        _check_keys(src, _SOURCE_KEYS, _SOURCE_OPTIONAL, what)
         specs.append(SourceSpec(
-            azimuth_deg=float(src["azimuth_deg"]),
-            elevation_deg=float(src["elevation_deg"]),
-            attenuation=float(src.get("attenuation", 1.0)),
+            azimuth_deg=float(_field(src, "azimuth_deg", "a number", what)),
+            elevation_deg=float(_field(src, "elevation_deg", "a number", what)),
+            attenuation=float(_field(src, "attenuation", "a number", what, default=1.0)),
         ))
     scene = DoaScene(
         sources=specs,
-        grid_m1=int(doc["grid_m1"]),
-        grid_m2=int(doc["grid_m2"]),
-        time_len=int(doc["time_len"]),
+        grid_m1=_field(doc, "grid_m1", "an integer", "config"),
+        grid_m2=_field(doc, "grid_m2", "an integer", "config"),
+        time_len=_field(doc, "time_len", "an integer", "config"),
     )
     masks = []
-    for k, pat in enumerate(doc.get("masks", []), start=1):
+    for k, pat in enumerate(_field(doc, "masks", "a list of objects", "config", default=[]), start=1):
         _check_keys(pat, _MASK_KEYS, set(), f"masks[{k}]")
-        sensor = pat["sensor"]
-        if (not isinstance(sensor, (list, tuple)) or len(sensor) != 2
-                or not all(isinstance(c, int) for c in sensor)):
-            raise ValueError(f"masks[{k}]: sensor must be a pair of integers")
-        i, j = sensor
+        i, j = _field(pat, "sensor", "a pair of integers", f"masks[{k}]")
         if not (1 <= i <= scene.grid_m1 and 1 <= j <= scene.grid_m2):
             raise ValueError(
                 f"masks[{k}]: sensor ({i}, {j}) outside the "
@@ -249,9 +259,9 @@ def parse_config(text):
         masks.append(MaskPattern(kind=pat["kind"], sensor=(i - 1, j - 1)))
     return SceneConfig(
         scene=scene,
-        snr_db=doc["snr_db"],
-        seed=doc["seed"],
-        rank=doc["rank"],
+        snr_db=_field(doc, "snr_db", "a number or null", "config"),
+        seed=_field(doc, "seed", "an integer", "config"),
+        rank=_field(doc, "rank", "an integer", "config"),
         algorithm=doc["algorithm"],
         signals=doc["signals"],
         masks=masks,

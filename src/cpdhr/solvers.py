@@ -2,7 +2,9 @@
 initialization and the normalization pass.
 
 Both solvers accept dense arrays or :class:`~cpdhr.core.IncompleteTensor`
-inputs. All reported residuals are relative Frobenius residuals over the
+inputs. Every solver keeps its state in one flat complex parameter vector
+from _start, updated in place; factor n is the C-order (I_n, R) view of
+block n. All reported residuals are relative Frobenius residuals over the
 observed entries. Complex least squares is handled throughout with the
 convention that the gradient of f = 0.5*||r||^2 with respect to the real
 parameter vector (Re U, Im U) is (Re g, Im g), where g is the mttkrp of the
@@ -40,6 +42,12 @@ WARMSTART_SWEEPS = 3
 # cannot be much tighter than this.
 GRAD_CERTIFICATE = 1e-6
 
+# stall and step tolerances: a sweep or iteration whose relative residual
+# falls by less than REL_OBJECTIVE_TOL stops the solve, as does an accepted
+# Gauss-Newton step shorter than REL_STEP_TOL times max(1, ||x||)
+REL_OBJECTIVE_TOL = 1e-10
+REL_STEP_TOL = 1e-12
+
 
 @dataclass
 class CpdOptions:
@@ -52,8 +60,6 @@ class CpdOptions:
     rank: int
     algorithm: str = "gauss_newton_als_warmstart"
     max_iterations: int = 500
-    rel_objective_tol: float = 1e-10
-    rel_step_tol: float = 1e-12
     init: "CpdModel | int" = 0
     missing_data_strategy: str = "expectation_imputation"
 
@@ -62,8 +68,6 @@ class CpdOptions:
             raise ValueError("rank must be >= 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.rel_objective_tol <= 0 or self.rel_step_tol <= 0:
-            raise ValueError("tolerances must be positive")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}, expected one of {ALGORITHMS}")
         if self.missing_data_strategy not in MISSING_STRATEGIES:
@@ -128,16 +132,6 @@ def normalize_model(model):
     return CpdModel(factors, normalized=True)
 
 
-def _finalize(factors):
-    model = CpdModel(factors)
-    try:
-        return normalize_model(model)
-    except ValueError:
-        # a dead column (rank overshoot) has no norm to move; hand the raw
-        # factors back rather than erroring out of a finished solve
-        return model
-
-
 def _observed(t):
     """(values, mask-or-None, norm of observed part), values and mask
     C-contiguous so that the kernels' C-order reshapes are views: a parsed
@@ -156,40 +150,67 @@ def _observed(t):
     return vals, mask, norm
 
 
-def _start_factors(t_shape, opts, data_norm=None):
-    if isinstance(opts.init, CpdModel):
-        model = opts.init
-        if model.shape != tuple(t_shape):
-            raise ValueError(f"init model shape {model.shape} != tensor shape {tuple(t_shape)}")
+def _factor_views(x, shape, rank):
+    views = []
+    start = 0
+    for extent in shape:
+        views.append(x[start:start + extent * rank].reshape(extent, rank))
+        start += extent * rank
+    return views
+
+
+def _start(shape, opts, data_norm=None):
+    """The solver state: one flat complex vector whose block n is the
+    C-order (I_n, R) view of factor n that _factor_views takes. A seeded
+    start is scaled to data_norm when that is given."""
+    model = opts.init
+    if isinstance(model, CpdModel):
+        if model.shape != tuple(shape):
+            raise ValueError(f"init model shape {model.shape} != tensor shape {tuple(shape)}")
         if model.rank != opts.rank:
             raise ValueError(f"init model rank {model.rank} != requested rank {opts.rank}")
-        return [f.copy() for f in model.factors]
-    factors = [f.copy() for f in init_model(t_shape, opts.rank, int(opts.init)).factors]
+        data_norm = None
+    else:
+        model = init_model(shape, opts.rank, int(model))
+    x = np.concatenate([f.ravel() for f in model.factors])
     if data_norm is not None:
         # place the random start at the data's scale; a badly scaled start
         # wastes iterations on pure rescaling
-        start_norm = float(np.linalg.norm(core.reconstruct(factors).ravel()))
+        start_norm = float(np.linalg.norm(core.reconstruct(model).ravel()))
         if start_norm > 0:
-            c = (data_norm / start_norm) ** (1.0 / len(factors))
-            factors = [c * f for f in factors]
-    return factors
+            x *= (data_norm / start_norm) ** (1.0 / len(shape))
+    return x
 
 
-def _rebalance(factors):
-    # gauge-only: spread each column's magnitude evenly over the modes.
-    # Keeping the blocks comparably scaled matters a lot downstream: a
-    # spherical trust region on the stacked parameters is useless when one
-    # mode carries all the magnitude.
-    n_modes = len(factors)
-    norms = [np.linalg.norm(f, axis=0) for f in factors]
-    total = np.ones_like(norms[0])
-    for nn in norms:
-        total = total * nn
+def _rebalance(x, shape, rank):
+    # gauge-only: spread each column's magnitude evenly over the modes, in
+    # place on the (sum I_n, R) view of x. Keeping the blocks comparably
+    # scaled matters a lot downstream: a spherical trust region on the
+    # stacked parameters is useless when one mode carries all the magnitude.
+    rows = x.reshape(-1, rank)
+    norms = np.sqrt(np.add.reduceat((rows.conj() * rows).real, np.cumsum((0,) + shape[:-1]), axis=0))
+    total = norms.prod(axis=0)
     alive = total > 0
-    target = np.power(np.where(alive, total, 1.0), 1.0 / n_modes)
-    for n in range(n_modes):
-        safe = np.where(norms[n] > 0, norms[n], 1.0)
-        factors[n] *= np.where(alive, target / safe, 1.0)
+    target = np.power(np.where(alive, total, 1.0), 1.0 / len(shape))
+    scale = np.where(alive, target / np.where(norms > 0, norms, 1.0), 1.0)
+    rows *= np.repeat(scale, shape, axis=0)
+
+
+def _finish(x, shape, rank, trace, converged):
+    """The normalized model and the diagnostics of a finished solve."""
+    diag = CpdDiagnostics(
+        iterations=len(trace),
+        converged=converged,
+        final_relative_residual=trace[-1],
+        objective_trace=trace,
+    )
+    model = CpdModel(_factor_views(x, shape, rank))
+    try:
+        return normalize_model(model), diag
+    except ValueError:
+        # a dead column (rank overshoot) has no norm to move; hand the raw
+        # factors back rather than erroring out of a finished solve
+        return model, diag
 
 
 def _gramians(factors):
@@ -219,11 +240,12 @@ def _hermitian_pinv(a):
 
 def _als_sweep_dense(tvals, factors):
     conj_factors = [np.conj(f) for f in factors]
+    grams = _gramians(factors)
     for n in range(len(factors)):
         m = core.mttkrp(tvals, conj_factors, n)
-        w = _hadamard_except(_gramians(factors), n)
-        factors[n] = m @ _hermitian_pinv(np.conj(w))
+        factors[n][...] = m @ _hermitian_pinv(np.conj(_hadamard_except(grams, n)))
         conj_factors[n] = np.conj(factors[n])
+        grams[n] = factors[n].conj().T @ factors[n]
 
 
 def _pair_columns(f):
@@ -246,40 +268,43 @@ def _als_sweep_masked(tvals, mask, factors):
     for n in range(len(factors)):
         b = core.mttkrp(tvals, conj_factors, n)  # masked values are zero-filled
         a = core.mttkrp(weights, pairs, n).reshape(-1, rank, rank)
-        factors[n] = (b[:, None, :] @ _hermitian_pinv(a))[:, 0, :]
+        factors[n][...] = (b[:, None, :] @ _hermitian_pinv(a))[:, 0, :]
         conj_factors[n] = np.conj(factors[n])
         pairs[n] = _pair_columns(factors[n])
 
 
-def _residual(tvals, mask, factors):
-    r = core.reconstruct(factors) - tvals
-    if mask is not None:
-        r = np.where(mask, r, 0.0)
-    return r
+def _residual(tvals, mask, model):
+    """The reconstruction model minus the data, zero where unobserved."""
+    r = model - tvals
+    return r if mask is None else np.where(mask, r, 0.0)
 
 
-def _als_iterate(tvals, mask, norm, factors, opts, n_sweeps, strategy):
-    """Run up to n_sweeps ALS sweeps in place; returns (trace, converged)."""
+def _als_iterate(tvals, mask, norm, x, opts, n_sweeps):
+    """Run up to n_sweeps ALS sweeps on the factor views of x, in place;
+    returns (trace, converged)."""
+    shape, rank = tvals.shape, opts.rank
+    factors = _factor_views(x, shape, rank)
+    impute = mask is not None and opts.missing_data_strategy == "expectation_imputation"
+    # with imputation, a sweep's reconstruction gives both its residual and
+    # the next sweep's imputed entries
+    model = core.reconstruct(factors) if impute else None
     trace = []
-    converged = False
     for _ in range(n_sweeps):
         if mask is None:
             _als_sweep_dense(tvals, factors)
-        elif strategy == "expectation_imputation":
-            work = np.where(mask, tvals, core.reconstruct(factors))
-            _als_sweep_dense(work, factors)
+        elif impute:
+            _als_sweep_dense(np.where(mask, tvals, model), factors)
         else:
             _als_sweep_masked(tvals, mask, factors)
-        _rebalance(factors)
-        rel = float(np.linalg.norm(_residual(tvals, mask, factors).ravel())) / norm
+        _rebalance(x, shape, rank)
+        model = core.reconstruct(factors)
+        rel = float(np.linalg.norm(_residual(tvals, mask, model).ravel())) / norm
         trace.append(rel)
-        if len(trace) >= 2 and trace[-2] - trace[-1] < opts.rel_objective_tol:
-            converged = True
-            break
+        if len(trace) >= 2 and trace[-2] - trace[-1] < REL_OBJECTIVE_TOL:
+            return trace, True
         if not math.isfinite(rel):
-            converged = False
             break
-    return trace, converged
+    return trace, False
 
 
 def cpd_als(t, opts):
@@ -296,27 +321,17 @@ def cpd_als(t, opts):
     is a Hermitian one from eigh, cut at PINV_RCOND.
     """
     tvals, mask, norm = _observed(t)
-    factors = _start_factors(tvals.shape, opts, data_norm=norm)
-    trace, converged = _als_iterate(
-        tvals, mask, norm, factors, opts, opts.max_iterations, opts.missing_data_strategy
-    )
-    diag = CpdDiagnostics(
-        iterations=len(trace),
-        converged=converged,
-        final_relative_residual=trace[-1] if trace else float("nan"),
-        objective_trace=trace,
-    )
-    return _finalize(factors), diag
+    x = _start(tvals.shape, opts, data_norm=norm)
+    trace, converged = _als_iterate(tvals, mask, norm, x, opts, opts.max_iterations)
+    return _finish(x, tvals.shape, opts.rank, trace, converged)
 
 
 # ---------------------------------------------------------------------------
 # Gauss-Newton with dogleg trust region
 #
-# The trust-region loop works on one flat complex parameter vector; factor n
-# is the C-order (I_n, R) view of its slice. The residual is holomorphic in
-# the factors, so the Gauss-Newton matrix J^H J is complex-linear on that
-# vector, and Re(vdot(a, b)) is the inner product of the real parameters
-# (Re x, Im x).
+# The residual is holomorphic in the factors, so the Gauss-Newton matrix
+# J^H J is complex-linear on the flat parameter vector, and Re(vdot(a, b))
+# is the inner product of the real parameters (Re x, Im x).
 
 # Largest parameter count sum(I_n * R) for which the dense operator is the
 # explicit Hermitian J^H J: its build and apply grow with the square of the
@@ -329,15 +344,6 @@ def cpd_als(t, opts):
 EXPLICIT_GN_MAX_PARAMS = 160
 
 
-def _factor_views(x, shape, rank):
-    views = []
-    start = 0
-    for extent in shape:
-        views.append(x[start:start + extent * rank].reshape(extent, rank))
-        start += extent * rank
-    return views
-
-
 def cpd_gradient(t, factors):
     """Gradient blocks of f = 0.5 * ||observed(reconstruct(U) - t)||^2.
 
@@ -346,7 +352,7 @@ def cpd_gradient(t, factors):
     """
     tvals, mask, _ = _observed(t)
     factors = [np.asarray(f, dtype=np.complex128) for f in core._factor_list(factors)]
-    r = _residual(tvals, mask, factors)
+    r = _residual(tvals, mask, core.reconstruct(factors))
     conj_factors = [np.conj(f) for f in factors]
     return [core.mttkrp(r, conj_factors, n) for n in range(len(factors))]
 
@@ -510,7 +516,8 @@ def _dogleg_step(g, p_gn, matvec, delta):
 
 def cpd_nls(t, opts):
     """Gauss-Newton CPD with block-Jacobi preconditioned CG inner solves
-    and a dogleg trust region on the stacked factor parameters.
+    and a dogleg trust region on the one flat parameter vector that holds
+    every factor, as in all solvers here.
 
     The objective is half the squared Frobenius residual over observed
     entries. With masked_residuals the Gramian operator excludes the
@@ -522,18 +529,18 @@ def cpd_nls(t, opts):
 
     A tolerance-based stop counts as converged only with two witnesses:
     the gradient certificate, and a Gauss-Newton point whose predicted
-    decrease is at most rel_objective_tol times the objective in
+    decrease is at most REL_OBJECTIVE_TOL times the objective in
     magnitude. A stall in a swamp, where rejected steps make no progress
     while the model still promises a large decrease, passes the first and
     fails the second.
     """
     tvals, mask, norm = _observed(t)
     shape, rank, n_modes = tvals.shape, opts.rank, tvals.ndim
-    x = np.concatenate([f.ravel() for f in _start_factors(shape, opts, data_norm=norm)])
+    x = _start(shape, opts, data_norm=norm)
     factors = _factor_views(x, shape, rank)
     use_masked_operator = mask is not None and opts.missing_data_strategy == "masked_residuals"
 
-    r = _residual(tvals, mask, factors)
+    r = _residual(tvals, mask, core.reconstruct(factors))
     f_val = 0.5 * float(np.vdot(r, r).real)
     rel = math.sqrt(2.0 * f_val) / norm
 
@@ -569,11 +576,10 @@ def cpd_nls(t, opts):
         # (in a swamp CG drifts along the near-null gauge directions of
         # J^H J), which certifies nothing, hence the absolute value.
         certified = (stationary and abs(_model_decrease(g, p_gn, matvec))
-                     <= opts.rel_objective_tol * f_val)
+                     <= REL_OBJECTIVE_TOL * f_val)
 
         trial = x + step
-        trial_factors = _factor_views(trial, shape, rank)
-        r_trial = _residual(tvals, mask, trial_factors)
+        r_trial = _residual(tvals, mask, core.reconstruct(_factor_views(trial, shape, rank)))
         f_trial = 0.5 * float(np.vdot(r_trial, r_trial).real)
         predicted = _model_decrease(g, step, matvec)
         actual = f_val - f_trial
@@ -582,8 +588,8 @@ def cpd_nls(t, opts):
         rho = actual / predicted if predicted > 0.0 else -math.inf
         prev_rel = rel
         if accepted:
-            x, factors = trial, trial_factors
-            _rebalance(factors)
+            x[...] = trial
+            _rebalance(x, shape, rank)
             conj_factors = _factor_views(np.conj(x), shape, rank)
             r = r_trial
             f_val = f_trial
@@ -595,28 +601,17 @@ def cpd_nls(t, opts):
         elif rho < 0.25:
             delta = 0.25 * delta
         if delta < TR_COLLAPSE:
-            converged = False
             break
 
         # At a noisy minimum the quadratic model is rounding noise and trial
         # steps get rejected, so the stall test must not require acceptance;
         # the two witnesses are what make stopping here sound.
-        if certified and prev_rel - rel < opts.rel_objective_tol:
-            converged = True
-            break
-        if accepted and certified and step_norm < opts.rel_step_tol * max(1.0, np.linalg.norm(x)):
+        if certified and (prev_rel - rel < REL_OBJECTIVE_TOL
+                          or accepted and step_norm < REL_STEP_TOL * max(1.0, np.linalg.norm(x))):
             converged = True
             break
 
-    if not trace:
-        trace.append(rel)
-    diag = CpdDiagnostics(
-        iterations=len(trace),
-        converged=converged,
-        final_relative_residual=trace[-1],
-        objective_trace=trace,
-    )
-    return _finalize(factors), diag
+    return _finish(x, shape, rank, trace, converged)
 
 
 def cpd(t, opts):
@@ -628,6 +623,11 @@ def cpd(t, opts):
         return cpd_nls(t, opts)
 
     tvals, mask, norm = _observed(t)
-    factors = _start_factors(tvals.shape, opts)
-    _als_iterate(tvals, mask, norm, factors, opts, WARMSTART_SWEEPS, opts.missing_data_strategy)
-    return cpd_nls(t, dataclasses.replace(opts, algorithm="gauss_newton", init=CpdModel(factors)))
+    # The seeded start is deliberately left at init_model's scale, unlike
+    # the solvers' own: expectation imputation fills the missing entries
+    # from the start's reconstruction in its first sweep, so scaling it
+    # would change where the warm start lands.
+    x = _start(tvals.shape, opts)
+    _als_iterate(tvals, mask, norm, x, opts, WARMSTART_SWEEPS)
+    warm = CpdModel(_factor_views(x, tvals.shape, opts.rank))
+    return cpd_nls(t, dataclasses.replace(opts, algorithm="gauss_newton", init=warm))

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from cpdhr import cli
 from cpdhr.core import IncompleteTensor
 from cpdhr.formats import (
     SceneConfig,
@@ -206,6 +207,25 @@ class TestSceneConfig:
             parse_config(json.dumps(bad_src))
         with pytest.raises(ValueError):
             parse_config("not json at all {")
+
+    @pytest.mark.parametrize("doc, key", [
+        (dict(BASE_CONFIG, rank="3"), "rank"),
+        (dict(BASE_CONFIG, sources=[5]), "sources"),
+        (dict(BASE_CONFIG, masks=5), "masks"),
+        (dict(BASE_CONFIG, masks=[5]), "masks"),
+        (dict(BASE_CONFIG, sources=[{"azimuth_deg": None, "elevation_deg": 20.0}]), "azimuth_deg"),
+        (dict(BASE_CONFIG, rank=2.5), "rank"),
+        (dict(BASE_CONFIG, seed=1.5), "seed"),
+        (dict(BASE_CONFIG, grid_m1=10.7), "grid_m1"),
+        (dict(BASE_CONFIG, snr_db=True), "snr_db"),
+    ])
+    def test_wrong_json_types_rejected(self, doc, key, tmp_path):
+        with pytest.raises(ValueError, match=key):
+            parse_config(json.dumps(doc))
+        if doc["rank"] == "3":
+            cfg = tmp_path / "c.json"
+            cfg.write_text(json.dumps(doc), encoding="utf-8")
+            assert cli.main(["simulate", str(cfg), str(tmp_path / "out")]) == 1
 
     def test_digest_matches_sha256(self, tmp_path):
         p = tmp_path / "c.json"

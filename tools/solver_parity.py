@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Solver parity check: 180 seeded in-memory solves on the 0 dB demo scene.
+"""Solver parity check: 216 seeded in-memory solves, 180 on the 0 dB demo
+scene and 36 in a noiseless swamp.
 
     python3 tools/solver_parity.py > parent.jsonl            # on one checkout
     python3 tools/solver_parity.py --against parent.jsonl    # on another
@@ -7,8 +8,12 @@
 Seeds 0-19 of configs/demo_scene.json, each under three conditions (dense,
 masked with expectation_imputation, masked with masked_residuals) and the
 three algorithms, with the noise and solver seeds the pipeline derives from
-the scene seed. Every solve prints one JSON line: seed, condition,
-algorithm, iterations, converged and final residual.
+the scene seed. The "swamp" condition adds seeds 0-11 of SWAMP_SCENE, two
+noiseless sources on a 6x6 array with 12 samples, under the three
+algorithms: the configuration where last-bit rounding decides whether a
+solve is certified as converged (seed 3 with the warm start stalls). Every
+solve prints one JSON line: seed, condition, algorithm, iterations,
+converged and final residual.
 
 With --against FILE, the solves are compared with those recorded in FILE.
 Each solve whose iteration count or converged flag differs, whose residual
@@ -38,7 +43,24 @@ from cpdhr.solvers import CpdOptions  # noqa: E402
 
 SEEDS = range(20)
 CONDITIONS = ("dense", "expectation_imputation", "masked_residuals")
+SWAMP_SEEDS = range(12)
+# the SWAMP_SCENE of tests/test_solvers.py
+SWAMP_SCENE = scene.DoaScene(
+    sources=[scene.SourceSpec(15.0, 25.0), scene.SourceSpec(55.0, 40.0)],
+    grid_m1=6, grid_m2=6, time_len=12,
+)
 RESIDUAL_RTOL = 1e-12
+
+
+def _solve_all(tensor, seed, condition, rank, strategy):
+    """One record per algorithm for one tensor."""
+    for algorithm in solvers.ALGORITHMS:
+        opts = CpdOptions(rank=rank, algorithm=algorithm,
+                          init=seed + INIT_SEED_OFFSET, missing_data_strategy=strategy)
+        _, diag = solvers.cpd(tensor, opts)
+        yield {"seed": seed, "condition": condition, "algorithm": algorithm,
+               "iterations": diag.iterations, "converged": diag.converged,
+               "residual": diag.final_relative_residual}
 
 
 def solves():
@@ -52,13 +74,11 @@ def solves():
         for condition in CONDITIONS:
             tensor = noisy if condition == "dense" else masked
             strategy = "expectation_imputation" if condition == "dense" else condition
-            for algorithm in solvers.ALGORITHMS:
-                opts = CpdOptions(rank=cfg.rank, algorithm=algorithm,
-                                  init=seed + INIT_SEED_OFFSET, missing_data_strategy=strategy)
-                _, diag = solvers.cpd(tensor, opts)
-                yield {"seed": seed, "condition": condition, "algorithm": algorithm,
-                       "iterations": diag.iterations, "converged": diag.converged,
-                       "residual": diag.final_relative_residual}
+            yield from _solve_all(tensor, seed, condition, cfg.rank, strategy)
+    for seed in SWAMP_SEEDS:
+        sources = scene.synthetic_sources(SWAMP_SCENE.time_len, SWAMP_SCENE.rank, seed=seed)
+        clean, _ = scene.build_scene_tensor(SWAMP_SCENE, sources)
+        yield from _solve_all(clean, seed, "swamp", SWAMP_SCENE.rank, "expectation_imputation")
 
 
 def _key(rec):
