@@ -132,5 +132,6 @@ def line_chart(panels):
 
 
 def save_chart(panels, path):
+    svg = line_chart(panels)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(line_chart(panels))
+        fh.write(svg)

@@ -87,8 +87,8 @@ def run(argv):
         return 0
     if args.command == "slices":
         t = formats.load_tensor(args.tensor)
-        with open(args.out_csv, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(formats.slice_csv(t, mode=args.mode - 1, index=args.index - 1))
+        text = formats.slice_csv(t, mode=args.mode - 1, index=args.index - 1)
+        formats.write_text(args.out_csv, text)
         return 0
     if args.command == "plot":
         pipeline.plot_overlay(args.signals, args.out_svg)

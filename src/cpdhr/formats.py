@@ -1,18 +1,18 @@
 """Text file formats: tensors, signals, scene configs, reports.
 
-Everything is UTF-8 text with fixed 17-significant-digit number rendering,
-so identical inputs always produce byte-identical files and every float
-survives a write/read roundtrip bitwise. Tensor payloads are stored
-first-index-fastest. Grid and time indices are 1-based inside files and
-converted at this boundary.
+Everything is UTF-8 text. Tensors, signal CSVs and slice exports are grids
+of numbers written and read by one codec with 17 significant digits, so
+identical inputs give byte-identical files and every float survives a
+write/read roundtrip bitwise. Tensor payloads are stored first-index-fastest.
+Grid and time indices are 1-based inside files and converted at this boundary.
 """
 
 import csv
 import hashlib
 import io
 import json
-import math
 from dataclasses import dataclass, field
+from itertools import chain, compress
 
 import numpy as np
 
@@ -20,13 +20,60 @@ from .core import IncompleteTensor, element_count
 from .scene import DoaScene, MaskPattern, SourceSet, SourceSpec
 from .solvers import CpdOptions
 
-_SENTINEL = "* *"
+# a masked tensor entry is the line `* *`
+_MISSING = "*"
 
 
-def _fmt(x):
-    if not math.isfinite(x):
+def write_text(path, text):
+    """Write UTF-8 text; callers render first, so a rejected value leaves no file."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
+def _format_grid(grid, sep, observed=None, missing=""):
+    """Lines of a real 2-D grid, cells joined by sep: observed cells as
+    `%#.17g`, unobserved ones as the literal `missing`, filled by one `%`."""
+    grid = np.asarray(grid, dtype=np.float64)
+    if observed is None:
+        observed = np.ones(grid.shape, dtype=bool)
+    values = grid[observed]
+    if not np.isfinite(values).all():
         raise ValueError("only finite values can be serialized")
-    return format(x, "#.17g")
+    parts = np.empty(grid.shape + (2,), dtype=object)
+    parts[..., 0] = np.where(observed, "%#.17g", missing)
+    parts[..., 1] = sep
+    parts[:, -1:, 1] = "\n"
+    return "".join(parts.ravel().tolist()) % tuple(values.tolist())
+
+
+def _parse_grid(tokens, counts, width, line_numbers, what, missing=None):
+    """Inverse of _format_grid, from the rows' flat token list and per-row
+    token counts (no per-row lists, which would feed the garbage collector):
+    (rows, width) float64 values and a per-row observed mask. A row of only
+    `missing` tokens reads as zeros; errors name the physical line_numbers."""
+    element_count((len(counts), width))
+    if set(counts) != {width}:
+        k = next(k for k, c in enumerate(counts) if c != width)
+        raise ValueError(f"ragged row on line {line_numbers[k]}: "
+                         f"{counts[k]} fields, expected {width}")
+    cells = np.array(tokens, dtype=object).reshape(len(counts), width)
+    observed = np.ones(len(counts), dtype=bool)
+    if missing in tokens:
+        observed = ~(cells == missing).all(axis=1)
+        cells[~observed] = "0"
+    try:
+        values = cells.astype(np.float64)
+    except ValueError:
+        for n, row in zip(line_numbers, cells):
+            try:
+                row.astype(np.float64)
+            except ValueError:
+                raise ValueError(f"non-numeric {what} on line {n}: {list(row)}") from None
+        raise
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"non-finite {what} on line {line_numbers[np.argmin(finite)]}")
+    return values, observed
 
 
 # ---------------------------------------------------------------------------
@@ -40,19 +87,12 @@ def serialize_tensor(t):
     in first-index-fastest order; a masked entry becomes the line `* *`.
     """
     if isinstance(t, IncompleteTensor):
-        values, mask = t.values, t.mask
+        values, observed = t.values, t.mask.ravel(order="F")[:, None]
     else:
-        values = np.asarray(t, dtype=np.complex128)
-        mask = None
-    lines = ["tns " + " ".join(str(d) for d in (values.ndim, *values.shape))]
-    flat = values.ravel(order="F")
-    flat_mask = mask.ravel(order="F") if mask is not None else None
-    for pos, val in enumerate(flat):
-        if flat_mask is not None and not flat_mask[pos]:
-            lines.append(_SENTINEL)
-        else:
-            lines.append(f"{_fmt(val.real)} {_fmt(val.imag)}")
-    return "\n".join(lines) + "\n"
+        values, observed = np.asarray(t, dtype=np.complex128), True
+    grid = values.ravel(order="F").view(np.float64).reshape(-1, 2)
+    header = "tns " + " ".join(str(d) for d in (values.ndim, *values.shape)) + "\n"
+    return header + _format_grid(grid, " ", np.broadcast_to(observed, grid.shape), _MISSING)
 
 
 def parse_tensor(text):
@@ -70,34 +110,23 @@ def parse_tensor(text):
     if len(shape) != order:
         raise ValueError(f"malformed tensor header: {lines[0]!r}")
     count = element_count(shape)
-    body = [ln for ln in lines[1:] if ln.strip()]
-    if len(body) != count:
-        raise ValueError(f"expected {count} entry lines, found {len(body)}")
-    values = np.zeros(count, dtype=np.complex128)
-    mask = np.ones(count, dtype=bool)
-    for pos, ln in enumerate(body):
-        if ln.strip() == _SENTINEL:
-            mask[pos] = False
-            continue
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"entry line {pos + 2} is not '<re> <im>': {ln!r}")
-        try:
-            values[pos] = complex(float(parts[0]), float(parts[1]))
-        except ValueError:
-            raise ValueError(f"non-numeric entry on line {pos + 2}: {ln!r}") from None
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise ValueError(f"non-finite entry on line {bad[0] + 2}: {body[bad[0]]!r}")
-    values = values.reshape(shape, order="F")
-    if mask.all():
+    body = lines[1:]
+    counts = list(map(len, map(str.split, body)))
+    kept = list(map(bool, counts))
+    counts = list(compress(counts, kept))
+    line_numbers = list(compress(range(2, len(body) + 2), kept))
+    if len(counts) != count:
+        raise ValueError(f"expected {count} entry lines, found {len(counts)}")
+    tokens = " ".join(body).split()
+    values, observed = _parse_grid(tokens, counts, 2, line_numbers, "entry", missing=_MISSING)
+    values = values.view(np.complex128).reshape(shape, order="F")
+    if observed.all():
         return values
-    return IncompleteTensor(values, mask.reshape(shape, order="F"))
+    return IncompleteTensor(values, observed.reshape(shape, order="F"))
 
 
 def save_tensor(t, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(serialize_tensor(t))
+    write_text(path, serialize_tensor(t))
 
 
 def load_tensor(path):
@@ -111,38 +140,24 @@ def load_tensor(path):
 
 def serialize_signals(sources):
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(sources.labels)
-    for row in sources.signals:
-        writer.writerow([_fmt(x) for x in row])
-    return buf.getvalue()
+    csv.writer(buf, lineterminator="\n").writerow(sources.labels)
+    return buf.getvalue() + _format_grid(sources.signals, ",")
 
 
 def parse_signals(text):
-    rows = list(csv.reader(io.StringIO(text)))
-    rows = [r for r in rows if r]
-    if len(rows) < 2:
+    reader = csv.reader(io.StringIO(text))
+    body = [(reader.line_num, row) for row in reader if row]
+    if len(body) < 2:
         raise ValueError("signal CSV needs a header row and at least one data row")
-    labels = [c.strip() for c in rows[0]]
-    width = len(labels)
-    data = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != width:
-            raise ValueError(f"ragged row on line {lineno}: {len(row)} cells, expected {width}")
-        try:
-            data.append([float(c) for c in row])
-        except ValueError:
-            raise ValueError(f"non-numeric cell on line {lineno}") from None
-    data = np.array(data)
-    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
-    if bad.size:
-        raise ValueError(f"non-finite cell on line {bad[0] + 2}")
-    return SourceSet(data, labels)
+    labels = [c.strip() for c in body[0][1]]
+    line_numbers, rows = zip(*body[1:])
+    tokens = list(chain.from_iterable(rows))
+    values, _ = _parse_grid(tokens, list(map(len, rows)), len(labels), line_numbers, "cell")
+    return SourceSet(values, labels)
 
 
 def save_signals(sources, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(serialize_signals(sources))
+    write_text(path, serialize_signals(sources))
 
 
 def load_signals(path):
@@ -290,8 +305,7 @@ def canonical_json(doc):
 
 
 def save_report(doc, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(canonical_json(doc))
+    write_text(path, canonical_json(doc))
 
 
 def load_report(path):
@@ -309,24 +323,15 @@ def slice_csv(t, mode, index):
         values, mask = t.values, t.mask
     else:
         values, mask = np.asarray(t, dtype=np.complex128), None
+    if values.ndim < 2:
+        raise ValueError(f"a slice needs a tensor of order 2 or more, got order {values.ndim}")
     if not 0 <= mode < values.ndim:
         raise ValueError(f"mode {mode} out of range for order-{values.ndim} tensor")
     if not 0 <= index < values.shape[mode]:
         raise ValueError(f"index {index} out of range for extent {values.shape[mode]}")
     plane = np.abs(np.take(values, index, axis=mode))
-    plane_mask = np.take(mask, index, axis=mode) if mask is not None else None
-    if plane.ndim != 2:
-        plane = plane.reshape(plane.shape[0], -1)
-        if plane_mask is not None:
-            plane_mask = plane_mask.reshape(plane.shape)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for i in range(plane.shape[0]):
-        row = []
-        for j in range(plane.shape[1]):
-            if plane_mask is not None and not plane_mask[i, j]:
-                row.append("")
-            else:
-                row.append(_fmt(plane[i, j]))
-        writer.writerow(row)
-    return buf.getvalue()
+    plane = plane.reshape(plane.shape[0], -1)
+    observed = None if mask is None else np.take(mask, index, axis=mode).reshape(plane.shape)
+    # CSV spells a row whose only cell is empty as "", since a blank line is no row
+    missing = '""' if plane.shape[1] == 1 else ""
+    return _format_grid(plane, ",", observed, missing)

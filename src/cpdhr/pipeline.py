@@ -22,11 +22,6 @@ NOISE_SEED_OFFSET = 1_000_003
 INIT_SEED_OFFSET = 2_000_003
 
 
-def _write(path, text):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
 def simulate(config_path, out_dir):
     """Build the scene tensor and its noisy / masked variants on disk."""
     cfg = formats.load_config(config_path)
@@ -196,8 +191,8 @@ def _run_single(config_path, out_dir):
 
     slice_source = "masked.tns" if cfg.masks else "noisy.tns"
     slice_tensor = formats.load_tensor(os.path.join(truth_dir, slice_source))
-    _write(os.path.join(out_dir, "slice_mode3_k1.csv"),
-           formats.slice_csv(slice_tensor, mode=2, index=0))
+    formats.write_text(os.path.join(out_dir, "slice_mode3_k1.csv"),
+                       formats.slice_csv(slice_tensor, mode=2, index=0))
     plot_overlay(
         [os.path.join(truth_dir, "sources.csv"),
          os.path.join(out_dir, "estimate", "aligned_sources.csv")],
@@ -228,7 +223,7 @@ def run_pipeline(config_path, out_dir, seeds=None):
         seed_dir = os.path.join(out_dir, f"seed_{s}")
         os.makedirs(seed_dir, exist_ok=True)
         derived = os.path.join(seed_dir, "config.json")
-        _write(derived, formats.canonical_json(dict(base_doc, seed=s)))
+        formats.write_text(derived, formats.canonical_json(dict(base_doc, seed=s)))
         reports, converged = _run_single(derived, seed_dir)
         all_converged = all_converged and converged
         row = {"seed": s, "converged": reports["report.json"]["diagnostics"]["converged"]}

@@ -92,6 +92,16 @@ def test_validation_failures_exit_1(tmp_path, capsys):
     ]) == 1
 
 
+def test_rejected_slices_exit_1_and_write_nothing(tmp_path, capsys):
+    vec = tmp_path / "v.tns"
+    vec.write_text("tns 1 3\n1.0 0.0\n2.0 0.0\n3.0 0.0\n", encoding="utf-8")
+    out = tmp_path / "out.csv"
+    for mode in ("1", "2"):
+        assert cli.main(["slices", str(vec), str(out), "--mode", mode, "--index", "1"]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_usage_errors_exit_1_not_2(tmp_path, capsys):
     # argparse would exit 2 on its own; 2 is reserved for non-convergence
     assert cli.main(["decompose", "x.tns", "out"]) == 1

@@ -1,7 +1,10 @@
 """Round-trip and strictness tests for the text file formats."""
 
+import copy
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -126,6 +129,45 @@ class TestTensorFile:
         t = crandn(rng, 5, 5)
         assert serialize_tensor(t) == serialize_tensor(t.copy())
 
+    def test_pinned_bytes(self):
+        # extreme magnitudes, signed zeros and a masked entry, rendered exactly
+        vals = np.array([complex(-0.0, 5e-324), complex(1.7976931348623157e308, -1e-300),
+                         complex(9.0, 9.0), complex(1.0, -0.0)]).reshape((2, 2), order="F")
+        mask = np.array([True, True, False, True]).reshape((2, 2), order="F")
+        text = serialize_tensor(IncompleteTensor(vals, mask))
+        assert text == (
+            "tns 2 2 2\n"
+            "-0.0000000000000000 4.9406564584124654e-324\n"
+            "1.7976931348623157e+308 -1.0000000000000000e-300\n"
+            "* *\n"
+            "1.0000000000000000 -0.0000000000000000\n"
+        )
+        back = parse_tensor(text)
+        assert back.values.tobytes() == IncompleteTensor(vals, mask).values.tobytes()
+
+    def test_blank_lines_keep_physical_line_numbers(self):
+        with pytest.raises(ValueError, match="non-finite entry on line 4"):
+            parse_tensor("tns 1 2\n\n1 0\nnan 0\n")
+        assert np.array_equal(parse_tensor("tns 1 2\n\n1 0\n\n2 0\n\n"), [1, 2])
+
+    def test_fully_missing_fiber_and_slice_roundtrip(self, tmp_path):
+        rng = np.random.default_rng(10)
+        mask = np.ones((3, 4, 5), dtype=bool)
+        mask[1, 2, :] = False  # one mode-3 fiber
+        mask[:, :, 3] = False  # one frontal slice
+        it = IncompleteTensor(crandn(rng, 3, 4, 5), mask)
+        p = tmp_path / "m.tns"
+        save_tensor(it, p)
+        back = load_tensor(p)
+        assert back.mask.tobytes() == mask.tobytes()
+        assert back.values.tobytes() == it.values.tobytes()
+
+    def test_failed_save_leaves_no_file(self, tmp_path):
+        p = tmp_path / "t.tns"
+        with pytest.raises(ValueError, match="finite"):
+            save_tensor(np.array([1.0, np.nan]), p)
+        assert not p.exists()
+
 
 class TestSignalCsv:
     def test_roundtrip(self):
@@ -157,6 +199,22 @@ class TestSignalCsv:
         for cell in ("nan", "inf", "-inf"):
             with pytest.raises(ValueError, match="non-finite cell on line 3"):
                 parse_signals(f"a,b\n1.0,2.0\n3.0,{cell}\n4.0,1.0\n")
+
+    def test_pinned_bytes(self):
+        ss = SourceSet(np.array([[-0.0, 1.0], [2.5, 3.0]]), ["a,b", "c"])
+        text = serialize_signals(ss)
+        assert text == (
+            '"a,b",c\n'
+            "-0.0000000000000000,1.0000000000000000\n"
+            "2.5000000000000000,3.0000000000000000\n"
+        )
+        back = parse_signals(text)
+        assert back.labels == ["a,b", "c"]
+        assert back.signals.tobytes() == ss.signals.tobytes()
+
+    def test_blank_lines_keep_physical_line_numbers(self):
+        with pytest.raises(ValueError, match="non-finite cell on line 5"):
+            parse_signals("a,b\n\n1.0,2.0\n\n3.0,nan\n")
 
 
 class TestSceneConfig:
@@ -266,6 +324,11 @@ class TestSliceCsv:
         assert cells[2] == ""
         assert cells[1] != ""
 
+    def test_masked_cell_alone_on_its_row_is_quoted(self):
+        # a slice of an order-2 tensor is one column; an empty row would be no row
+        it = IncompleteTensor(np.full((2, 2), 3.0 + 4.0j), np.array([[True, False], [True, True]]))
+        assert slice_csv(it, 1, 1) == '""\n5.0000000000000000\n'
+
     def test_zero_tensor(self):
         rows = slice_csv(np.zeros((2, 3, 4), dtype=complex), 0, 1).splitlines()
         assert len(rows) == 3
@@ -277,3 +340,115 @@ class TestSliceCsv:
             slice_csv(t, 3, 0)
         with pytest.raises(ValueError):
             slice_csv(t, 2, 4)
+
+
+def _random_tensor(rng):
+    shape = tuple(int(d) for d in rng.integers(1, 5, size=rng.integers(1, 5)))
+    values = crandn(rng, *shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+    mask = rng.random(shape) < rng.uniform(0.3, 1.3)
+    return values if mask.all() else IncompleteTensor(values, mask)
+
+
+def _random_signals(rng, labels):
+    width = int(rng.integers(1, 5))
+    signals = rng.normal(size=(int(rng.integers(2, 12)), width))
+    signals *= 10.0 ** rng.integers(-100, 100, size=width)
+    return SourceSet(signals, [f"s{r}{labels[r % len(labels)]}" for r in range(width)])
+
+
+def _corrupt(rng, text, sep):
+    """One edit of one line: (edited text, 1-based line of the edit, edit)."""
+    lines = text.splitlines()
+    k = int(rng.integers(len(lines)))
+    cells = lines[k].split(sep)
+    j = int(rng.integers(len(cells)))
+    edit = rng.choice(["drop", "duplicate", "replace", "insert", "blank"])
+    if edit == "drop":
+        del cells[j]
+    elif edit == "replace":
+        cells[j] = rng.choice(["nan", "x", "*"])
+    elif edit == "insert":
+        cells.insert(j, rng.choice(["nan", "x", "*"]))
+    if edit == "duplicate":
+        lines.insert(k, lines[k])
+        k += 1
+    elif edit == "blank":
+        lines.insert(k, "")
+    else:
+        lines[k] = sep.join(cells)
+    return "\n".join(lines) + "\n", k + 1, edit
+
+
+class TestFuzz:
+    """Seeded property tests of the tensor, CSV and config parsers."""
+
+    def test_random_roundtrips_bitwise(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            t = _random_tensor(rng)
+            back = parse_tensor(serialize_tensor(t))
+            assert type(back) is type(t)
+            if isinstance(t, IncompleteTensor):
+                assert back.mask.tobytes() == t.mask.tobytes()
+                back, t = back.values, t.values
+            assert back.tobytes() == t.tobytes()
+
+            ss = _random_signals(rng, ["", "a,b", 'q"', "x y"])
+            back = parse_signals(serialize_signals(ss))
+            assert back.labels == ss.labels
+            assert back.signals.tobytes() == ss.signals.tobytes()
+
+    def test_one_edit_corruptions_raise_only_value_error(self):
+        rng = np.random.default_rng(12)
+        outcomes = {"parsed": 0, "rejected": 0, "line named": 0}
+        for trial in range(200):
+            if trial % 2:
+                parse, sep = parse_tensor, " "
+                text = serialize_tensor(_random_tensor(rng))
+            else:
+                parse, sep = parse_signals, ","
+                text = serialize_signals(_random_signals(rng, ["a"]))
+            bad, line, edit = _corrupt(rng, text, sep)
+            try:
+                parse(bad)
+            except ValueError as exc:
+                outcomes["rejected"] += 1
+                named = re.search(r"\bline (\d+)", str(exc))
+                # a header edit may surface at the first data row, which
+                # is then the line that no longer fits the header
+                if named and line > 1:
+                    outcomes["line named"] += 1
+                    assert int(named.group(1)) == line, (bad, exc)
+                assert not (edit == "blank" and line > 1), (bad, exc)
+            else:
+                outcomes["parsed"] += 1
+        assert min(outcomes.values()) >= 20, outcomes
+
+    def test_config_mutations_raise_only_value_error(self):
+        demo = Path(__file__).resolve().parents[1] / "configs" / "demo_scene.json"
+        doc = json.loads(demo.read_text(encoding="utf-8"))
+        rng = np.random.default_rng(13)
+        others = [None, True, 0, -3, 2.5, "x", [], [1, 2], {}, {"a": 1}]
+
+        def slots(node):
+            keys = node if isinstance(node, dict) else range(len(node))
+            for key in keys:
+                yield node, key
+                if isinstance(node[key], (dict, list)):
+                    yield from slots(node[key])
+
+        outcomes = {"parsed": 0, "rejected": 0}
+        for _ in range(200):
+            mutated = copy.deepcopy(doc)
+            all_slots = list(slots(mutated))
+            node, key = all_slots[rng.integers(len(all_slots))]
+            if rng.random() < 0.3:
+                del node[key]
+            else:
+                node[key] = others[rng.integers(len(others))]
+            try:
+                parse_config(json.dumps(mutated))
+                outcomes["parsed"] += 1
+            except ValueError:
+                outcomes["rejected"] += 1
+        assert min(outcomes.values()) >= 10, outcomes
