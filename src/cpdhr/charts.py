@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .formats import write_text
+
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#17becf")
 
 PANEL_W = 800
@@ -132,6 +134,4 @@ def line_chart(panels):
 
 
 def save_chart(panels, path):
-    svg = line_chart(panels)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(svg)
+    write_text(path, line_chart(panels))

@@ -149,7 +149,7 @@ def parse_signals(text):
     body = [(reader.line_num, row) for row in reader if row]
     if len(body) < 2:
         raise ValueError("signal CSV needs a header row and at least one data row")
-    labels = [c.strip() for c in body[0][1]]
+    labels = body[0][1]
     line_numbers, rows = zip(*body[1:])
     tokens = list(chain.from_iterable(rows))
     values, _ = _parse_grid(tokens, list(map(len, rows)), len(labels), line_numbers, "cell")

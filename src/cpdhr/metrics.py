@@ -6,11 +6,9 @@ per-mode relative factor errors. pearson gives the sample correlation with
 a two-sided p-value from the exact t distribution.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.special import betainc
 
 from .core import CpdModel
 
@@ -65,10 +63,23 @@ def match_columns(truth, estimate):
     (product over modes of normalized absolute inner products); it is found
     with the Hungarian algorithm.
     """
+    from scipy.optimize import linear_sum_assignment
+
     cost = -np.log(np.maximum(_congruence_matrix(truth, estimate), CONGRUENCE_FLOOR))
     rows, cols = linear_sum_assignment(cost)
     match = dict(zip(rows.tolist(), cols.tolist()))
     return [match.get(r) for r in range(truth.rank)]
+
+
+def _aligned(estimate_factor, permutation, scaling, out):
+    """Write scaling[r] times estimate column permutation[r] into column r
+    of ``out`` for every matched r; padded columns keep what ``out`` held."""
+    rows = [r for r, c in enumerate(permutation) if c is not None]
+    cols = [permutation[r] for r in rows]
+    # order "F" runs the product down each column with its scale as the
+    # first operand, which numpy rounds as it does a scalar times a column
+    out[:, rows] = np.multiply(scaling[rows], estimate_factor[:, cols], order="F")
+    return out
 
 
 def cpderr(truth, estimate):
@@ -83,25 +94,21 @@ def cpderr(truth, estimate):
     if truth.shape != estimate.shape:
         raise ValueError(f"row count mismatch: {truth.shape} vs {estimate.shape}")
 
-    r_t = truth.rank
     permutation = match_columns(truth, estimate)
 
     per_mode_err = []
     per_mode_scaling = []
     aligned_factors = []
-    for n in range(truth.order):
-        u = truth.factors[n]
-        v = estimate.factors[n]
-        aligned = np.zeros_like(u)
-        scaling = np.zeros(r_t, dtype=np.complex128)
+    for u, v in zip(truth.factors, estimate.factors):
+        scaling = np.zeros(truth.rank, dtype=np.complex128)
         for r, c in enumerate(permutation):
-            if c is None:
-                continue
-            est_col = v[:, c]
-            denom = np.vdot(est_col, est_col)
-            if denom != 0:
-                scaling[r] = np.vdot(est_col, u[:, r]) / denom
-            aligned[:, r] = scaling[r] * est_col
+            if c is not None:
+                denom = np.vdot(v[:, c], v[:, c])
+                if denom != 0:
+                    scaling[r] = np.vdot(v[:, c], u[:, r]) / denom
+        # zeros_like keeps u's memory order, which fixes the summation
+        # order of the norm below
+        aligned = _aligned(v, permutation, scaling, np.zeros_like(u))
         diff = np.linalg.norm(u - aligned)
         ref = np.linalg.norm(u)
         if ref > 0:
@@ -128,16 +135,10 @@ def align_sources(truth_sources, estimate_mode_n, report):
         raise ValueError(
             f"sample count mismatch: {truth_sources.shape[0]} vs {estimate_mode_n.shape[0]}"
         )
-    r_t = truth_sources.shape[1]
-    if r_t != len(report.permutation):
+    if truth_sources.shape[1] != len(report.permutation):
         raise ValueError("report does not match the source count")
-    scaling = report.per_mode_scaling[-1]
-    out = np.zeros(truth_sources.shape, dtype=np.float64)
-    for r, c in enumerate(report.permutation):
-        if c is None:
-            continue
-        out[:, r] = (scaling[r] * estimate_mode_n[:, c]).real
-    return out
+    out = np.zeros(truth_sources.shape, dtype=np.complex128)
+    return _aligned(estimate_mode_n, report.permutation, report.per_mode_scaling[-1], out).real
 
 
 def pearson(x, y):
@@ -146,6 +147,8 @@ def pearson(x, y):
     The p-value comes from the t statistic with K-2 degrees of freedom,
     evaluated through the regularized incomplete beta function.
     """
+    from scipy.special import betainc
+
     x = np.asarray(x, dtype=np.float64).ravel()
     y = np.asarray(y, dtype=np.float64).ravel()
     if x.size != y.size:

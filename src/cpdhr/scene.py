@@ -5,13 +5,13 @@ far-field sources. Modes 1 and 2 of the data tensor carry Vandermonde
 steering vectors whose generators encode azimuth/elevation; mode 3 carries
 the attenuated source time series. Broken-sensor observation patterns
 become boolean masks. Direction of arrival is recovered from an estimated
-model by a structured least-squares fit: R Vandermonde steering pairs are
-fitted to the model's own rank-R term, started from the shift-invariance
-ratio of each steering column. At 0 dB on the default scene the fit meets
-the DOA bands of acceptance criterion 4. Criterion 2 still fails: its
-factor-error bands lie below the Cramer-Rao bound of the unconstrained CPD
-(median RMS errors [0.188, 0.217, 0.174] over seeds 0-19, against
-[0.184, 0.232, 0.183] measured).
+model by a structured least-squares fit: one Vandermonde steering pair per
+source-matched column is fitted to the model's term of those columns,
+started from the shift-invariance ratio of each steering column. At 0 dB
+on the default scene the fit meets the DOA bands of acceptance criterion 4.
+Criterion 2 still fails: its factor-error bands lie below the Cramer-Rao
+bound of the unconstrained CPD (median RMS errors [0.188, 0.217, 0.174]
+over seeds 0-19, against [0.184, 0.232, 0.183] measured).
 
 Angles are degrees everywhere in this module; grid and time indices are
 0-based in code (the file formats and CLI use 1-based labels).
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics
-from .core import CpdModel, IncompleteTensor, khatri_rao, outer_product, reconstruct
+from .core import CpdModel, IncompleteTensor, khatri_rao, reconstruct
 
 MASK_KINDS = ("deactivated_sensor", "breaks_at_half", "starts_at_half")
 
@@ -36,6 +36,9 @@ DEFAULT_LABELS = ("O1", "Oz", "O2")
 # the phase errors themselves are ~1e-2.
 DOA_FIT_LAST_STEP = 1e-3
 DOA_FIT_MAX_STEPS = 50
+
+# sample rate (Hz) of the synthetic source time axis
+SAMPLE_RATE = 128.0
 
 
 @dataclass
@@ -180,12 +183,12 @@ def add_noise(t, snr_db, seed):
     return t + noise
 
 
-def synthetic_sources(time_len, n_sources, seed, sample_rate=128.0, freqs=(8.0, 10.0, 12.0)):
+def synthetic_sources(time_len, n_sources, seed, freqs=(8.0, 10.0, 12.0)):
     """Seeded stand-in source set: each channel is a sum of sinusoids at
     the given frequencies with channel-specific random amplitudes and
-    phases, plus 10% white noise."""
+    phases, plus 10% white noise, sampled at SAMPLE_RATE."""
     rng = np.random.default_rng(seed)
-    t = np.arange(time_len) / sample_rate
+    t = np.arange(time_len) / SAMPLE_RATE
     cols = []
     for _ in range(n_sources):
         wave = np.zeros(time_len)
@@ -318,28 +321,33 @@ def estimate_doa(model, scene):
     Sources are matched to estimate columns through the steering modes
     only (the congruence assignment of the first two factor matrices), so
     no knowledge of the source signals is needed. The generators come from
-    a structured least-squares fit of R Vandermonde steering pairs to the
-    model's own rank-R term (``_fit_steering_phases``), started from the
-    shift ratio of each steering column (``estimate_generator``); they are
-    turned into angles by ``doa_from_generators`` at the end. The fit uses
-    the Vandermonde structure of both steering modes and the coupling of
-    the columns through mode 3, which the per-column shift ratio ignores:
-    at 0 dB on the default scene it cuts the median source-1 azimuth error
-    over seeds 0-19 from 0.164 to 0.045, inside the 0.05 band of
-    acceptance criterion 4 and at the Cramer-Rao median of about 0.047.
+    a structured least-squares fit of Vandermonde steering pairs to the
+    model's term of its matched columns alone (``_fit_steering_phases``),
+    started from the shift ratio of each steering column
+    (``estimate_generator``); they are turned into angles by
+    ``doa_from_generators`` at the end. The fit uses the Vandermonde
+    structure of both steering modes and the coupling of the columns
+    through mode 3, which the per-column shift ratio ignores: at 0 dB on the
+    default scene it cuts the median source-1 azimuth error over seeds 0-19
+    from 0.164 to 0.045, inside the 0.05 band of acceptance criterion 4 and
+    at the Cramer-Rao median of about 0.047.
     A source with no matched column gets NaN angles and infinite errors.
     """
     if model.shape[0] < 2 or model.shape[1] < 2:
         raise ValueError("steering modes need at least 2 rows for shift invariance")
     if (model.shape[0], model.shape[1]) != (scene.grid_m1, scene.grid_m2):
         raise ValueError("model grid does not match the scene")
-    a, b = model.factors[0], model.factors[1]
-    permutation = metrics.match_columns(_truth_steering_model(scene), CpdModel([a, b]))
+    permutation = metrics.match_columns(_truth_steering_model(scene), CpdModel(model.factors[:2]))
+    # the fit reads only the matched columns, in ascending order, so a
+    # column matched to no source cannot pull the sources' phases
+    matched = sorted(c for c in permutation if c is not None)
+    a, b, *rest = [f[:, matched] for f in model.factors]
+    m = len(matched)
 
-    mode3_gram = np.ones((model.rank, model.rank), dtype=np.complex128)
-    for f in model.factors[2:]:
+    mode3_gram = np.ones((m, m), dtype=np.complex128)
+    for f in rest:
         mode3_gram = mode3_gram * (f.T @ f.conj())
-    start = np.angle([estimate_generator(f[:, c]) for f in (a, b) for c in range(model.rank)])
+    start = np.angle([estimate_generator(f[:, k]) for f in (a, b) for k in range(m)])
     phases = _fit_steering_phases(a, b, mode3_gram, start)
 
     az_list, el_list, az_err, el_err = [], [], [], []
@@ -351,7 +359,8 @@ def estimate_doa(model, scene):
             az_err.append(float("inf"))
             el_err.append(float("inf"))
             continue
-        az, el = doa_from_generators(np.exp(1j * phases[c]), np.exp(1j * phases[model.rank + c]))
+        k = matched.index(c)
+        az, el = doa_from_generators(np.exp(1j * phases[k]), np.exp(1j * phases[m + k]))
         az_list.append(az)
         el_list.append(el)
         az_err.append(abs(az - spec.azimuth_deg) / spec.azimuth_deg)

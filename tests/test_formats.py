@@ -177,6 +177,11 @@ class TestSignalCsv:
         assert back.labels == ["O1", "Oz", "O2"]
         assert np.array_equal(back.signals, ss.signals)
 
+    def test_labels_roundtrip_as_written(self):
+        rng = np.random.default_rng(10)
+        ss = SourceSet(rng.normal(size=(5, 2)), [" a", "b "])
+        assert parse_signals(serialize_signals(ss)).labels == [" a", "b "]
+
     def test_file_roundtrip(self, tmp_path):
         rng = np.random.default_rng(9)
         ss = SourceSet(rng.normal(size=(6, 2)))

@@ -1,9 +1,15 @@
 """Metrics tests: gauge invariance, padding rules, correlation oracles."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.stats
 
+import cpdhr
 from cpdhr.core import CpdModel
 from cpdhr.metrics import align_sources, correlate_sources, cpderr, pearson
 from cpdhr.solvers import init_model, normalize_model
@@ -166,6 +172,22 @@ def test_align_sources_permuted_scaled():
     assert np.allclose(out, truth_sources, atol=1e-10)
 
 
+def test_align_sources_is_the_aligned_last_factor_with_padding():
+    # a rank-2 estimate of a rank-3 truth pads one column with zeros
+    rng = np.random.default_rng(24)
+    truth_sources = rng.standard_normal((20, 3))
+    truth = CpdModel(
+        [crandn(rng, 4, 3), crandn(rng, 5, 3), truth_sources.astype(complex)]
+    )
+    est = CpdModel([f[:, [2, 0]] * (1.5 - 0.5j) for f in truth.factors])
+    rep = cpderr(truth, est)
+    assert rep.permutation.count(None) == 1
+    out = align_sources(truth_sources, est.factors[-1], rep)
+    expected = rep.aligned_estimate.factors[-1].real
+    assert np.array_equal(out, expected)
+    assert not out[:, rep.permutation.index(None)].any()
+
+
 def test_align_sources_shape_mismatch():
     rng = np.random.default_rng(23)
     truth = CpdModel([crandn(rng, 4, 2), crandn(rng, 5, 2), crandn(rng, 10, 2)])
@@ -252,3 +274,11 @@ def test_correlate_sources_columnwise():
     assert all(p < 1e-10 for p in rep.per_source_p)
     with pytest.raises(ValueError):
         correlate_sources(truth, est[:, :2])
+
+
+def test_import_loads_no_scipy_submodule():
+    # scipy is loaded where an assignment or a p-value is computed, not on import
+    code = "import sys, cpdhr; print(sorted(m for m in ('scipy.optimize', 'scipy.special') if m in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(Path(cpdhr.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"

@@ -239,6 +239,19 @@ class TestEstimateDoa:
         assert max(est.azimuth_rel_err) < 1e-12
         assert max(est.elevation_rel_err) < 1e-12
 
+    def test_rank_overshoot_column_leaves_sources_exact(self):
+        # a fourth column matched to no source must not enter the fit
+        scene = default_scene()
+        _, truth = build_scene_tensor(scene, synthetic_sources(15, 3, seed=0))
+        rng = np.random.default_rng(1)
+        model = CpdModel([
+            np.column_stack([f, rng.standard_normal(len(f)) + 1j * rng.standard_normal(len(f))])
+            for f in truth.factors
+        ])
+        est = estimate_doa(model, scene)
+        assert max(est.azimuth_rel_err) <= 1e-9
+        assert max(est.elevation_rel_err) <= 1e-9
+
     def test_end_to_end_noiseless(self):
         scene = default_scene()
         t, _ = build_scene_tensor(scene, synthetic_sources(15, 3, seed=11))
