@@ -340,7 +340,8 @@ def cpd_als(t, opts):
 # Intel Xeon core with single-threaded OpenBLAS and numpy 2.4, the two cost
 # the same per Gauss-Newton iteration between 150 and 190 unknowns; the
 # explicit form is 1.4x cheaper on the 105-unknown demo scene and the
-# structured one 1.3x cheaper at 240 unknowns.
+# structured one 1.3x cheaper at 240 unknowns. The masked operator switches
+# from its explicit form to its tangent form at the same count.
 EXPLICIT_GN_MAX_PARAMS = 160
 
 
@@ -357,13 +358,15 @@ def cpd_gradient(t, factors):
     return [core.mttkrp(r, conj_factors, n) for n in range(len(factors))]
 
 
-def _gramian_products(factors):
+def _gramian_products(factors, pairs=True):
     """Hadamard products of the Gramians: w[n] over all modes but n, shape
     (N, R, R); w_pair[n, m] over all modes but n and m, shape (N, N, R, R),
-    zero where n == m."""
+    zero where n == m, or None without pairs."""
     grams = _gramians(factors)
     n_modes = len(grams)
     w = np.stack([_hadamard_except(grams, n) for n in range(n_modes)])
+    if not pairs:
+        return w, None
     w_pair = np.zeros((n_modes,) + w.shape, dtype=np.complex128)
     for n in range(n_modes):
         for m in range(n + 1, n_modes):
@@ -371,31 +374,65 @@ def _gramian_products(factors):
     return w, w_pair
 
 
-def _explicit_gn_operator(factors, w, w_pair):
+def _assembled_gn_operator(factors, diag, off):
     """v -> J^H J v with J^H J assembled as one Hermitian matrix.
 
     Row (n, i, s) and column (m, j, t) index entry (i, s) of factor n and
-    entry (j, t) of factor m. Block (n, n) is I kron W_n; for m != n the
-    entry is U_n[i, t] * conj(U_m[j, s]) * W_nm[s, t], and block (m, n) is
-    the conjugate transpose of block (n, m).
+    entry (j, t) of factor m. Row i of block (n, n) is the (s, t) matrix
+    diag[sum(I_<n) + i]; for m != n the entry is
+    U_n[i, t] * conj(U_m[j, s]) * off[n][m][i, s, j, t], with off[n][m]
+    broadcast to (I_n, R, I_m, R), and block (m, n) is the conjugate
+    transpose of block (n, m).
     """
     extents = [f.shape[0] for f in factors]
     rank = factors[0].shape[1]
     n_rows = sum(extents)
     jtj = np.zeros((n_rows, rank, n_rows, rank), dtype=np.complex128)
     row = np.arange(n_rows)
-    jtj[row, :, row, :] = np.repeat(w, extents, axis=0)
+    jtj[row, :, row, :] = diag
     jtj = jtj.reshape(n_rows * rank, n_rows * rank)
     starts = np.cumsum([0] + extents) * rank
     for n, fn in enumerate(factors):
         rows = slice(starts[n], starts[n + 1])
         for m in range(n + 1, len(factors)):
             cols = slice(starts[m], starts[m + 1])
-            block = (fn[:, None, :] * w_pair[n, m])[:, :, None, :] * np.conj(factors[m]).T[:, :, None]
+            block = (fn[:, None, None, :] * off[n][m]) * np.conj(factors[m]).T[:, :, None]
             block = block.reshape(fn.size, factors[m].size)
             jtj[rows, cols] = block
             jtj[cols, rows] = block.conj().T
     return jtj.dot
+
+
+def _explicit_gn_operator(factors, w, w_pair):
+    """The dense J^H J assembled: block (n, n) is I kron W_n, and the
+    weight of block (n, m) is W_nm[s, t] on every row pair."""
+    extents = [f.shape[0] for f in factors]
+    return _assembled_gn_operator(factors, np.repeat(w, extents, axis=0), w_pair[:, :, :, None, :])
+
+
+def _explicit_masked_gn_operator(factors, mask):
+    """The masked J^H J assembled: the dense weights become row-dependent.
+
+    Row i of block (n, n) is the masked ALS normal matrix a_i of mode n,
+    transposed to (s, t). For m != n, W_nm[i, j] is the mask contracted
+    over every mode but n and m against the Khatri-Rao product of those
+    modes' pair columns: one GEMM per mode pair.
+    """
+    n_modes = len(factors)
+    rank = factors[0].shape[1]
+    weights = mask.astype(np.complex128)
+    pairs = [_pair_columns(f) for f in factors]
+    diag = np.concatenate([core.mttkrp(weights, pairs, n).reshape(-1, rank, rank)
+                           for n in range(n_modes)]).transpose(0, 2, 1)
+    off = [[None] * n_modes for _ in range(n_modes)]
+    for n in range(n_modes):
+        for m in range(n + 1, n_modes):
+            others = [pairs[k] for k in range(n_modes) if k not in (n, m)]
+            w_nm = (np.moveaxis(weights, (n, m), (0, 1)).reshape(mask.shape[n] * mask.shape[m], -1)
+                    @ core._kr(others, rank * rank))
+            # entry (i, j, t, s) of the product sums U_k[:, t] * conj(U_k[:, s])
+            off[n][m] = w_nm.reshape(mask.shape[n], mask.shape[m], rank, rank).transpose(0, 3, 1, 2)
+    return _assembled_gn_operator(factors, diag, off)
 
 
 def _structured_gn_operator(factors, w, w_pair):
@@ -523,9 +560,13 @@ def cpd_nls(t, opts):
     entries. With masked_residuals the Gramian operator excludes the
     missing entries; with expectation_imputation the dense operator is
     used (the gradient is identical either way since imputed entries carry
-    zero residual). The operator is built once per outer iteration. Trust
-    region collapse below 1e-15 is reported as non-convergence, never as
-    an exception.
+    zero residual). The operator is built once per outer iteration: up to
+    EXPLICIT_GN_MAX_PARAMS unknowns as one assembled Hermitian J^H J,
+    dense or masked, and above that in structured form, or with
+    masked_residuals in tangent form. The masked matrix is the dense one
+    with row-dependent weights, taken from mttkrps of the mask against the
+    pair columns the masked ALS sweep uses. Trust region collapse below
+    1e-15 is reported as non-convergence, never as an exception.
 
     A tolerance-based stop counts as converged only with two witnesses:
     the gradient certificate, and a Gauss-Newton point whose predicted
@@ -539,6 +580,7 @@ def cpd_nls(t, opts):
     x = _start(shape, opts, data_norm=norm)
     factors = _factor_views(x, shape, rank)
     use_masked_operator = mask is not None and opts.missing_data_strategy == "masked_residuals"
+    explicit = x.size <= EXPLICIT_GN_MAX_PARAMS
 
     r = _residual(tvals, mask, core.reconstruct(factors))
     f_val = 0.5 * float(np.vdot(r, r).real)
@@ -561,13 +603,14 @@ def cpd_nls(t, opts):
             break
         stationary = g_norm <= GRAD_CERTIFICATE * norm
 
-        w, w_pair = _gramian_products(factors)
+        # the preconditioner reads the dense w whatever the operator
+        w, w_pair = _gramian_products(factors, pairs=not use_masked_operator)
         if use_masked_operator:
-            matvec = _masked_gn_operator(factors, mask)
-        elif x.size <= EXPLICIT_GN_MAX_PARAMS:
-            matvec = _explicit_gn_operator(factors, w, w_pair)
+            build = _explicit_masked_gn_operator if explicit else _masked_gn_operator
+            matvec = build(factors, mask)
         else:
-            matvec = _structured_gn_operator(factors, w, w_pair)
+            build = _explicit_gn_operator if explicit else _structured_gn_operator
+            matvec = build(factors, w, w_pair)
         p_gn = _pcg(matvec, -g, _block_jacobi(w, shape), CG_MAX_ITER, CG_RTOL)
         step = _dogleg_step(g, p_gn, matvec, delta)
         step_norm = np.linalg.norm(step)

@@ -331,9 +331,9 @@ def test_fully_missing_fiber_tolerated(strategy):
 
 # ---------------------------------------------------------------------------
 # Gauss-Newton operator oracles. The explicit and the structured dense
-# operators and the masked tangent-form operator are independent
-# implementations of the same v -> J^H J v on the flat parameter vector; the
-# finite-difference Jacobian is a fourth, slower route.
+# operators and the masked operators, explicit and in tangent form, are
+# independent implementations of the same v -> J^H J v on the flat parameter
+# vector; the finite-difference Jacobian is a fifth, slower route.
 
 DENSE_BUILDERS = [solvers._explicit_gn_operator, solvers._structured_gn_operator]
 
@@ -399,12 +399,57 @@ def test_masked_matvec_matches_per_mode_tangent_loop():
                 assert np.abs(a - b).max() < 1e-12 * max(np.abs(b).max(), 1.0), shape
 
 
+MASKED_BUILDERS = [solvers._explicit_masked_gn_operator, solvers._masked_gn_operator]
+
+
+def oracle_masks(rng, shape):
+    """A random mask, one with a fully unobserved row of mode 0 and one
+    with a fully unobserved mode-2 slice."""
+    random = rng.random(shape) < 0.6
+    dead_row = rng.random(shape) < 0.6
+    dead_row[1] = False
+    dead_slice = rng.random(shape) < 0.6
+    dead_slice[:, :, 1] = False
+    return random, dead_row, dead_slice
+
+
+def test_explicit_masked_matvec_matches_tangent_forms():
+    rng = np.random.default_rng(67)
+    for order in (3, 4):
+        for _ in range(4):
+            shape = tuple(int(x) for x in rng.integers(2, 5, size=order))
+            rank = int(rng.integers(1, 4))
+            _, factors = flat_factors(rng, shape, rank)
+            for mask in oracle_masks(rng, shape):
+                explicit = solvers._explicit_masked_gn_operator(factors, mask)
+                oracles = [solvers._masked_gn_operator(factors, mask), loop_masked_operator(factors, mask)]
+                for _ in range(2):
+                    delta = crandn(rng, sum(shape) * rank)
+                    a = explicit(delta)
+                    for oracle in oracles:
+                        b = oracle(delta)
+                        assert np.abs(a - b).max() < 1e-12 * max(np.abs(b).max(), 1.0), shape
+
+
+def test_explicit_masked_matrix_with_nothing_missing_is_the_dense_one():
+    rng = np.random.default_rng(68)
+    for order in (3, 4):
+        for _ in range(4):
+            shape = tuple(int(x) for x in rng.integers(2, 5, size=order))
+            rank = int(rng.integers(1, 4))
+            _, factors = flat_factors(rng, shape, rank)
+            masked = solvers._explicit_masked_gn_operator(factors, np.ones(shape, dtype=bool)).__self__
+            dense = dense_operator(solvers._explicit_gn_operator, factors).__self__
+            assert np.abs(masked - dense).max() < 1e-12 * np.abs(dense).max(), shape
+
+
 def test_dense_matvec_matches_fd_gauss_newton_operator():
     rng = np.random.default_rng(62)
     rank = 2
     for shape in [(4, 3, 5), (3, 2, 4, 3)]:
         x, factors = flat_factors(rng, shape, rank)
         delta = crandn(rng, x.size)
+        mask = rng.random(shape) < 0.6
 
         def resid_vec(v):
             return np.asarray(core.reconstruct(solvers._factor_views(v, shape, rank))).ravel()
@@ -426,23 +471,39 @@ def test_dense_matvec_matches_fd_gauss_newton_operator():
             got = np.concatenate([got.real, got.imag])
             assert np.abs(ref - got).max() < 1e-6 * max(np.abs(ref).max(), 1.0), (build.__name__, shape)
 
+        # the masked operators: the Jacobian rows of the observed entries only
+        observed = np.concatenate([mask.ravel(), mask.ravel()])
+        jac_obs = jac_real[observed]
+        ref = jac_obs.T @ jac_obs @ np.concatenate([delta.real, delta.imag])
+        for build in MASKED_BUILDERS:
+            got = build(factors, mask)(delta)
+            got = np.concatenate([got.real, got.imag])
+            assert np.abs(ref - got).max() < 1e-6 * max(np.abs(ref).max(), 1.0), (build.__name__, shape)
+
 
 def test_solver_picks_the_operator_form_by_parameter_count(monkeypatch):
     # the 10x10x15 rank-3 demo scene (105 unknowns) gets the explicit J^H J,
-    # the 32x32x64 rank-6 large array (768 unknowns) the structured form
+    # dense or masked, the 32x32x64 rank-6 large array (768 unknowns) the
+    # structured form, or with masked_residuals the tangent form
     assert sum((10, 10, 15)) * 3 <= solvers.EXPLICIT_GN_MAX_PARAMS < sum((32, 32, 64)) * 6
     used = []
-    for build in DENSE_BUILDERS:
-        def spy(factors, w, w_pair, build=build):
+    for build in DENSE_BUILDERS + MASKED_BUILDERS:
+        def spy(*args, build=build):
             used.append(build.__name__)
-            return build(factors, w, w_pair)
+            return build(*args)
         monkeypatch.setattr(solvers, build.__name__, spy)
-    for shape, rank, form in [((10, 10, 15), 3, "_explicit_gn_operator"),
-                              ((32, 32, 64), 6, "_structured_gn_operator")]:
+    for shape, rank, masked, form in [((10, 10, 15), 3, False, "_explicit_gn_operator"),
+                                      ((32, 32, 64), 6, False, "_structured_gn_operator"),
+                                      ((10, 10, 15), 3, True, "_explicit_masked_gn_operator"),
+                                      ((32, 32, 64), 6, True, "_masked_gn_operator")]:
         used.clear()
         t = core.reconstruct(init_model(shape, rank, 0))
-        cpd_nls(t, CpdOptions(rank=rank, init=1, max_iterations=2))
-        assert used and set(used) == {form}
+        opts = CpdOptions(rank=rank, init=1, max_iterations=2)
+        if masked:
+            t = IncompleteTensor(t, np.random.default_rng(0).random(shape) < 0.9)
+            opts.missing_data_strategy = "masked_residuals"
+        cpd_nls(t, opts)
+        assert used and set(used) == {form}, form
 
 
 # ---------------------------------------------------------------------------

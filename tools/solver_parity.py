@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Solver parity check: 216 seeded in-memory solves, 180 on the 0 dB demo
+"""Solver parity check: 336 seeded in-memory solves, 300 on the 0 dB demo
 scene and 36 in a noiseless swamp.
 
     python3 tools/solver_parity.py > parent.jsonl            # on one checkout
@@ -8,12 +8,18 @@ scene and 36 in a noiseless swamp.
 Seeds 0-19 of configs/demo_scene.json, each under three conditions (dense,
 masked with expectation_imputation, masked with masked_residuals) and the
 three algorithms, with the noise and solver seeds the pipeline derives from
-the scene seed. The "swamp" condition adds seeds 0-11 of SWAMP_SCENE, two
-noiseless sources on a 6x6 array with 12 samples, under the three
-algorithms: the configuration where last-bit rounding decides whether a
-solve is certified as converged (seed 3 with the warm start stalls). Every
-solve prints one JSON line: seed, condition, algorithm, iterations,
-converged and final residual.
+the scene seed. The "heavy_mask_<percent>" conditions fit seeds 0-9 of the
+same noisy tensors with masked_residuals under random masks keeping 90, 70,
+50 and 30 percent of the entries (one uniform draw per seed from
+default_rng(seed + HEAVY_MASK_SEED_OFFSET), thresholded at each fraction),
+under the three algorithms: where the masked curvature decides whether a
+solve converges at all. The "swamp" condition adds seeds 0-11 of
+SWAMP_SCENE, two noiseless sources on a 6x6 array with 12 samples, under
+the three algorithms: the configuration where last-bit rounding decides
+whether a solve is certified as converged (seed 3 with the warm start
+stalls). Every solve prints one JSON line: seed, condition, algorithm,
+iterations, converged and final residual; the converged count of every
+condition and algorithm follows on standard error.
 
 With --against FILE, the solves are compared with those recorded in FILE.
 Each solve whose iteration count or converged flag differs, whose residual
@@ -37,12 +43,17 @@ import sys  # noqa: E402
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from cpdhr import formats, scene, solvers  # noqa: E402
+import numpy as np  # noqa: E402
+
+from cpdhr import core, formats, scene, solvers  # noqa: E402
 from cpdhr.pipeline import INIT_SEED_OFFSET, NOISE_SEED_OFFSET  # noqa: E402
 from cpdhr.solvers import CpdOptions  # noqa: E402
 
 SEEDS = range(20)
 CONDITIONS = ("dense", "expectation_imputation", "masked_residuals")
+HEAVY_MASK_SEEDS = range(10)
+HEAVY_MASK_FRACTIONS = (0.9, 0.7, 0.5, 0.3)
+HEAVY_MASK_SEED_OFFSET = 3000003
 SWAMP_SEEDS = range(12)
 # the SWAMP_SCENE of tests/test_solvers.py
 SWAMP_SCENE = scene.DoaScene(
@@ -66,15 +77,26 @@ def _solve_all(tensor, seed, condition, rank, strategy):
 def solves():
     """One record per (seed, condition, algorithm), in a fixed order."""
     cfg = formats.load_config(os.path.join(ROOT, "configs", "demo_scene.json"))
-    for seed in SEEDS:
+
+    def noisy_demo(seed):
         sources = scene.synthetic_sources(cfg.scene.time_len, cfg.scene.rank, seed=seed)
         clean, _ = scene.build_scene_tensor(cfg.scene, sources)
-        noisy = scene.add_noise(clean, cfg.snr_db, seed=seed + NOISE_SEED_OFFSET)
+        return scene.add_noise(clean, cfg.snr_db, seed=seed + NOISE_SEED_OFFSET)
+
+    for seed in SEEDS:
+        noisy = noisy_demo(seed)
         masked = scene.apply_mask(noisy, cfg.masks)
         for condition in CONDITIONS:
             tensor = noisy if condition == "dense" else masked
             strategy = "expectation_imputation" if condition == "dense" else condition
             yield from _solve_all(tensor, seed, condition, cfg.rank, strategy)
+    for seed in HEAVY_MASK_SEEDS:
+        noisy = noisy_demo(seed)
+        draw = np.random.default_rng(seed + HEAVY_MASK_SEED_OFFSET).random(noisy.shape)
+        for fraction in HEAVY_MASK_FRACTIONS:
+            tensor = core.IncompleteTensor(noisy, draw < fraction)
+            condition = f"heavy_mask_{round(100 * fraction)}"
+            yield from _solve_all(tensor, seed, condition, cfg.rank, "masked_residuals")
     for seed in SWAMP_SEEDS:
         sources = scene.synthetic_sources(SWAMP_SCENE.time_len, SWAMP_SCENE.rank, seed=seed)
         clean, _ = scene.build_scene_tensor(SWAMP_SCENE, sources)
@@ -83,6 +105,16 @@ def solves():
 
 def _key(rec):
     return rec["seed"], rec["condition"], rec["algorithm"]
+
+
+def converged_counts(records):
+    """One line per (condition, algorithm): converged solves of all."""
+    counts = {}
+    for rec in records:
+        done, total = counts.get((rec["condition"], rec["algorithm"]), (0, 0))
+        counts[rec["condition"], rec["algorithm"]] = (done + rec["converged"], total + 1)
+    return [f"{condition} {algorithm}: {done}/{total} converged"
+            for (condition, algorithm), (done, total) in counts.items()]
 
 
 def differences(records, reference):
@@ -114,6 +146,8 @@ def main(argv=None):
     for rec in solves():
         print(json.dumps(rec), flush=True)
         records.append(rec)
+    for line in converged_counts(records):
+        print(line, file=sys.stderr)
     if args.against is None:
         return 0
     with open(args.against, encoding="utf-8") as fh:
