@@ -11,6 +11,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from itertools import chain, compress
 
@@ -219,7 +220,8 @@ def _check_keys(mapping, required, optional, what):
 
 def _field(mapping, key, kind, what, default=None):
     """mapping[key] from json.loads, or default when the key is absent,
-    refused unless its value is of the named kind; a bool is no number."""
+    refused unless its value is of the named kind; a bool is no number,
+    and NaN or an infinity, which json.loads accepts, is refused too."""
     if key not in mapping:
         return default
     value = mapping[key]
@@ -233,6 +235,8 @@ def _field(mapping, key, kind, what, default=None):
     }[kind]
     if not ok:
         raise ValueError(f"{what}: {key} must be {kind}, got {json.dumps(value)}")
+    if type(value) is float and not math.isfinite(value):
+        raise ValueError(f"{what}: {key} must be finite, got {json.dumps(value)}")
     return value
 
 

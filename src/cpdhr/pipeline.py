@@ -209,10 +209,14 @@ def run_pipeline(config_path, out_dir, seeds=None):
     """Full run for one seed, or a sweep over an iterable of seeds.
 
     Returns (reports, all_converged). A sweep writes per-seed directories
-    seed_<s>/ plus a summary.json of medians across seeds.
+    seed_<s>/ plus a summary.json of medians across seeds; an empty sweep
+    is refused before anything is written.
     """
     if seeds is None:
         return _run_single(config_path, out_dir)
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("a seed sweep needs at least one seed")
 
     with open(config_path, "r", encoding="utf-8") as fh:
         base_doc = json.load(fh)

@@ -52,8 +52,8 @@ class SourceSpec:
             raise ValueError(f"azimuth must be in (0, 90) degrees, got {self.azimuth_deg}")
         if not 0.0 < self.elevation_deg < 90.0:
             raise ValueError(f"elevation must be in (0, 90) degrees, got {self.elevation_deg}")
-        if self.attenuation <= 0:
-            raise ValueError("attenuation must be positive")
+        if not 0.0 < self.attenuation < math.inf:
+            raise ValueError(f"attenuation must be positive and finite, got {self.attenuation}")
 
 
 @dataclass
@@ -170,6 +170,8 @@ def build_scene_tensor(scene, sources):
 def add_noise(t, snr_db, seed):
     """t plus seeded circular complex Gaussian noise, scaled so that
     20*log10(||t|| / ||noise||) equals snr_db exactly."""
+    if not math.isfinite(snr_db):
+        raise ValueError(f"snr_db must be finite, got {snr_db}")
     t = np.asarray(t, dtype=np.complex128)
     t_norm = float(np.linalg.norm(t.ravel()))
     if t_norm == 0.0:

@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import json
+import math
 import re
 from pathlib import Path
 
@@ -281,6 +282,10 @@ class TestSceneConfig:
         (dict(BASE_CONFIG, seed=1.5), "seed"),
         (dict(BASE_CONFIG, grid_m1=10.7), "grid_m1"),
         (dict(BASE_CONFIG, snr_db=True), "snr_db"),
+        (dict(BASE_CONFIG, snr_db=math.nan), "snr_db"),
+        (dict(BASE_CONFIG, snr_db=math.inf), "snr_db"),
+        (dict(BASE_CONFIG, sources=[{"azimuth_deg": 30.0, "elevation_deg": 20.0,
+                                     "attenuation": math.inf}]), "attenuation"),
     ])
     def test_wrong_json_types_rejected(self, doc, key, tmp_path):
         with pytest.raises(ValueError, match=key):

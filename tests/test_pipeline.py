@@ -215,6 +215,14 @@ def test_sweep_counts_a_failed_doa_as_infinite_error(tmp_path, monkeypatch):
     assert summary["median_elevation_rel_err"] == [math.inf, math.inf]
 
 
+def test_empty_sweep_rejected_before_writing(tmp_path):
+    cfg_path = write_config(tmp_path / "config.json")
+    out = tmp_path / "sweep"
+    with pytest.raises(ValueError, match="at least one seed"):
+        pipeline.run_pipeline(cfg_path, out, seeds=[])
+    assert not out.exists()
+
+
 def test_sweep_derived_config_is_canonical(tmp_path):
     cfg_path = write_config(tmp_path / "config.json", snr_db=0.0)
     out = tmp_path / "sweep"

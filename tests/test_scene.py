@@ -108,6 +108,9 @@ class TestSceneTensor:
             DoaScene(sources=[SourceSpec(30.0, 30.0)], time_len=1)
         with pytest.raises(ValueError):
             SourceSpec(30.0, 30.0, attenuation=0.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="attenuation"):
+                SourceSpec(30.0, 30.0, attenuation=bad)
 
     def test_constant_column_rejected(self):
         with pytest.raises(ValueError):
@@ -147,6 +150,11 @@ class TestAddNoise:
     def test_zero_tensor_rejected(self):
         with pytest.raises(ValueError):
             add_noise(np.zeros((2, 2, 2)), 10.0, seed=0)
+
+    def test_non_finite_snr_rejected(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="snr_db"):
+                add_noise(np.ones((2, 2, 2)), bad, seed=0)
 
 
 class TestGeneratorEstimate:

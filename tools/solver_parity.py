@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Solver parity check: 336 seeded in-memory solves, 300 on the 0 dB demo
-scene and 36 in a noiseless swamp.
+"""Solver parity check: 366 seeded in-memory solves, 300 on the 0 dB demo
+scene, 30 on a larger 0 dB array and 36 in a noiseless swamp.
 
     python3 tools/solver_parity.py > parent.jsonl            # on one checkout
     python3 tools/solver_parity.py --against parent.jsonl    # on another
@@ -13,13 +13,17 @@ same noisy tensors with masked_residuals under random masks keeping 90, 70,
 50 and 30 percent of the entries (one uniform draw per seed from
 default_rng(seed + HEAVY_MASK_SEED_OFFSET), thresholded at each fraction),
 under the three algorithms: where the masked curvature decides whether a
-solve converges at all. The "swamp" condition adds seeds 0-11 of
-SWAMP_SCENE, two noiseless sources on a 6x6 array with 12 samples, under
-the three algorithms: the configuration where last-bit rounding decides
-whether a solve is certified as converged (seed 3 with the warm start
-stalls). Every solve prints one JSON line: seed, condition, algorithm,
-iterations, converged and final residual; the converged count of every
-condition and algorithm follows on standard error.
+solve converges at all. The "large_mask_90" condition fits seeds 0-9 of
+LARGE_SCENE, four sources on a 16x16 array with 30 samples at 0 dB (248
+unknowns at rank 4, above solvers.EXPLICIT_GN_MAX_PARAMS), with
+masked_residuals under a 90 percent mask drawn as above, under the three
+algorithms. The "swamp" condition adds seeds 0-11 of SWAMP_SCENE, two
+noiseless sources on a 6x6 array with 12 samples, under the three
+algorithms: the configuration where last-bit rounding decides whether a
+solve is certified as converged (seed 3 with the warm start stalls).
+Every solve prints one JSON line: seed, condition, algorithm, iterations,
+converged and final residual; the converged count of every condition and
+algorithm follows on standard error.
 
 With --against FILE, the solves are compared with those recorded in FILE.
 Each solve whose iteration count or converged flag differs, whose residual
@@ -60,6 +64,11 @@ SWAMP_SCENE = scene.DoaScene(
     sources=[scene.SourceSpec(15.0, 25.0), scene.SourceSpec(55.0, 40.0)],
     grid_m1=6, grid_m2=6, time_len=12,
 )
+LARGE_SEEDS = range(10)
+LARGE_SCENE = scene.DoaScene(
+    sources=[scene.SourceSpec(a, e) for a, e in ((10, 20), (30, 30), (70, 40), (50, 15))],
+    grid_m1=16, grid_m2=16, time_len=30,
+)
 RESIDUAL_RTOL = 1e-12
 
 
@@ -78,25 +87,32 @@ def solves():
     """One record per (seed, condition, algorithm), in a fixed order."""
     cfg = formats.load_config(os.path.join(ROOT, "configs", "demo_scene.json"))
 
-    def noisy_demo(seed):
-        sources = scene.synthetic_sources(cfg.scene.time_len, cfg.scene.rank, seed=seed)
-        clean, _ = scene.build_scene_tensor(cfg.scene, sources)
+    def noisy(doa_scene, seed):
+        sources = scene.synthetic_sources(doa_scene.time_len, doa_scene.rank, seed=seed)
+        clean, _ = scene.build_scene_tensor(doa_scene, sources)
         return scene.add_noise(clean, cfg.snr_db, seed=seed + NOISE_SEED_OFFSET)
 
+    def heavy_mask(seed, shape):
+        return np.random.default_rng(seed + HEAVY_MASK_SEED_OFFSET).random(shape)
+
     for seed in SEEDS:
-        noisy = noisy_demo(seed)
-        masked = scene.apply_mask(noisy, cfg.masks)
+        demo = noisy(cfg.scene, seed)
+        masked = scene.apply_mask(demo, cfg.masks)
         for condition in CONDITIONS:
-            tensor = noisy if condition == "dense" else masked
+            tensor = demo if condition == "dense" else masked
             strategy = "expectation_imputation" if condition == "dense" else condition
             yield from _solve_all(tensor, seed, condition, cfg.rank, strategy)
     for seed in HEAVY_MASK_SEEDS:
-        noisy = noisy_demo(seed)
-        draw = np.random.default_rng(seed + HEAVY_MASK_SEED_OFFSET).random(noisy.shape)
+        demo = noisy(cfg.scene, seed)
+        draw = heavy_mask(seed, demo.shape)
         for fraction in HEAVY_MASK_FRACTIONS:
-            tensor = core.IncompleteTensor(noisy, draw < fraction)
+            tensor = core.IncompleteTensor(demo, draw < fraction)
             condition = f"heavy_mask_{round(100 * fraction)}"
             yield from _solve_all(tensor, seed, condition, cfg.rank, "masked_residuals")
+    for seed in LARGE_SEEDS:
+        large = noisy(LARGE_SCENE, seed)
+        tensor = core.IncompleteTensor(large, heavy_mask(seed, large.shape) < 0.9)
+        yield from _solve_all(tensor, seed, "large_mask_90", LARGE_SCENE.rank, "masked_residuals")
     for seed in SWAMP_SEEDS:
         sources = scene.synthetic_sources(SWAMP_SCENE.time_len, SWAMP_SCENE.rank, seed=seed)
         clean, _ = scene.build_scene_tensor(SWAMP_SCENE, sources)
