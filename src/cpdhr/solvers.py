@@ -340,8 +340,10 @@ def cpd_als(t, opts):
 # Intel Xeon core with single-threaded OpenBLAS and numpy 2.4, the two cost
 # the same per Gauss-Newton iteration between 150 and 190 unknowns; the
 # explicit form is 1.4x cheaper on the 105-unknown demo scene and the
-# structured one 1.3x cheaper at 240 unknowns. The masked operator has one
-# form, assembled at every size, so this count picks only the dense one.
+# structured one 1.3x cheaper at 240 unknowns. The masked operator switches
+# from its explicit form to its tangent form at the same count: the tangent
+# form's memory and matvec grow with the masked tensor, never with the
+# square of the unknowns, which a long mode makes large.
 EXPLICIT_GN_MAX_PARAMS = 160
 
 
@@ -411,8 +413,7 @@ def _explicit_gn_operator(factors, w, w_pair):
 
 
 def _explicit_masked_gn_operator(factors, mask):
-    """The masked J^H J assembled, the one operator of masked_residuals:
-    the dense weights become row-dependent.
+    """The masked J^H J assembled: the dense weights become row-dependent.
 
     For m != n, W_nm[i, j] is the mask contracted over every mode but n
     and m against the Khatri-Rao product of those modes' pair columns: one
@@ -426,23 +427,25 @@ def _explicit_masked_gn_operator(factors, mask):
     rank = factors[0].shape[1]
     weights = mask.astype(np.float64)
     pairs = [_pair_columns(f) for f in factors]
-    diag = [np.repeat(weights[:, None], rank * rank, axis=1)] if n_modes == 1 else [None] * n_modes
-    off = [[None] * n_modes for _ in range(n_modes)]
+    w = {}
     for n in range(n_modes):
         for m in range(n + 1, n_modes):
             others = core._kr([pairs[k] for k in range(n_modes) if k not in (n, m)], rank * rank)
             w_nm = (np.moveaxis(weights, (n, m), (0, 1)).reshape(mask.shape[n] * mask.shape[m], -1)
                     @ others.view(np.float64)).view(np.complex128)
-            w_nm = w_nm.reshape(mask.shape[n], mask.shape[m], rank * rank)
-            # mode 0 pairs with mode 1 for its own diagonal, every other
-            # mode with mode 0
-            if n == 0:
-                diag[m] = (w_nm * pairs[0][:, None, :]).sum(axis=0)
-                if m == 1:
-                    diag[0] = (w_nm * pairs[1][None, :, :]).sum(axis=1)
-            # entry (i, j, t, s) of the product sums U_k[:, t] * conj(U_k[:, s])
-            off[n][m] = w_nm.reshape(mask.shape[n], mask.shape[m], rank, rank).transpose(0, 3, 1, 2)
+            w[n, m] = w_nm.reshape(mask.shape[n], mask.shape[m], rank * rank)
+    if n_modes == 1:
+        diag = [np.repeat(weights[:, None], rank * rank, axis=1)]
+    else:
+        # mode 0 sums its diagonal out of its pair with mode 1, every other
+        # mode out of its pair with mode 0
+        diag = [(w[0, 1] * pairs[1][None, :, :]).sum(axis=1)]
+        diag += [(w[0, m] * pairs[0][:, None, :]).sum(axis=0) for m in range(1, n_modes)]
     diag = np.concatenate(diag).reshape(-1, rank, rank).transpose(0, 2, 1)
+    # entry (i, j, t, s) of W_nm sums U_k[:, t] * conj(U_k[:, s])
+    off = [[None] * n_modes for _ in range(n_modes)]
+    for (n, m), w_nm in w.items():
+        off[n][m] = w_nm.reshape(mask.shape[n], mask.shape[m], rank, rank).transpose(0, 3, 1, 2)
     return _assembled_gn_operator(factors, diag, off)
 
 
@@ -463,6 +466,29 @@ def _structured_gn_operator(factors, w, w_pair):
         for n, block in enumerate(_factor_views(out, shape, rank)):
             block[...] = delta[n] @ diag[n] + factors[n] @ (off[n] * cross_t).sum(axis=0)
         return out
+
+    return matvec
+
+
+def _masked_gn_operator(factors, mask):
+    """v -> J^H J v restricted to the observed entries, in tangent form:
+    the directional derivative of the model, masked, then mttkrp'd back.
+
+    The tangent sum_m [[U with U_m <- delta_m]] is one reconstruct of rank
+    N*R: factor n is [U_n ... delta_n ... U_n], delta_n in column block n.
+    """
+    shape = tuple(f.shape[0] for f in factors)
+    rank = factors[0].shape[1]
+    n_modes = len(factors)
+    conj_factors = [np.conj(f) for f in factors]
+    wide = [np.tile(f, (1, n_modes)) for f in factors]
+    blocks = [w[:, n * rank:(n + 1) * rank] for n, w in enumerate(wide)]
+
+    def matvec(v):
+        for block, d in zip(blocks, _factor_views(v, shape, rank)):
+            block[...] = d
+        tangent = np.where(mask, core.reconstruct(wide), 0.0)
+        return np.concatenate([core.mttkrp(tangent, conj_factors, n).ravel() for n in range(n_modes)])
 
     return matvec
 
@@ -548,13 +574,14 @@ def cpd_nls(t, opts):
     entries. With masked_residuals the Gramian operator excludes the
     missing entries; with expectation_imputation the dense operator is
     used (the gradient is identical either way since imputed entries carry
-    zero residual). The operator is built once per outer iteration. The
-    dense one is one assembled Hermitian J^H J up to EXPLICIT_GN_MAX_PARAMS
-    unknowns and the structured form above that. The masked one is always
-    assembled: the dense matrix with row-dependent weights, taken from one
-    GEMM per mode pair of the mask against the Khatri-Rao product of the
-    pair columns the masked ALS sweep uses. Trust region collapse below
-    1e-15 is reported as non-convergence, never as an exception.
+    zero residual). The operator is built once per outer iteration: up to
+    EXPLICIT_GN_MAX_PARAMS unknowns as one assembled Hermitian J^H J,
+    dense or masked, and above that in structured form, or with
+    masked_residuals in tangent form. The masked matrix is the dense one
+    with row-dependent weights, taken from one GEMM per mode pair of the
+    mask against the Khatri-Rao product of the pair columns the masked ALS
+    sweep uses. Trust region collapse below 1e-15 is reported as
+    non-convergence, never as an exception.
 
     A tolerance-based stop counts as converged only with two witnesses:
     the gradient certificate, and a Gauss-Newton point whose predicted
@@ -568,6 +595,7 @@ def cpd_nls(t, opts):
     x = _start(shape, opts, data_norm=norm)
     factors = _factor_views(x, shape, rank)
     use_masked_operator = mask is not None and opts.missing_data_strategy == "masked_residuals"
+    explicit = x.size <= EXPLICIT_GN_MAX_PARAMS
 
     r = _residual(tvals, mask, core.reconstruct(factors))
     f_val = 0.5 * float(np.vdot(r, r).real)
@@ -593,9 +621,10 @@ def cpd_nls(t, opts):
         # the preconditioner reads the dense w whatever the operator
         w, w_pair = _gramian_products(factors, pairs=not use_masked_operator)
         if use_masked_operator:
-            matvec = _explicit_masked_gn_operator(factors, mask)
+            build = _explicit_masked_gn_operator if explicit else _masked_gn_operator
+            matvec = build(factors, mask)
         else:
-            build = _explicit_gn_operator if x.size <= EXPLICIT_GN_MAX_PARAMS else _structured_gn_operator
+            build = _explicit_gn_operator if explicit else _structured_gn_operator
             matvec = build(factors, w, w_pair)
         p_gn = _pcg(matvec, -g, _block_jacobi(w, shape), CG_MAX_ITER, CG_RTOL)
         step = _dogleg_step(g, p_gn, matvec, delta)

@@ -331,9 +331,9 @@ def test_fully_missing_fiber_tolerated(strategy):
 
 # ---------------------------------------------------------------------------
 # Gauss-Newton operator oracles. The explicit and the structured dense
-# operators, the assembled masked operator and the tangent-form loop below
-# are independent implementations of the same v -> J^H J v on the flat
-# parameter vector; the finite-difference Jacobian is a fifth, slower route.
+# operators and the masked operators, explicit and in tangent form, are
+# independent implementations of the same v -> J^H J v on the flat parameter
+# vector; the finite-difference Jacobian is a fifth, slower route.
 
 DENSE_BUILDERS = [solvers._explicit_gn_operator, solvers._structured_gn_operator]
 
@@ -346,6 +346,22 @@ def flat_factors(rng, shape, rank):
 def dense_operator(build, factors):
     w, w_pair = solvers._gramian_products(factors)
     return build(factors, w, w_pair)
+
+
+def test_dense_matvec_agrees_with_tangent_form():
+    rng = np.random.default_rng(61)
+    for build in DENSE_BUILDERS:
+        for order in (3, 4):
+            for _ in range(4):
+                shape = tuple(int(x) for x in rng.integers(2, 5, size=order))
+                rank = int(rng.integers(1, 4))
+                _, factors = flat_factors(rng, shape, rank)
+                delta = crandn(rng, sum(shape) * rank)
+                dense = dense_operator(build, factors)
+                tangent = solvers._masked_gn_operator(factors, np.ones(shape, dtype=bool))
+                a, b = dense(delta), tangent(delta)
+                scale = np.abs(a).max()
+                assert np.abs(a - b).max() < 1e-11 * max(scale, 1.0), (build.__name__, shape)
 
 
 def loop_masked_operator(factors, mask):
@@ -366,23 +382,24 @@ def loop_masked_operator(factors, mask):
     return matvec
 
 
-def test_dense_matvec_agrees_with_tangent_form():
-    rng = np.random.default_rng(61)
-    for build in DENSE_BUILDERS:
-        for order in (3, 4):
-            for _ in range(4):
-                shape = tuple(int(x) for x in rng.integers(2, 5, size=order))
-                rank = int(rng.integers(1, 4))
-                _, factors = flat_factors(rng, shape, rank)
+def test_masked_matvec_matches_per_mode_tangent_loop():
+    rng = np.random.default_rng(64)
+    for order in (3, 4):
+        for _ in range(4):
+            shape = tuple(int(x) for x in rng.integers(2, 5, size=order))
+            rank = int(rng.integers(1, 4))
+            _, factors = flat_factors(rng, shape, rank)
+            mask = rng.random(shape) < 0.6
+            fast = solvers._masked_gn_operator(factors, mask)
+            slow = loop_masked_operator(factors, mask)
+            # repeated applies must not see each other's input
+            for _ in range(2):
                 delta = crandn(rng, sum(shape) * rank)
-                dense = dense_operator(build, factors)
-                tangent = loop_masked_operator(factors, np.ones(shape, dtype=bool))
-                a, b = dense(delta), tangent(delta)
-                scale = np.abs(a).max()
-                assert np.abs(a - b).max() < 1e-11 * max(scale, 1.0), (build.__name__, shape)
+                a, b = fast(delta), slow(delta)
+                assert np.abs(a - b).max() < 1e-12 * max(np.abs(b).max(), 1.0), shape
 
 
-MASKED_BUILDERS = [solvers._explicit_masked_gn_operator]
+MASKED_BUILDERS = [solvers._explicit_masked_gn_operator, solvers._masked_gn_operator]
 
 
 def oracle_masks(rng, shape):
@@ -405,11 +422,13 @@ def test_explicit_masked_matvec_matches_tangent_forms():
             _, factors = flat_factors(rng, shape, rank)
             for mask in oracle_masks(rng, shape):
                 explicit = solvers._explicit_masked_gn_operator(factors, mask)
-                oracle = loop_masked_operator(factors, mask)
+                oracles = [solvers._masked_gn_operator(factors, mask), loop_masked_operator(factors, mask)]
                 for _ in range(2):
                     delta = crandn(rng, sum(shape) * rank)
-                    a, b = explicit(delta), oracle(delta)
-                    assert np.abs(a - b).max() < 1e-12 * max(np.abs(b).max(), 1.0), shape
+                    a = explicit(delta)
+                    for oracle in oracles:
+                        b = oracle(delta)
+                        assert np.abs(a - b).max() < 1e-12 * max(np.abs(b).max(), 1.0), shape
 
 
 def test_explicit_masked_matrix_with_nothing_missing_is_the_dense_one():
@@ -463,9 +482,10 @@ def test_dense_matvec_matches_fd_gauss_newton_operator():
 
 
 def test_solver_picks_the_operator_form_by_parameter_count(monkeypatch):
-    # the 10x10x15 rank-3 demo scene (105 unknowns) gets the explicit J^H J
-    # and the 32x32x64 rank-6 large array (768 unknowns) the structured
-    # form; masked_residuals gets the assembled masked J^H J at both sizes
+    # the 10x10x15 rank-3 demo scene (105 unknowns) gets the explicit J^H J,
+    # dense or masked, the 32x32x64 rank-6 large array (768 unknowns) the
+    # structured form, or with masked_residuals the tangent form, as does a
+    # long time axis, whose assembled masked matrix would outgrow the tensor
     assert sum((10, 10, 15)) * 3 <= solvers.EXPLICIT_GN_MAX_PARAMS < sum((32, 32, 64)) * 6
     used = []
     for build in DENSE_BUILDERS + MASKED_BUILDERS:
@@ -476,7 +496,8 @@ def test_solver_picks_the_operator_form_by_parameter_count(monkeypatch):
     for shape, rank, masked, form in [((10, 10, 15), 3, False, "_explicit_gn_operator"),
                                       ((32, 32, 64), 6, False, "_structured_gn_operator"),
                                       ((10, 10, 15), 3, True, "_explicit_masked_gn_operator"),
-                                      ((32, 32, 64), 6, True, "_explicit_masked_gn_operator")]:
+                                      ((32, 32, 64), 6, True, "_masked_gn_operator"),
+                                      ((4, 4, 500), 2, True, "_masked_gn_operator")]:
         used.clear()
         t = core.reconstruct(init_model(shape, rank, 0))
         opts = CpdOptions(rank=rank, init=1, max_iterations=2)
@@ -490,7 +511,7 @@ def test_solver_picks_the_operator_form_by_parameter_count(monkeypatch):
 @pytest.mark.parametrize("algorithm", solvers.ALGORITHMS)
 @pytest.mark.parametrize("shape", [(7,), (5, 6)])
 def test_masked_residuals_converges_at_orders_1_and_2(shape, algorithm):
-    # order 1 has no mode pair to sum the masked diagonal out of
+    # order 1 has no mode pair to sum the assembled masked diagonal out of
     t = core.reconstruct(init_model(shape, 2, 3))
     mask = np.random.default_rng(4).random(shape) < 0.8
     opts = CpdOptions(rank=2, algorithm=algorithm, init=5, missing_data_strategy="masked_residuals")

@@ -15,15 +15,15 @@ default_rng(seed + HEAVY_MASK_SEED_OFFSET), thresholded at each fraction),
 under the three algorithms: where the masked curvature decides whether a
 solve converges at all. The "large_mask_90" condition fits seeds 0-9 of
 LARGE_SCENE, four sources on a 16x16 array with 30 samples at 0 dB (248
-unknowns at rank 4, above solvers.EXPLICIT_GN_MAX_PARAMS), with
-masked_residuals under a 90 percent mask drawn as above, under the three
-algorithms. The "swamp" condition adds seeds 0-11 of SWAMP_SCENE, two
-noiseless sources on a 6x6 array with 12 samples, under the three
-algorithms: the configuration where last-bit rounding decides whether a
-solve is certified as converged (seed 3 with the warm start stalls).
-Every solve prints one JSON line: seed, condition, algorithm, iterations,
-converged and final residual; the converged count of every condition and
-algorithm follows on standard error.
+unknowns at rank 4, above solvers.EXPLICIT_GN_MAX_PARAMS, where the masked
+operator is in tangent form), with masked_residuals under a 90 percent mask
+drawn as above, under the three algorithms. The "swamp" condition adds
+seeds 0-11 of SWAMP_SCENE, two noiseless sources on a 6x6 array with 12
+samples, under the three algorithms: the configuration where last-bit
+rounding decides whether a solve is certified as converged (seed 3 with the
+warm start stalls). Every solve prints one JSON line: seed, condition,
+algorithm, iterations, converged and final residual; the converged count of
+every condition and algorithm follows on standard error.
 
 With --against FILE, the solves are compared with those recorded in FILE.
 Each solve whose iteration count or converged flag differs, whose residual
