@@ -235,13 +235,13 @@ def doa_from_generators(z1, z2):
 
 
 def _truth_steering_model(scene):
-    a = np.column_stack(
-        [steering_vector(s.azimuth_deg, s.elevation_deg, 1, scene.grid_m1) for s in scene.sources]
-    )
-    b = np.column_stack(
-        [steering_vector(s.azimuth_deg, s.elevation_deg, 2, scene.grid_m2) for s in scene.sources]
-    )
-    return CpdModel([a, b])
+    """The steering_vector columns of every source, one power per factor;
+    the angles were validated when the scene's sources were built."""
+    factors = []
+    for axis, m in ((1, scene.grid_m1), (2, scene.grid_m2)):
+        z = np.array([_generator(s.azimuth_deg, s.elevation_deg, axis) for s in scene.sources])
+        factors.append(z[None, :] ** np.arange(m)[:, None])
+    return CpdModel(factors)
 
 
 def _fit_steering_phases(a, b, mode3_gram, phases):

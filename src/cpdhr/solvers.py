@@ -27,9 +27,12 @@ MISSING_STRATEGIES = ("expectation_imputation", "masked_residuals")
 # the (possibly degenerate) R x R Gramian systems
 PINV_RCOND = 1e-12
 
-# trust region bookkeeping for the Gauss-Newton solver
-TR_ACCEPT = 1e-4
-TR_COLLAPSE = 1e-15
+# Gauss-Newton step control: a step is accepted when its actual decrease is
+# more than STEP_ACCEPT times the predicted one; the damping bounds are in
+# units of the largest diagonal entry of the Gramian products (see cpd_nls)
+STEP_ACCEPT = 1e-4
+MU_FLOOR = 0.1
+MU_COLLAPSE = 1e15
 CG_MAX_ITER = 60
 CG_RTOL = 1e-2
 WARMSTART_SWEEPS = 3
@@ -185,8 +188,9 @@ def _start(shape, opts, data_norm=None):
 def _rebalance(x, shape, rank):
     # gauge-only: spread each column's magnitude evenly over the modes, in
     # place on the (sum I_n, R) view of x. Keeping the blocks comparably
-    # scaled matters a lot downstream: a spherical trust region on the
-    # stacked parameters is useless when one mode carries all the magnitude.
+    # scaled matters a lot downstream: the spherical damping mu * I on the
+    # stacked parameters damps the modes unevenly when one mode carries all
+    # the magnitude.
     rows = x.reshape(-1, rank)
     norms = np.sqrt(np.add.reduceat((rows.conj() * rows).real, np.cumsum((0,) + shape[:-1]), axis=0))
     total = norms.prod(axis=0)
@@ -327,7 +331,7 @@ def cpd_als(t, opts):
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Newton with dogleg trust region
+# Gauss-Newton with Levenberg-Marquardt damping
 #
 # The residual is holomorphic in the factors, so the Gauss-Newton matrix
 # J^H J is complex-linear on the flat parameter vector, and Re(vdot(a, b))
@@ -540,35 +544,9 @@ def _model_decrease(g, p, matvec):
     return -(np.vdot(g, p).real + 0.5 * np.vdot(p, matvec(p)).real)
 
 
-def _dogleg_step(g, p_gn, matvec, delta):
-    """Classic dogleg: Gauss-Newton point if inside the region, otherwise
-    the steepest-descent / dogleg boundary point."""
-    gn_norm = np.linalg.norm(p_gn)
-    if gn_norm <= delta and gn_norm > 0.0:
-        return p_gn
-    g_norm2 = np.vdot(g, g).real
-    gbg = np.vdot(g, matvec(g)).real
-    if gbg <= 0.0:
-        return (-delta / math.sqrt(g_norm2)) * g
-    alpha = g_norm2 / gbg
-    p_u = -alpha * g
-    pu_norm = alpha * math.sqrt(g_norm2)
-    if pu_norm >= delta:
-        return (-delta / math.sqrt(g_norm2)) * g
-    d = p_gn - p_u
-    a = np.vdot(d, d).real
-    if a == 0.0:
-        return p_u
-    b = 2.0 * np.vdot(p_u, d).real
-    c = pu_norm**2 - delta**2
-    tau = (-b + math.sqrt(max(b * b - 4.0 * a * c, 0.0))) / (2.0 * a)
-    return p_u + tau * d
-
-
 def cpd_nls(t, opts):
-    """Gauss-Newton CPD with block-Jacobi preconditioned CG inner solves
-    and a dogleg trust region on the one flat parameter vector that holds
-    every factor, as in all solvers here.
+    """Gauss-Newton CPD with Levenberg-Marquardt damping on the one flat
+    parameter vector that holds every factor, as in all solvers here.
 
     The objective is half the squared Frobenius residual over observed
     entries. With masked_residuals the Gramian operator excludes the
@@ -580,12 +558,20 @@ def cpd_nls(t, opts):
     masked_residuals in tangent form. The masked matrix is the dense one
     with row-dependent weights, taken from one GEMM per mode pair of the
     mask against the Khatri-Rao product of the pair columns the masked ALS
-    sweep uses. Trust region collapse below 1e-15 is reported as
-    non-convergence, never as an exception.
+    sweep uses.
+
+    Each step solves (J^H J + mu I) p = -g by CG, preconditioned by the
+    block Jacobi inverse of w + mu I. mu starts at 0, so the solver takes
+    the plain Gauss-Newton point until a step does poorly. A step whose
+    gain ratio rho (actual over predicted decrease) is below 0.25 raises mu
+    to max(4 mu, MU_FLOOR s), s the largest diagonal entry of w; any other
+    step scales mu by max(1/3, 1 - (2 rho - 1)^3) (Nielsen's rule). mu
+    above MU_COLLAPSE s is reported as non-convergence, never as an
+    exception.
 
     A tolerance-based stop counts as converged only with two witnesses:
-    the gradient certificate, and a Gauss-Newton point whose predicted
-    decrease is at most REL_OBJECTIVE_TOL times the objective in
+    the gradient certificate, and a step whose predicted decrease on the
+    undamped model is at most REL_OBJECTIVE_TOL times the objective in
     magnitude. A stall in a swamp, where rejected steps make no progress
     while the model still promises a large decrease, passes the first and
     fails the second.
@@ -601,10 +587,7 @@ def cpd_nls(t, opts):
     f_val = 0.5 * float(np.vdot(r, r).real)
     rel = math.sqrt(2.0 * f_val) / norm
 
-    x_norm = np.linalg.norm(x)
-    delta = max(0.3 * x_norm, 1e-3)
-    delta_max = max(10.0 * x_norm, 10.0)
-
+    mu = 0.0
     trace = []
     converged = False
     conj_factors = _factor_views(np.conj(x), shape, rank)
@@ -626,23 +609,21 @@ def cpd_nls(t, opts):
         else:
             build = _explicit_gn_operator if explicit else _structured_gn_operator
             matvec = build(factors, w, w_pair)
-        p_gn = _pcg(matvec, -g, _block_jacobi(w, shape), CG_MAX_ITER, CG_RTOL)
-        step = _dogleg_step(g, p_gn, matvec, delta)
+        damped = matvec if mu == 0.0 else lambda v: matvec(v) + mu * v
+        step = _pcg(damped, -g, _block_jacobi(w + mu * np.eye(rank), shape), CG_MAX_ITER, CG_RTOL)
         step_norm = np.linalg.norm(step)
-        # Second witness: the Gauss-Newton point promises almost no further
-        # decrease. A negative computed decrease means the inner solve failed
-        # (in a swamp CG drifts along the near-null gauge directions of
-        # J^H J), which certifies nothing, hence the absolute value.
-        certified = (stationary and abs(_model_decrease(g, p_gn, matvec))
-                     <= REL_OBJECTIVE_TOL * f_val)
+        # Second witness: the step promises almost no further decrease. A
+        # negative computed decrease means the inner solve failed, which
+        # certifies nothing, hence the absolute value.
+        predicted = _model_decrease(g, step, matvec)
+        certified = stationary and abs(predicted) <= REL_OBJECTIVE_TOL * f_val
 
         trial = x + step
         r_trial = _residual(tvals, mask, core.reconstruct(_factor_views(trial, shape, rank)))
         f_trial = 0.5 * float(np.vdot(r_trial, r_trial).real)
-        predicted = _model_decrease(g, step, matvec)
         actual = f_val - f_trial
 
-        accepted = predicted > 0.0 and actual > 0.0 and actual / predicted > TR_ACCEPT
+        accepted = predicted > 0.0 and actual > 0.0 and actual / predicted > STEP_ACCEPT
         rho = actual / predicted if predicted > 0.0 else -math.inf
         prev_rel = rel
         if accepted:
@@ -654,11 +635,12 @@ def cpd_nls(t, opts):
             rel = math.sqrt(2.0 * f_val) / norm
         trace.append(rel)
 
-        if rho > 0.75 and step_norm >= 0.9 * delta:
-            delta = min(2.0 * delta, delta_max)
-        elif rho < 0.25:
-            delta = 0.25 * delta
-        if delta < TR_COLLAPSE:
+        scale = w.diagonal(axis1=1, axis2=2).real.max()
+        if rho < 0.25:
+            mu = max(4.0 * mu, MU_FLOOR * scale)
+        else:
+            mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+        if mu > MU_COLLAPSE * scale:
             break
 
         # At a noisy minimum the quadratic model is rounding noise and trial

@@ -124,10 +124,11 @@ def test_pipeline_single_and_sweep(tmp_path):
 
 
 def test_decompose_nonconvergence_exits_2(tmp_path):
-    # closely spaced azimuths: mode-1 steering columns nearly parallel, the
-    # warmstarted fit stalls in the bottleneck and must say so via the code
+    # two sources at 0 dB fitted at rank 5: with three surplus columns
+    # fitting noise, the warmstarted fit still crawls after 500 iterations
+    # without passing the convergence witnesses, and must say so via the code
     cfg = write_config(
-        tmp_path / "config.json", seed=3,
+        tmp_path / "config.json", seed=3, snr_db=0.0,
         sources=[
             {"azimuth_deg": 15.0, "elevation_deg": 25.0},
             {"azimuth_deg": 55.0, "elevation_deg": 40.0},
@@ -136,8 +137,8 @@ def test_decompose_nonconvergence_exits_2(tmp_path):
     truth = str(tmp_path / "truth")
     assert cli.main(["simulate", cfg, truth]) == 0
     code = cli.main([
-        "decompose", f"{truth}/clean.tns", str(tmp_path / "est"),
-        "--rank", "2", "--seed", str(3 + INIT_SEED_OFFSET),
+        "decompose", f"{truth}/noisy.tns", str(tmp_path / "est"),
+        "--rank", "5", "--seed", str(3 + INIT_SEED_OFFSET),
     ])
     assert code == 2
     diag = formats.load_report(tmp_path / "est" / "diagnostics.json")

@@ -14,6 +14,7 @@ from cpdhr.scene import (
     MaskPattern,
     SourceSet,
     SourceSpec,
+    _truth_steering_model,
     add_noise,
     apply_mask,
     build_scene_tensor,
@@ -67,6 +68,17 @@ class TestSteeringVector:
             steering_vector(30.0, 30.0, axis=3, m=4)
         with pytest.raises(ValueError):
             steering_vector(30.0, 30.0, axis=1, m=0)
+
+    def test_truth_steering_model_is_the_steering_vectors(self):
+        rng = np.random.default_rng(32)
+        sources = [SourceSpec(*rng.uniform(1.0, 89.0, 2)) for _ in range(4)]
+        doa_scene = DoaScene(sources=sources, grid_m1=7, grid_m2=11)
+        a, b = _truth_steering_model(doa_scene).factors
+        for axis, factor, m in ((1, a, 7), (2, b, 11)):
+            columns = np.column_stack(
+                [steering_vector(s.azimuth_deg, s.elevation_deg, axis, m) for s in sources]
+            )
+            assert np.array_equal(factor, columns), axis
 
 
 class TestSceneTensor:

@@ -20,10 +20,10 @@ operator is in tangent form), with masked_residuals under a 90 percent mask
 drawn as above, under the three algorithms. The "swamp" condition adds
 seeds 0-11 of SWAMP_SCENE, two noiseless sources on a 6x6 array with 12
 samples, under the three algorithms: the configuration where last-bit
-rounding decides whether a solve is certified as converged (seed 3 with the
-warm start stalls). Every solve prints one JSON line: seed, condition,
-algorithm, iterations, converged and final residual; the converged count of
-every condition and algorithm follows on standard error.
+rounding decides whether a solve is certified as converged. Every solve
+prints one JSON line: seed, condition, algorithm, iterations, converged and
+final residual; the converged count and the median and total iterations of
+every condition and algorithm follow on standard error.
 
 With --against FILE, the solves are compared with those recorded in FILE.
 Each solve whose iteration count or converged flag differs, whose residual
@@ -123,14 +123,16 @@ def _key(rec):
     return rec["seed"], rec["condition"], rec["algorithm"]
 
 
-def converged_counts(records):
-    """One line per (condition, algorithm): converged solves of all."""
-    counts = {}
+def cell_summaries(records):
+    """One line per (condition, algorithm): converged solves of all, and
+    the median and total iterations."""
+    cells = {}
     for rec in records:
-        done, total = counts.get((rec["condition"], rec["algorithm"]), (0, 0))
-        counts[rec["condition"], rec["algorithm"]] = (done + rec["converged"], total + 1)
-    return [f"{condition} {algorithm}: {done}/{total} converged"
-            for (condition, algorithm), (done, total) in counts.items()]
+        cells.setdefault((rec["condition"], rec["algorithm"]), []).append(rec)
+    return [f"{condition} {algorithm}: {sum(r['converged'] for r in recs)}/{len(recs)} converged, "
+            f"iterations median {np.median([r['iterations'] for r in recs]):g} "
+            f"total {sum(r['iterations'] for r in recs)}"
+            for (condition, algorithm), recs in cells.items()]
 
 
 def differences(records, reference):
@@ -162,7 +164,7 @@ def main(argv=None):
     for rec in solves():
         print(json.dumps(rec), flush=True)
         records.append(rec)
-    for line in converged_counts(records):
+    for line in cell_summaries(records):
         print(line, file=sys.stderr)
     if args.against is None:
         return 0
