@@ -13,7 +13,7 @@ from .solvers import ALGORITHMS, MISSING_STRATEGIES
 
 
 def _parse_seed_range(text):
-    """'a..b' inclusive, or a single integer."""
+    """'a..b' inclusive, or a single integer; seeds are non-negative."""
     if ".." in text:
         lo, _, hi = text.partition("..")
         try:
@@ -22,11 +22,14 @@ def _parse_seed_range(text):
             raise ValueError(f"bad seed range {text!r}, expected 'a..b'") from None
         if hi < lo:
             raise ValueError(f"empty seed range {text!r}")
-        return list(range(lo, hi + 1))
-    try:
-        return [int(text)]
-    except ValueError:
-        raise ValueError(f"bad seed value {text!r}") from None
+    else:
+        try:
+            lo = hi = int(text)
+        except ValueError:
+            raise ValueError(f"bad seed value {text!r}") from None
+    if lo < 0:
+        raise ValueError(f"--seeds {text!r}: seeds must be >= 0")
+    return list(range(lo, hi + 1))
 
 
 def build_parser():

@@ -46,21 +46,6 @@ def element_count(dims):
     return count
 
 
-def as_tensor(values, shape=None):
-    """Coerce to a complex128 ndarray, optionally reshaping flat values.
-
-    Flat input is interpreted first-index-fastest, matching the file
-    formats.
-    """
-    arr = np.asarray(values, dtype=np.complex128)
-    if shape is not None:
-        shape = check_shape(shape)
-        arr = arr.reshape(shape, order="F")
-    else:
-        check_shape(arr.shape if arr.ndim > 0 else (1,))
-    return arr
-
-
 @dataclass
 class IncompleteTensor:
     """A dense array paired with an observation mask (True = observed).

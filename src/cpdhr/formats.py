@@ -192,6 +192,8 @@ class SceneConfig:
         if self.snr_db is not None:
             self.snr_db = float(self.snr_db)
         self.seed = int(self.seed)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         CpdOptions(rank=self.rank, algorithm=self.algorithm,
                    missing_data_strategy=self.missing_data_strategy)
         if not isinstance(self.signals, str) or not self.signals:

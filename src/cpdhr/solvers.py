@@ -56,7 +56,7 @@ REL_STEP_TOL = 1e-12
 class CpdOptions:
     """Solver configuration.
 
-    init is either an integer seed (factors drawn by init_model) or an
+    init is either an integer seed >= 0 (factors drawn by init_model) or an
     explicit CpdModel to start from.
     """
 
@@ -71,6 +71,8 @@ class CpdOptions:
             raise ValueError("rank must be >= 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
+        if not isinstance(self.init, CpdModel) and self.init < 0:
+            raise ValueError(f"init seed must be >= 0, got {self.init}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}, expected one of {ALGORITHMS}")
         if self.missing_data_strategy not in MISSING_STRATEGIES:
@@ -410,14 +412,14 @@ def _assembled_gn_operator(factors, diag, off):
 
 
 def _explicit_gn_operator(factors, w, w_pair):
-    """The dense J^H J assembled: block (n, n) is I kron W_n, and the
-    weight of block (n, m) is W_nm[s, t] on every row pair."""
+    """The dense J^H J + mu I assembled, w arriving shifted by mu I: block
+    (n, n) is I kron W_n, and block (n, m) weighs every row pair by W_nm."""
     extents = [f.shape[0] for f in factors]
     return _assembled_gn_operator(factors, np.repeat(w, extents, axis=0), w_pair[:, :, :, None, :])
 
 
-def _explicit_masked_gn_operator(factors, mask):
-    """The masked J^H J assembled: the dense weights become row-dependent.
+def _explicit_masked_gn_operator(factors, mask, mu):
+    """The masked J^H J + mu I assembled: the dense weights, row-dependent.
 
     For m != n, W_nm[i, j] is the mask contracted over every mode but n
     and m against the Khatri-Rao product of those modes' pair columns: one
@@ -425,7 +427,7 @@ def _explicit_masked_gn_operator(factors, mask):
     of the complex product. Row i of block (n, n) is the masked ALS normal
     matrix a_i of mode n, transposed to (s, t), summed out of a weight
     that pairs n with another mode m: a_i = sum_j W_nm[i, j] * pairs_m[j].
-    At order 1 there is no pair and a_i is mask[i].
+    At order 1 there is no pair and a_i is mask[i]. Each a_i gains mu I.
     """
     n_modes = len(factors)
     rank = factors[0].shape[1]
@@ -445,7 +447,7 @@ def _explicit_masked_gn_operator(factors, mask):
         # mode out of its pair with mode 0
         diag = [(w[0, 1] * pairs[1][None, :, :]).sum(axis=1)]
         diag += [(w[0, m] * pairs[0][:, None, :]).sum(axis=0) for m in range(1, n_modes)]
-    diag = np.concatenate(diag).reshape(-1, rank, rank).transpose(0, 2, 1)
+    diag = np.concatenate(diag).reshape(-1, rank, rank).transpose(0, 2, 1) + mu * np.eye(rank)
     # entry (i, j, t, s) of W_nm sums U_k[:, t] * conj(U_k[:, s])
     off = [[None] * n_modes for _ in range(n_modes)]
     for (n, m), w_nm in w.items():
@@ -454,8 +456,8 @@ def _explicit_masked_gn_operator(factors, mask):
 
 
 def _structured_gn_operator(factors, w, w_pair):
-    """v -> J^H J v from the factors and Gramian products, never forming
-    J^H J: block n of the result is
+    """v -> (J^H J + mu I) v, w arriving shifted by mu I, never forming it:
+    block n of the result is
     delta_n conj(W_n) + U_n sum_{m != n} (conj(W_nm) * (U_m^H delta_m)^T)."""
     shape = tuple(f.shape[0] for f in factors)
     rank = factors[0].shape[1]
@@ -474,9 +476,9 @@ def _structured_gn_operator(factors, w, w_pair):
     return matvec
 
 
-def _masked_gn_operator(factors, mask):
-    """v -> J^H J v restricted to the observed entries, in tangent form:
-    the directional derivative of the model, masked, then mttkrp'd back.
+def _masked_gn_operator(factors, mask, mu):
+    """v -> (J^H J + mu I) v over the observed entries, in tangent form: the
+    directional derivative of the model, masked, then mttkrp'd back.
 
     The tangent sum_m [[U with U_m <- delta_m]] is one reconstruct of rank
     N*R: factor n is [U_n ... delta_n ... U_n], delta_n in column block n.
@@ -492,7 +494,8 @@ def _masked_gn_operator(factors, mask):
         for block, d in zip(blocks, _factor_views(v, shape, rank)):
             block[...] = d
         tangent = np.where(mask, core.reconstruct(wide), 0.0)
-        return np.concatenate([core.mttkrp(tangent, conj_factors, n).ravel() for n in range(n_modes)])
+        jtj_v = np.concatenate([core.mttkrp(tangent, conj_factors, n).ravel() for n in range(n_modes)])
+        return jtj_v + mu * v
 
     return matvec
 
@@ -511,11 +514,12 @@ def _block_jacobi(w, shape):
 
 
 def _pcg(matvec, b, prec, max_iter, rtol):
+    """(x, r) with r = b - A x, A applied by matvec, at every exit."""
     x = np.zeros_like(b)
     r = b.copy()
     b_norm2 = np.vdot(b, b).real
     if b_norm2 == 0.0:
-        return x
+        return x, r
     stop = (rtol * rtol) * b_norm2
     p = prec(r)
     rz = np.vdot(r, p).real
@@ -535,13 +539,7 @@ def _pcg(matvec, b, prec, max_iter, rtol):
             break
         p = z + (rz_next / rz) * p
         rz = rz_next
-    return x
-
-
-def _model_decrease(g, p, matvec):
-    """Decrease -(g^H p + p^H J^H J p / 2) the quadratic model predicts for
-    the step p."""
-    return -(np.vdot(g, p).real + 0.5 * np.vdot(p, matvec(p)).real)
+    return x, r
 
 
 def cpd_nls(t, opts):
@@ -560,14 +558,15 @@ def cpd_nls(t, opts):
     mask against the Khatri-Rao product of the pair columns the masked ALS
     sweep uses.
 
-    Each step solves (J^H J + mu I) p = -g by CG, preconditioned by the
-    block Jacobi inverse of w + mu I. mu starts at 0, so the solver takes
-    the plain Gauss-Newton point until a step does poorly. A step whose
-    gain ratio rho (actual over predicted decrease) is below 0.25 raises mu
-    to max(4 mu, MU_FLOOR s), s the largest diagonal entry of w; any other
-    step scales mu by max(1/3, 1 - (2 rho - 1)^3) (Nielsen's rule). mu
-    above MU_COLLAPSE s is reported as non-convergence, never as an
-    exception.
+    Each step solves (J^H J + mu I) p = -g by CG on an operator built damped
+    (the dense builders take w shifted by mu I, whose block Jacobi inverse
+    preconditions CG), and the undamped model's predicted decrease is read
+    off the CG residual. mu starts at 0, so the solver takes the plain
+    Gauss-Newton point until a step does poorly. A step whose gain ratio rho
+    (actual over predicted decrease) is below 0.25 raises mu to
+    max(4 mu, MU_FLOOR s), s the largest diagonal entry of w; any other step
+    scales mu by max(1/3, 1 - (2 rho - 1)^3) (Nielsen's rule). mu above
+    MU_COLLAPSE s is reported as non-convergence, never as an exception.
 
     A tolerance-based stop counts as converged only with two witnesses:
     the gradient certificate, and a step whose predicted decrease on the
@@ -603,19 +602,20 @@ def cpd_nls(t, opts):
 
         # the preconditioner reads the dense w whatever the operator
         w, w_pair = _gramian_products(factors, pairs=not use_masked_operator)
+        shifted = w + mu * np.eye(rank)
         if use_masked_operator:
             build = _explicit_masked_gn_operator if explicit else _masked_gn_operator
-            matvec = build(factors, mask)
+            matvec = build(factors, mask, mu)
         else:
             build = _explicit_gn_operator if explicit else _structured_gn_operator
-            matvec = build(factors, w, w_pair)
-        damped = matvec if mu == 0.0 else lambda v: matvec(v) + mu * v
-        step = _pcg(damped, -g, _block_jacobi(w + mu * np.eye(rank), shape), CG_MAX_ITER, CG_RTOL)
+            matvec = build(factors, shifted, w_pair)
+        step, cg_residual = _pcg(matvec, -g, _block_jacobi(shifted, shape), CG_MAX_ITER, CG_RTOL)
         step_norm = np.linalg.norm(step)
+        # the undamped model's decrease -(g^H p + p^H J^H J p / 2), J^H J p = -g - mu p - cg_residual.
         # Second witness: the step promises almost no further decrease. A
         # negative computed decrease means the inner solve failed, which
         # certifies nothing, hence the absolute value.
-        predicted = _model_decrease(g, step, matvec)
+        predicted = 0.5 * (np.vdot(cg_residual, step).real + mu * step_norm ** 2 - np.vdot(g, step).real)
         certified = stationary and abs(predicted) <= REL_OBJECTIVE_TOL * f_val
 
         trial = x + step
@@ -623,8 +623,8 @@ def cpd_nls(t, opts):
         f_trial = 0.5 * float(np.vdot(r_trial, r_trial).real)
         actual = f_val - f_trial
 
-        accepted = predicted > 0.0 and actual > 0.0 and actual / predicted > STEP_ACCEPT
         rho = actual / predicted if predicted > 0.0 else -math.inf
+        accepted = rho > STEP_ACCEPT
         prev_rel = rel
         if accepted:
             x[...] = trial

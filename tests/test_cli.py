@@ -32,6 +32,10 @@ def write_config(path, **overrides):
     return str(path)
 
 
+def files_under(root):
+    return [p for p in root.rglob("*") if p.is_file()]
+
+
 def test_parse_seed_range():
     assert _parse_seed_range("0..3") == [0, 1, 2, 3]
     assert _parse_seed_range("7") == [7]
@@ -42,6 +46,26 @@ def test_parse_seed_range():
         _parse_seed_range("a..b")
     with pytest.raises(ValueError, match="bad seed value"):
         _parse_seed_range("x")
+
+
+def test_negative_seeds_refused_before_any_file(tmp_path, capsys):
+    for text in ("-2..-1", "-1..3", "-4"):
+        with pytest.raises(ValueError, match="--seeds .*must be >= 0"):
+            _parse_seed_range(text)
+    cfg = write_config(tmp_path / "config.json")
+    out = tmp_path / "out"
+    assert cli.main(["pipeline", cfg, str(out), "--seeds=-2..-1"]) == 1
+    assert "--seeds" in capsys.readouterr().err
+    assert not files_under(out)
+
+
+def test_decompose_refuses_a_negative_seed(tmp_path, capsys):
+    tensor = tmp_path / "t.tns"
+    tensor.write_text("tns 1 3\n1.0 0.0\n2.0 0.0\n3.0 0.0\n", encoding="utf-8")
+    out = tmp_path / "est"
+    assert cli.main(["decompose", str(tensor), str(out), "--rank", "1", "--seed=-5"]) == 1
+    assert "init seed must be >= 0" in capsys.readouterr().err
+    assert not files_under(out)
 
 
 def test_subcommand_chain_exit_codes(tmp_path):

@@ -11,7 +11,6 @@ from cpdhr import core
 from cpdhr.core import (
     CpdModel,
     IncompleteTensor,
-    as_tensor,
     check_shape,
     fold,
     frobenius_norm,
@@ -139,11 +138,6 @@ def test_check_shape_overflow_guard():
         check_shape((2**21, 2**21))  # 2**42 elements
 
 
-def test_as_tensor_flat_layout_is_first_index_fastest():
-    t = as_tensor([1, 2, 3, 4], shape=(2, 2))
-    assert np.array_equal(t, np.array([[1, 3], [2, 4]], dtype=complex))
-
-
 def test_incomplete_tensor_zeroes_unobserved():
     vals = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
     mask = np.array([[True, False], [False, True]])
@@ -180,14 +174,14 @@ def test_cpd_model_validation():
 
 def test_unfold_layout_example():
     # 2x2x2, values 1..8 in layout order
-    t = as_tensor(np.arange(1, 9), shape=(2, 2, 2))
+    t = np.asarray(np.arange(1, 9), dtype=complex).reshape((2, 2, 2), order="F")
     expected = np.array([[1, 3, 5, 7], [2, 4, 6, 8]], dtype=complex)
     assert np.array_equal(unfold(t, 0), expected)
     assert np.array_equal(fold(expected, 0, (2, 2, 2)), t)
 
 
 def test_unfold_trivial_1x1x1():
-    t = as_tensor([3 + 4j], shape=(1, 1, 1))
+    t = np.asarray([3 + 4j], dtype=complex).reshape((1, 1, 1), order="F")
     for mode in range(3):
         assert unfold(t, mode).shape == (1, 1)
         assert unfold(t, mode)[0, 0] == 3 + 4j
@@ -354,7 +348,7 @@ def test_mode_n_product_identity_matrix():
 
 
 def test_mode_n_product_hand_example():
-    t = as_tensor(np.arange(1, 9), shape=(2, 2, 2))
+    t = np.asarray(np.arange(1, 9), dtype=complex).reshape((2, 2, 2), order="F")
     m = np.array([[1.0, 1.0], [0.0, 2.0]])
     out = mode_n_product(t, m, 0)
     # oracle: matrix-multiply each mode-0 fiber

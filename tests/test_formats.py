@@ -295,6 +295,17 @@ class TestSceneConfig:
             cfg.write_text(json.dumps(doc), encoding="utf-8")
             assert cli.main(["simulate", str(cfg), str(tmp_path / "out")]) == 1
 
+    def test_negative_seed_refused_before_any_file(self, tmp_path, capsys):
+        doc = dict(BASE_CONFIG, seed=-1)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            parse_config(json.dumps(doc))
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["pipeline", str(cfg), str(out)]) == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not [p for p in out.rglob("*") if p.is_file()]
+
     def test_digest_matches_sha256(self, tmp_path):
         p = tmp_path / "c.json"
         p.write_text(json.dumps(BASE_CONFIG), encoding="utf-8")

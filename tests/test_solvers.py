@@ -137,6 +137,9 @@ def test_options_validation():
         CpdOptions(rank=1, missing_data_strategy="drop")
     with pytest.raises(ValueError):
         CpdOptions(rank=1, max_iterations=0)
+    # numpy's own refusal of a negative seed would not name the field
+    with pytest.raises(ValueError, match="init seed must be >= 0, got -5"):
+        CpdOptions(rank=1, init=-5)
 
 
 def test_zero_tensor_rejected():
@@ -332,10 +335,12 @@ def test_fully_missing_fiber_tolerated(strategy):
 # ---------------------------------------------------------------------------
 # Gauss-Newton operator oracles. The explicit and the structured dense
 # operators and the masked operators, explicit and in tangent form, are
-# independent implementations of the same v -> J^H J v on the flat parameter
-# vector; the finite-difference Jacobian is a fifth, slower route.
+# independent implementations of the same v -> (J^H J + mu I) v on the flat
+# parameter vector; the finite-difference Jacobian is a fifth, slower route.
+# Each damped form must equal its undamped oracle plus mu v.
 
 DENSE_BUILDERS = [solvers._explicit_gn_operator, solvers._structured_gn_operator]
+MUS = (0.0, 0.7)
 
 
 def flat_factors(rng, shape, rank):
@@ -343,9 +348,9 @@ def flat_factors(rng, shape, rank):
     return x, solvers._factor_views(x, shape, rank)
 
 
-def dense_operator(build, factors):
+def dense_operator(build, factors, mu=0.0):
     w, w_pair = solvers._gramian_products(factors)
-    return build(factors, w, w_pair)
+    return build(factors, w + mu * np.eye(w.shape[-1]), w_pair)
 
 
 def test_dense_matvec_agrees_with_tangent_form():
@@ -357,11 +362,11 @@ def test_dense_matvec_agrees_with_tangent_form():
                 rank = int(rng.integers(1, 4))
                 _, factors = flat_factors(rng, shape, rank)
                 delta = crandn(rng, sum(shape) * rank)
-                dense = dense_operator(build, factors)
-                tangent = solvers._masked_gn_operator(factors, np.ones(shape, dtype=bool))
-                a, b = dense(delta), tangent(delta)
-                scale = np.abs(a).max()
-                assert np.abs(a - b).max() < 1e-11 * max(scale, 1.0), (build.__name__, shape)
+                tangent = solvers._masked_gn_operator(factors, np.ones(shape, dtype=bool), 0.0)
+                for mu in MUS:
+                    a, b = dense_operator(build, factors, mu)(delta), tangent(delta) + mu * delta
+                    scale = np.abs(a).max()
+                    assert np.abs(a - b).max() < 1e-11 * max(scale, 1.0), (build.__name__, shape, mu)
 
 
 def loop_masked_operator(factors, mask):
@@ -390,13 +395,14 @@ def test_masked_matvec_matches_per_mode_tangent_loop():
             rank = int(rng.integers(1, 4))
             _, factors = flat_factors(rng, shape, rank)
             mask = rng.random(shape) < 0.6
-            fast = solvers._masked_gn_operator(factors, mask)
             slow = loop_masked_operator(factors, mask)
-            # repeated applies must not see each other's input
-            for _ in range(2):
-                delta = crandn(rng, sum(shape) * rank)
-                a, b = fast(delta), slow(delta)
-                assert np.abs(a - b).max() < 1e-12 * max(np.abs(b).max(), 1.0), shape
+            for mu in MUS:
+                fast = solvers._masked_gn_operator(factors, mask, mu)
+                # repeated applies must not see each other's input
+                for _ in range(2):
+                    delta = crandn(rng, sum(shape) * rank)
+                    a, b = fast(delta), slow(delta) + mu * delta
+                    assert np.abs(a - b).max() < 1e-12 * max(np.abs(b).max(), 1.0), (shape, mu)
 
 
 MASKED_BUILDERS = [solvers._explicit_masked_gn_operator, solvers._masked_gn_operator]
@@ -421,14 +427,16 @@ def test_explicit_masked_matvec_matches_tangent_forms():
             rank = int(rng.integers(1, 4))
             _, factors = flat_factors(rng, shape, rank)
             for mask in oracle_masks(rng, shape):
-                explicit = solvers._explicit_masked_gn_operator(factors, mask)
-                oracles = [solvers._masked_gn_operator(factors, mask), loop_masked_operator(factors, mask)]
-                for _ in range(2):
-                    delta = crandn(rng, sum(shape) * rank)
-                    a = explicit(delta)
-                    for oracle in oracles:
-                        b = oracle(delta)
-                        assert np.abs(a - b).max() < 1e-12 * max(np.abs(b).max(), 1.0), shape
+                oracles = [solvers._masked_gn_operator(factors, mask, 0.0),
+                           loop_masked_operator(factors, mask)]
+                for mu in MUS:
+                    explicit = solvers._explicit_masked_gn_operator(factors, mask, mu)
+                    for _ in range(2):
+                        delta = crandn(rng, sum(shape) * rank)
+                        a = explicit(delta)
+                        for oracle in oracles:
+                            b = oracle(delta) + mu * delta
+                            assert np.abs(a - b).max() < 1e-12 * max(np.abs(b).max(), 1.0), (shape, mu)
 
 
 def test_explicit_masked_matrix_with_nothing_missing_is_the_dense_one():
@@ -438,9 +446,14 @@ def test_explicit_masked_matrix_with_nothing_missing_is_the_dense_one():
             shape = tuple(int(x) for x in rng.integers(2, 5, size=order))
             rank = int(rng.integers(1, 4))
             _, factors = flat_factors(rng, shape, rank)
-            masked = solvers._explicit_masked_gn_operator(factors, np.ones(shape, dtype=bool)).__self__
+            everything = np.ones(shape, dtype=bool)
             dense = dense_operator(solvers._explicit_gn_operator, factors).__self__
-            assert np.abs(masked - dense).max() < 1e-12 * np.abs(dense).max(), shape
+            for mu in MUS:
+                masked = solvers._explicit_masked_gn_operator(factors, everything, mu).__self__
+                damped_dense = dense_operator(solvers._explicit_gn_operator, factors, mu).__self__
+                expected = dense + mu * np.eye(dense.shape[0])
+                for damped in (masked, damped_dense):
+                    assert np.abs(damped - expected).max() < 1e-12 * np.abs(dense).max(), (shape, mu)
 
 
 def test_dense_matvec_matches_fd_gauss_newton_operator():
@@ -465,20 +478,133 @@ def test_dense_matvec_matches_fd_gauss_newton_operator():
                 cols.append((resid_vec(plus) - resid_vec(minus)) / (2 * h))
         jac = np.array(cols).T
         jac_real = np.vstack([jac.real, jac.imag])
-        ref = jac_real.T @ jac_real @ np.concatenate([delta.real, delta.imag])
+        delta_real = np.concatenate([delta.real, delta.imag])
+        ref = jac_real.T @ jac_real @ delta_real
         for build in DENSE_BUILDERS:
-            got = dense_operator(build, factors)(delta)
-            got = np.concatenate([got.real, got.imag])
-            assert np.abs(ref - got).max() < 1e-6 * max(np.abs(ref).max(), 1.0), (build.__name__, shape)
+            for mu in MUS:
+                got = dense_operator(build, factors, mu)(delta)
+                got = np.concatenate([got.real, got.imag])
+                err = np.abs(ref + mu * delta_real - got).max()
+                assert err < 1e-6 * max(np.abs(ref).max(), 1.0), (build.__name__, shape, mu)
 
         # the masked operators: the Jacobian rows of the observed entries only
         observed = np.concatenate([mask.ravel(), mask.ravel()])
         jac_obs = jac_real[observed]
-        ref = jac_obs.T @ jac_obs @ np.concatenate([delta.real, delta.imag])
+        ref = jac_obs.T @ jac_obs @ delta_real
         for build in MASKED_BUILDERS:
-            got = build(factors, mask)(delta)
-            got = np.concatenate([got.real, got.imag])
-            assert np.abs(ref - got).max() < 1e-6 * max(np.abs(ref).max(), 1.0), (build.__name__, shape)
+            for mu in MUS:
+                got = build(factors, mask, mu)(delta)
+                got = np.concatenate([got.real, got.imag])
+                err = np.abs(ref + mu * delta_real - got).max()
+                assert err < 1e-6 * max(np.abs(ref).max(), 1.0), (build.__name__, shape, mu)
+
+
+def test_pcg_returns_the_residual_of_its_iterate_at_every_exit():
+    # r = b - A x at the zero right-hand side, the tolerance, non-positive
+    # curvature (an indefinite A) and the iteration limit
+    rng = np.random.default_rng(70)
+    n = 12
+    q, _ = np.linalg.qr(crandn(rng, n, n))
+    spd = (q * np.linspace(1.0, 10.0, n)) @ q.conj().T
+    indefinite = (q * np.r_[np.linspace(1.0, 10.0, n - 2), -1.0, -3.0]) @ q.conj().T
+    scales = rng.uniform(0.5, 2.0, n)
+    b = crandn(rng, n)
+    for a, rhs, max_iter, rtol, exit_ in [(spd, np.zeros(n, dtype=complex), 60, 1e-2, "zero"),
+                                          (spd, b, 60, 1e-2, "tolerance"),
+                                          (indefinite, b, 60, 1e-2, "curvature"),
+                                          (spd, b, 3, 1e-14, "limit")]:
+        curvatures = []
+
+        def matvec(v, a=a):
+            av = a @ v
+            curvatures.append(np.vdot(v, av).real)
+            return av
+
+        x, r = solvers._pcg(matvec, rhs, lambda v: v / scales, max_iter, rtol)
+        assert np.linalg.norm(r - (rhs - a @ x)) <= 1e-12 * max(np.linalg.norm(rhs), 1.0), exit_
+        # the exit taken is the one named
+        reached = np.linalg.norm(r) <= rtol * np.linalg.norm(rhs)
+        if exit_ == "zero":
+            assert not curvatures and not x.any()
+        elif exit_ == "tolerance":
+            assert reached and 0 < len(curvatures) < max_iter
+        elif exit_ == "curvature":
+            assert not reached and len(curvatures) > 1 and curvatures[-1] <= 0.0
+        else:
+            assert not reached and len(curvatures) == max_iter and min(curvatures) > 0.0
+
+
+def test_predicted_decrease_from_the_cg_residual_matches_the_undamped_model():
+    # on the 105-unknown demo-size explicit operator, near a noisy truth
+    rng = np.random.default_rng(71)
+    shape, rank = (10, 10, 15), 3
+    model = init_model(shape, rank, 1)
+    truth = core.reconstruct(model)
+    t = truth + 0.3 * np.linalg.norm(truth) / np.sqrt(truth.size) * crandn(rng, *shape)
+    x = np.concatenate([f.ravel() for f in model.factors]) + 0.1 * crandn(rng, sum(shape) * rank)
+    factors = solvers._factor_views(x, shape, rank)
+    g = np.concatenate([b.ravel() for b in cpd_gradient(t, factors)])
+    w, w_pair = solvers._gramian_products(factors)
+    undamped = solvers._explicit_gn_operator(factors, w, w_pair)
+    scale = w.diagonal(axis1=1, axis2=2).real.max()
+    for mu in (0.0, 1e-3 * scale, scale):
+        shifted = w + mu * np.eye(rank)
+        damped = solvers._explicit_gn_operator(factors, shifted, w_pair)
+        p, r = solvers._pcg(damped, -g, solvers._block_jacobi(shifted, shape),
+                            solvers.CG_MAX_ITER, solvers.CG_RTOL)
+        predicted = 0.5 * (np.vdot(r, p).real + mu * np.vdot(p, p).real - np.vdot(g, p).real)
+        direct = -(np.vdot(g, p).real + 0.5 * np.vdot(p, undamped(p)).real)
+        assert abs(predicted - direct) <= 1e-12 * abs(direct), mu
+
+
+def test_damping_follows_the_gain_ratio_on_the_undamped_model(monkeypatch):
+    # each mu update must follow from rho = actual / predicted, with the
+    # predicted decrease -(g^H p + p^H J^H J p / 2) of the undamped model,
+    # recomputed here from the iterate, the step and the operator
+    rng = np.random.default_rng(72)
+    shape, rank = (6, 7, 8), 3
+    truth = core.reconstruct(init_model(shape, rank, 2))
+    t = truth + 0.5 * np.linalg.norm(truth) / np.sqrt(truth.size) * crandn(rng, *shape)
+    steps = []
+    real_products, real_jacobi, real_pcg = solvers._gramian_products, solvers._block_jacobi, solvers._pcg
+
+    def products(factors, pairs=True):
+        w, w_pair = real_products(factors, pairs)
+        steps.append({"x": np.concatenate([f.ravel() for f in factors]), "w": w})
+        return w, w_pair
+
+    def jacobi(shifted, shape):
+        steps[-1]["mu"] = (shifted - steps[-1]["w"])[0, 0, 0].real
+        return real_jacobi(shifted, shape)
+
+    def pcg(matvec, b, prec, max_iter, rtol):
+        p, r = real_pcg(matvec, b, prec, max_iter, rtol)
+        steps[-1].update(g=-b, p=p, jtj_p=matvec(p) - steps[-1]["mu"] * p)
+        return p, r
+
+    monkeypatch.setattr(solvers, "_gramian_products", products)
+    monkeypatch.setattr(solvers, "_block_jacobi", jacobi)
+    monkeypatch.setattr(solvers, "_pcg", pcg)
+    cpd_nls(t, CpdOptions(rank=rank, algorithm="gauss_newton", init=3, max_iterations=40))
+
+    def objective(x):
+        r = core.reconstruct(solvers._factor_views(x, shape, rank)) - t
+        return 0.5 * np.vdot(r, r).real
+
+    damped = 0
+    for step, following in zip(steps, steps[1:]):
+        mu, p = step["mu"], step["p"]
+        scale = step["w"].diagonal(axis1=1, axis2=2).real.max()
+        predicted = -(np.vdot(step["g"], p).real + 0.5 * np.vdot(p, step["jtj_p"]).real)
+        rho = (objective(step["x"]) - objective(step["x"] + p)) / predicted
+        if rho < 0.25:
+            expected = max(4.0 * mu, solvers.MU_FLOOR * scale)
+        else:
+            expected = mu * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+        # mu is read back as (w + mu I) - w, to rounding of the size of w
+        assert abs(following["mu"] - expected) <= 1e-8 * expected + 1e-13 * scale
+        damped += mu > 0.0 and rho >= 0.25
+    assert damped >= 3
 
 
 def test_solver_picks_the_operator_form_by_parameter_count(monkeypatch):
@@ -518,6 +644,24 @@ def test_masked_residuals_converges_at_orders_1_and_2(shape, algorithm):
     _, diag = cpd(IncompleteTensor(t, mask), opts)
     assert diag.converged, (shape, algorithm)
     assert diag.final_relative_residual < 1e-8, (shape, algorithm)
+
+
+def test_cpd_calls_gauss_newton_once_through_the_module_global(monkeypatch):
+    # the benchmark's tracer wraps solvers.cpd_nls to split the warm start
+    # into its ALS and Gauss-Newton phases
+    calls = []
+    real = solvers.cpd_nls
+
+    def counting(t, opts):
+        calls.append(opts.algorithm)
+        return real(t, opts)
+
+    monkeypatch.setattr(solvers, "cpd_nls", counting)
+    t = core.reconstruct(init_model((4, 5, 6), 2, 0))
+    for algorithm, expected in [("als", 0), ("gauss_newton", 1), ("gauss_newton_als_warmstart", 1)]:
+        calls.clear()
+        cpd(t, CpdOptions(rank=2, algorithm=algorithm, init=1, max_iterations=5))
+        assert len(calls) == expected, algorithm
 
 
 # ---------------------------------------------------------------------------
