@@ -209,14 +209,18 @@ def run_pipeline(config_path, out_dir, seeds=None):
     """Full run for one seed, or a sweep over an iterable of seeds.
 
     Returns (reports, all_converged). A sweep writes per-seed directories
-    seed_<s>/ plus a summary.json of medians across seeds; an empty sweep
-    is refused before anything is written.
+    seed_<s>/ plus a summary.json of medians across seeds; an empty sweep,
+    or one with a seed that is not a non-negative integer, is refused
+    before anything is written.
     """
     if seeds is None:
         return _run_single(config_path, out_dir)
     seeds = list(seeds)
     if not seeds:
         raise ValueError("a seed sweep needs at least one seed")
+    for s in seeds:
+        if type(s) is not int or s < 0:
+            raise ValueError(f"sweep seed {s!r} must be a non-negative integer")
 
     with open(config_path, "r", encoding="utf-8") as fh:
         base_doc = json.load(fh)

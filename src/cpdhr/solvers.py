@@ -164,27 +164,23 @@ def _factor_views(x, shape, rank):
     return views
 
 
-def _start(shape, opts, data_norm=None):
+def _start(shape, opts, data_norm):
     """The solver state: one flat complex vector whose block n is the
-    C-order (I_n, R) view of factor n that _factor_views takes. A seeded
-    start is scaled to data_norm when that is given."""
+    C-order (I_n, R) view of factor n that _factor_views takes. An explicit
+    CpdModel init is used as given; a seeded start is scaled so that its
+    reconstruction has norm data_norm, since a badly scaled start wastes
+    iterations on pure rescaling."""
     model = opts.init
     if isinstance(model, CpdModel):
         if model.shape != tuple(shape):
             raise ValueError(f"init model shape {model.shape} != tensor shape {tuple(shape)}")
         if model.rank != opts.rank:
             raise ValueError(f"init model rank {model.rank} != requested rank {opts.rank}")
-        data_norm = None
-    else:
-        model = init_model(shape, opts.rank, int(model))
+        return np.concatenate([f.ravel() for f in model.factors])
+    model = init_model(shape, opts.rank, int(model))
+    start_norm = float(np.linalg.norm(core.reconstruct(model).ravel()))
     x = np.concatenate([f.ravel() for f in model.factors])
-    if data_norm is not None:
-        # place the random start at the data's scale; a badly scaled start
-        # wastes iterations on pure rescaling
-        start_norm = float(np.linalg.norm(core.reconstruct(model).ravel()))
-        if start_norm > 0:
-            x *= (data_norm / start_norm) ** (1.0 / len(shape))
-    return x
+    return x * (data_norm / start_norm) ** (1.0 / len(shape))
 
 
 def _rebalance(x, shape, rank):
@@ -287,13 +283,15 @@ def _residual(tvals, mask, model):
 
 def _als_iterate(tvals, mask, norm, x, opts, n_sweeps):
     """Run up to n_sweeps ALS sweeps on the factor views of x, in place;
-    returns (trace, converged)."""
+    returns (trace, converged). With imputation the first sweep reads the
+    zero-filled tensor, so where ALS lands depends neither on the start's
+    scale nor on the data's unit."""
     shape, rank = tvals.shape, opts.rank
     factors = _factor_views(x, shape, rank)
     impute = mask is not None and opts.missing_data_strategy == "expectation_imputation"
     # with imputation, a sweep's reconstruction gives both its residual and
     # the next sweep's imputed entries
-    model = core.reconstruct(factors) if impute else None
+    model = 0.0
     trace = []
     for _ in range(n_sweeps):
         if mask is None:
@@ -319,15 +317,15 @@ def cpd_als(t, opts):
     Per sweep and mode, solves the linear least-squares update
     U_n <- mttkrp(t, conj(U), n) @ pinv(conj(W_n)) with W_n the Hadamard
     product of the other modes' Gramians. Missing entries are either
-    imputed from the current reconstruction before every sweep or excluded
-    via per-row masked normal equations, depending on
+    imputed from the previous sweep's reconstruction (zero before the
+    first sweep) or excluded via per-row masked normal equations, depending on
     opts.missing_data_strategy. Those take their right-hand sides from the
     same mttkrp and their R x R matrices from one mttkrp of the mask
     against the columns U_m[:, r] * conj(U_m[:, s]). Every pseudo-inverse
     is a Hermitian one from eigh, cut at PINV_RCOND.
     """
     tvals, mask, norm = _observed(t)
-    x = _start(tvals.shape, opts, data_norm=norm)
+    x = _start(tvals.shape, opts, norm)
     trace, converged = _als_iterate(tvals, mask, norm, x, opts, opts.max_iterations)
     return _finish(x, tvals.shape, opts.rank, trace, converged)
 
@@ -577,7 +575,7 @@ def cpd_nls(t, opts):
     """
     tvals, mask, norm = _observed(t)
     shape, rank, n_modes = tvals.shape, opts.rank, tvals.ndim
-    x = _start(shape, opts, data_norm=norm)
+    x = _start(shape, opts, norm)
     factors = _factor_views(x, shape, rank)
     use_masked_operator = mask is not None and opts.missing_data_strategy == "masked_residuals"
     explicit = x.size <= EXPLICIT_GN_MAX_PARAMS
@@ -655,19 +653,17 @@ def cpd_nls(t, opts):
 
 
 def cpd(t, opts):
-    """Dispatch on opts.algorithm; the warmstart variant runs a few ALS
-    sweeps and hands the result to Gauss-Newton."""
+    """Dispatch on opts.algorithm; the warmstart variant runs
+    WARMSTART_SWEEPS ALS sweeps from the same data-scaled start as the
+    other solvers and hands the rebalanced result to Gauss-Newton as an
+    explicit init."""
     if opts.algorithm == "als":
         return cpd_als(t, opts)
     if opts.algorithm == "gauss_newton":
         return cpd_nls(t, opts)
 
     tvals, mask, norm = _observed(t)
-    # The seeded start is deliberately left at init_model's scale, unlike
-    # the solvers' own: expectation imputation fills the missing entries
-    # from the start's reconstruction in its first sweep, so scaling it
-    # would change where the warm start lands.
-    x = _start(tvals.shape, opts)
+    x = _start(tvals.shape, opts, norm)
     _als_iterate(tvals, mask, norm, x, opts, WARMSTART_SWEEPS)
     warm = CpdModel(_factor_views(x, tvals.shape, opts.rank))
     return cpd_nls(t, dataclasses.replace(opts, algorithm="gauss_newton", init=warm))

@@ -223,6 +223,14 @@ def test_empty_sweep_rejected_before_writing(tmp_path):
     assert not out.exists()
 
 
+def test_negative_sweep_seed_rejected_before_writing(tmp_path):
+    cfg_path = write_config(tmp_path / "config.json")
+    out = tmp_path / "sweep"
+    with pytest.raises(ValueError, match="seed -2 must be a non-negative integer"):
+        pipeline.run_pipeline(cfg_path, out, seeds=[3, -2])
+    assert not out.exists()
+
+
 def test_sweep_derived_config_is_canonical(tmp_path):
     cfg_path = write_config(tmp_path / "config.json", snr_db=0.0)
     out = tmp_path / "sweep"

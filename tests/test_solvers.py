@@ -5,12 +5,14 @@ generating tensor (no permutation alignment needed); factor-level error
 checks live with the metrics tests.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from cpdhr import core, scene, solvers
+from cpdhr import core, formats, scene, solvers
 from cpdhr.core import CpdModel, IncompleteTensor
-from cpdhr.pipeline import INIT_SEED_OFFSET
+from cpdhr.pipeline import INIT_SEED_OFFSET, NOISE_SEED_OFFSET
 from cpdhr.solvers import CpdOptions, cpd, cpd_als, cpd_gradient, cpd_nls, init_model, normalize_model
 
 
@@ -662,6 +664,46 @@ def test_cpd_calls_gauss_newton_once_through_the_module_global(monkeypatch):
         calls.clear()
         cpd(t, CpdOptions(rank=2, algorithm=algorithm, init=1, max_iterations=5))
         assert len(calls) == expected, algorithm
+
+
+# ---------------------------------------------------------------------------
+# the start
+
+
+def masked_demo(seed):
+    """The pipeline's masked 0 dB demo tensor for scene seed `seed`."""
+    cfg = formats.load_config(Path(__file__).resolve().parents[1] / "configs" / "demo_scene.json")
+    sources = scene.synthetic_sources(cfg.scene.time_len, cfg.scene.rank, seed=seed)
+    clean, _ = scene.build_scene_tensor(cfg.scene, sources)
+    noisy = scene.add_noise(clean, cfg.snr_db, seed=seed + NOISE_SEED_OFFSET)
+    return scene.apply_mask(noisy, cfg.masks)
+
+
+def test_default_solve_does_not_depend_on_the_data_unit():
+    # EEG recorded in volts has entries near 1e-5. The seeded start is
+    # scaled to the data and imputation's first sweep reads the zero-filled
+    # tensor, so the default solve lands in the same place in either unit.
+    for seed in range(3):
+        t = masked_demo(seed)
+        residuals = []
+        for factor in (1.0, 1e-5):
+            opts = CpdOptions(rank=3, init=seed + INIT_SEED_OFFSET)
+            _, diag = cpd(IncompleteTensor(factor * t.values, t.mask), opts)
+            assert diag.converged, (seed, factor)
+            residuals.append(diag.final_relative_residual)
+        assert residuals[1] == pytest.approx(residuals[0], rel=1e-8), seed
+
+
+def test_imputation_first_sweep_does_not_depend_on_the_start_scale():
+    t = masked_demo(0)
+    factors = init_model(t.shape, 3, INIT_SEED_OFFSET).factors
+    reconstructions = []
+    for init in (CpdModel(factors), CpdModel([2 * f for f in factors])):
+        opts = CpdOptions(rank=3, algorithm="als", init=init, max_iterations=1)
+        model, _ = cpd_als(t, opts)
+        reconstructions.append(core.reconstruct(model))
+    gap = np.linalg.norm(reconstructions[1] - reconstructions[0])
+    assert gap <= 1e-12 * np.linalg.norm(reconstructions[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Solver parity check: 366 seeded in-memory solves, 300 on the 0 dB demo
+"""Solver parity check: 426 seeded in-memory solves, 360 on the 0 dB demo
 scene, 30 on a larger 0 dB array and 36 in a noiseless swamp.
 
     python3 tools/solver_parity.py > parent.jsonl            # on one checkout
@@ -13,7 +13,11 @@ same noisy tensors with masked_residuals under random masks keeping 90, 70,
 50 and 30 percent of the entries (one uniform draw per seed from
 default_rng(seed + HEAVY_MASK_SEED_OFFSET), thresholded at each fraction),
 under the three algorithms: where the masked curvature decides whether a
-solve converges at all. The "large_mask_90" condition fits seeds 0-9 of
+solve converges at all. The "unit_1e-5" and "unit_1e5" conditions fit
+seeds 0-9 of the masked demo tensor scaled by that factor, with
+expectation_imputation, under the three algorithms: a change of the data's
+unit (EEG recorded in volts has entries near 1e-5) should not change where
+a solve lands. The "large_mask_90" condition fits seeds 0-9 of
 LARGE_SCENE, four sources on a 16x16 array with 30 samples at 0 dB (248
 unknowns at rank 4, above solvers.EXPLICIT_GN_MAX_PARAMS, where the masked
 operator is in tangent form), with masked_residuals under a 90 percent mask
@@ -58,6 +62,8 @@ CONDITIONS = ("dense", "expectation_imputation", "masked_residuals")
 HEAVY_MASK_SEEDS = range(10)
 HEAVY_MASK_FRACTIONS = (0.9, 0.7, 0.5, 0.3)
 HEAVY_MASK_SEED_OFFSET = 3000003
+UNIT_SEEDS = range(10)
+UNIT_SCALES = {"unit_1e-5": 1e-5, "unit_1e5": 1e5}
 SWAMP_SEEDS = range(12)
 # the SWAMP_SCENE of tests/test_solvers.py
 SWAMP_SCENE = scene.DoaScene(
@@ -109,6 +115,11 @@ def solves():
             tensor = core.IncompleteTensor(demo, draw < fraction)
             condition = f"heavy_mask_{round(100 * fraction)}"
             yield from _solve_all(tensor, seed, condition, cfg.rank, "masked_residuals")
+    for seed in UNIT_SEEDS:
+        masked = scene.apply_mask(noisy(cfg.scene, seed), cfg.masks)
+        for condition, factor in UNIT_SCALES.items():
+            tensor = core.IncompleteTensor(factor * masked.values, masked.mask)
+            yield from _solve_all(tensor, seed, condition, cfg.rank, "expectation_imputation")
     for seed in LARGE_SEEDS:
         large = noisy(LARGE_SCENE, seed)
         tensor = core.IncompleteTensor(large, heavy_mask(seed, large.shape) < 0.9)
