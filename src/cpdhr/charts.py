@@ -21,6 +21,10 @@ MARGIN_R = 16
 MARGIN_T = 36
 MARGIN_B = 34
 
+# titles and labels come from CSV headers and file names, so the markup
+# characters in them are escaped as XML text
+XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+
 
 @dataclass
 class ChartPanel:
@@ -43,6 +47,7 @@ class ChartPanel:
             elif arr.size != length:
                 raise ValueError("all series in a panel must have equal length")
             cleaned.append((str(label), arr))
+        self.title = str(self.title)
         self.series = cleaned
 
 
@@ -99,7 +104,7 @@ def _panel_svg(panel, y_offset):
     )
     parts.append(
         f'<text x="{(xs0 + xs1) // 2}" y="{y_offset + 20}" text-anchor="middle" '
-        f'font-size="14" fill="#222222">{panel.title}</text>'
+        f'font-size="14" fill="#222222">{panel.title.translate(XML_TEXT)}</text>'
     )
     legend_x = xs0
     for idx, (label, arr) in enumerate(panel.series):
@@ -110,7 +115,7 @@ def _panel_svg(panel, y_offset):
         )
         parts.append(
             f'<text x="{legend_x}" y="{_num(ys0 - 6)}" font-size="11" '
-            f'fill="{color}">{label}</text>'
+            f'fill="{color}">{label.translate(XML_TEXT)}</text>'
         )
         legend_x += 10 + 7 * len(label)
     return parts

@@ -156,6 +156,8 @@ def pearson(x, y):
     k = x.size
     if k < 3:
         raise ValueError("need at least 3 samples")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("non-finite sample")
     xd = x - x.mean()
     yd = y - y.mean()
     sx = np.linalg.norm(xd)

@@ -1,5 +1,7 @@
 """SVG chart emitter checks: structure and byte determinism."""
 
+from xml.dom import minidom
+
 import numpy as np
 import pytest
 
@@ -51,3 +53,9 @@ def test_input_validation():
 def test_single_point_series():
     svg = line_chart([ChartPanel("one", [("a", np.array([3.0]))])])
     assert svg.count("<polyline") == 1
+
+
+def test_markup_characters_in_titles_and_labels_are_escaped():
+    svg = line_chart([ChartPanel("R&D <a>", [("x>y & z<w", np.arange(4.0))])])
+    texts = [node.firstChild.data for node in minidom.parseString(svg).getElementsByTagName("text")]
+    assert "R&D <a>" in texts and "x>y & z<w" in texts

@@ -228,6 +228,15 @@ def test_pearson_p_closed_form_k4():
     assert abs(p - expected) < 1e-12
 
 
+def test_pearson_refuses_non_finite_samples():
+    y = [1.0, 2.0, 3.0, 4.0]
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            pearson([bad, 1.0, 2.0, 3.0], y)
+        with pytest.raises(ValueError, match="non-finite"):
+            pearson(y, [1.0, 2.0, bad, 3.0])
+
+
 def test_pearson_matches_scipy():
     rng = np.random.default_rng(32)
     for _ in range(10):

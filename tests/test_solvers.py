@@ -681,17 +681,21 @@ def masked_demo(seed):
 
 def test_default_solve_does_not_depend_on_the_data_unit():
     # EEG recorded in volts has entries near 1e-5. The seeded start is
-    # scaled to the data and imputation's first sweep reads the zero-filled
-    # tensor, so the default solve lands in the same place in either unit.
+    # scaled to the data, imputation's first sweep reads the zero-filled
+    # tensor and Gauss-Newton's stop tests are unit-free, so a solve lands
+    # in the same place, after as many iterations, in any unit.
     for seed in range(3):
         t = masked_demo(seed)
-        residuals = []
-        for factor in (1.0, 1e-5):
-            opts = CpdOptions(rank=3, init=seed + INIT_SEED_OFFSET)
-            _, diag = cpd(IncompleteTensor(factor * t.values, t.mask), opts)
-            assert diag.converged, (seed, factor)
-            residuals.append(diag.final_relative_residual)
-        assert residuals[1] == pytest.approx(residuals[0], rel=1e-8), seed
+        for algorithm in ("gauss_newton_als_warmstart", "gauss_newton"):
+            opts = CpdOptions(rank=3, algorithm=algorithm, init=seed + INIT_SEED_OFFSET)
+            _, unit = cpd(t, opts)
+            assert unit.converged, (seed, algorithm)
+            for factor in (1e-5, 1e5):
+                _, diag = cpd(IncompleteTensor(factor * t.values, t.mask), opts)
+                where = (seed, algorithm, factor)
+                assert (diag.iterations, diag.converged) == (unit.iterations, unit.converged), where
+                assert diag.final_relative_residual == pytest.approx(
+                    unit.final_relative_residual, rel=1e-12), where
 
 
 def test_imputation_first_sweep_does_not_depend_on_the_start_scale():

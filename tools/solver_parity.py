@@ -27,7 +27,10 @@ samples, under the three algorithms: the configuration where last-bit
 rounding decides whether a solve is certified as converged. Every solve
 prints one JSON line: seed, condition, algorithm, iterations, converged and
 final residual; the converged count and the median and total iterations of
-every condition and algorithm follow on standard error.
+every condition and algorithm follow on standard error, and then, for each
+unit condition and algorithm, how many seeds match the unscaled
+"expectation_imputation" solve of the same seed in iterations and
+converged.
 
 With --against FILE, the solves are compared with those recorded in FILE.
 Each solve whose iteration count or converged flag differs, whose residual
@@ -146,6 +149,22 @@ def cell_summaries(records):
             for (condition, algorithm), recs in cells.items()]
 
 
+def unit_matches(records):
+    """One line per (unit condition, algorithm): the seeds whose iterations
+    and converged flag equal those of the unscaled expectation_imputation
+    solve of the same seed and algorithm."""
+    base = {(r["seed"], r["algorithm"]): r for r in records if r["condition"] == "expectation_imputation"}
+    cells = {}
+    for rec in records:
+        if rec["condition"] in UNIT_SCALES:
+            old = base[rec["seed"], rec["algorithm"]]
+            same = all(rec[name] == old[name] for name in ("iterations", "converged"))
+            cells.setdefault((rec["condition"], rec["algorithm"]), []).append(same)
+    return [f"{condition} {algorithm}: {sum(same)}/{len(same)} seeds match unscaled "
+            f"expectation_imputation in iterations and converged"
+            for (condition, algorithm), same in cells.items()]
+
+
 def differences(records, reference):
     """One line per solve that differs from the reference or is missing."""
     ref = {_key(r): r for r in reference}
@@ -175,7 +194,7 @@ def main(argv=None):
     for rec in solves():
         print(json.dumps(rec), flush=True)
         records.append(rec)
-    for line in cell_summaries(records):
+    for line in cell_summaries(records) + unit_matches(records):
         print(line, file=sys.stderr)
     if args.against is None:
         return 0
