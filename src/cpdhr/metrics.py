@@ -93,6 +93,9 @@ def cpderr(truth, estimate):
         raise ValueError(f"mode count mismatch: {truth.order} vs {estimate.order}")
     if truth.shape != estimate.shape:
         raise ValueError(f"row count mismatch: {truth.shape} vs {estimate.shape}")
+    for name, model in (("truth", truth), ("estimate", estimate)):
+        if not all(np.isfinite(f).all() for f in model.factors):
+            raise ValueError(f"non-finite entry in the {name} factors")
 
     permutation = match_columns(truth, estimate)
 

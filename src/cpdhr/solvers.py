@@ -336,7 +336,10 @@ def cpd_als(t, opts):
 #
 # The residual is holomorphic in the factors, so the Gauss-Newton matrix
 # J^H J is complex-linear on the flat parameter vector, and Re(vdot(a, b))
-# is the inner product of the real parameters (Re x, Im x).
+# is the inner product of the real parameters (Re x, Im x). The Hessian of
+# f adds to it the residual term v -> conj(K v), K complex symmetric (see
+# _newton_operator): real-linear only, but self-adjoint for that inner
+# product, so the same CG solves with it.
 
 # Largest parameter count sum(I_n * R) for which the dense operator is the
 # explicit Hermitian J^H J: its build and apply grow with the square of the
@@ -348,7 +351,14 @@ def cpd_als(t, opts):
 # structured one 1.3x cheaper at 240 unknowns. The masked operator switches
 # from its explicit form to its tangent form at the same count: the tangent
 # form's memory and matvec grow with the masked tensor, never with the
-# square of the unknowns, which a long mode makes large.
+# square of the unknowns, which a long mode makes large. Up to this count,
+# dense or masked, the step is on the damped Newton model: the residual
+# term K is built as one more matrix, and the Gauss-Newton model takes over
+# for an iteration whose CG meets non-positive curvature on the Newton one.
+# At 0 dB the relative residual is near 0.7, so that term is large and
+# Gauss-Newton alone converges only linearly: on the 0 dB demo scene the
+# Newton step takes a warm-started solve from about 50 to about 20
+# iterations, each costing about twice as much.
 EXPLICIT_GN_MAX_PARAMS = 160
 
 
@@ -454,6 +464,39 @@ def _explicit_masked_gn_operator(factors, mask, mu):
     return _assembled_gn_operator(factors, diag, off)
 
 
+def _newton_operator(gn_matvec, factors, r):
+    """v -> gn_matvec(v) + conj(K v): the damped J^H J that gn_matvec
+    applies plus the residual term of the Hessian at residual r, K the
+    complex-symmetric matrix with Re(p^T K p) / 2 = Re(r^H Q(p)), Q the
+    part of the model quadratic in the step.
+
+    In the (sum I_n, R, sum I_n, R) layout of _assembled_gn_operator,
+    block (n, n) is zero, the model being linear in each factor, and for
+    m != n entry (i, s, j, t) of block (n, m) is delta_st times conj(r)
+    contracted against U_k[:, s] over every mode k but n and m: one GEMM
+    per mode pair of conj(r), moved to (I_n * I_m, rest), against the
+    Khatri-Rao product of the other factors.
+    """
+    extents = [f.shape[0] for f in factors]
+    rank = factors[0].shape[1]
+    n_rows = sum(extents)
+    starts = np.cumsum([0] + extents)
+    conj_r = np.conj(r)
+    k = np.zeros((n_rows, rank, n_rows, rank), dtype=np.complex128)
+    rank_diagonal = np.einsum("isjs->ijs", k)  # a writable view
+    for n in range(len(factors)):
+        rows_n = slice(starts[n], starts[n + 1])
+        for m in range(n + 1, len(factors)):
+            rows_m = slice(starts[m], starts[m + 1])
+            others = core._kr([f for q, f in enumerate(factors) if q not in (n, m)], rank)
+            k_nm = (np.moveaxis(conj_r, (n, m), (0, 1)).reshape(extents[n] * extents[m], -1)
+                    @ others).reshape(extents[n], extents[m], rank)
+            rank_diagonal[rows_n, rows_m] = k_nm
+            rank_diagonal[rows_m, rows_n] = k_nm.transpose(1, 0, 2)
+    k = k.reshape(n_rows * rank, n_rows * rank)
+    return lambda v: gn_matvec(v) + np.conj(k.dot(v))
+
+
 def _structured_gn_operator(factors, w, w_pair):
     """v -> (J^H J + mu I) v, w arriving shifted by mu I, never forming it:
     block n of the result is
@@ -513,12 +556,13 @@ def _block_jacobi(w, shape):
 
 
 def _pcg(matvec, b, prec, max_iter, rtol):
-    """(x, r) with r = b - A x, A applied by matvec, at every exit."""
+    """(x, r, curved) with r = b - A x, A applied by matvec, at every exit;
+    curved is True when the exit is on non-positive curvature p^H A p."""
     x = np.zeros_like(b)
     r = b.copy()
     b_norm2 = np.vdot(b, b).real
     if b_norm2 == 0.0:
-        return x, r
+        return x, r, False
     stop = (rtol * rtol) * b_norm2
     p = prec(r)
     rz = np.vdot(r, p).real
@@ -526,7 +570,7 @@ def _pcg(matvec, b, prec, max_iter, rtol):
         ap = matvec(p)
         pap = np.vdot(p, ap).real
         if pap <= 0.0:
-            break
+            return x, r, True
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
@@ -538,12 +582,13 @@ def _pcg(matvec, b, prec, max_iter, rtol):
             break
         p = z + (rz_next / rz) * p
         rz = rz_next
-    return x, r
+    return x, r, False
 
 
 def cpd_nls(t, opts):
     """Gauss-Newton CPD with Levenberg-Marquardt damping on the one flat
-    parameter vector that holds every factor, as in all solvers here.
+    parameter vector that holds every factor, as in all solvers here; up to
+    EXPLICIT_GN_MAX_PARAMS unknowns the steps are damped Newton steps.
 
     The objective is half the squared Frobenius residual over observed
     entries. With masked_residuals the Gramian operator excludes the
@@ -557,15 +602,21 @@ def cpd_nls(t, opts):
     mask against the Khatri-Rao product of the pair columns the masked ALS
     sweep uses.
 
-    Each step solves (J^H J + mu I) p = -g by CG on an operator built damped
+    Each step solves (H + mu I) p = -g by CG on an operator built damped
     (the dense builders take w shifted by mu I, whose block Jacobi inverse
-    preconditions CG), and the undamped model's predicted decrease is read
-    off the CG residual. mu starts at 0, so the solver takes the plain
-    Gauss-Newton point until a step does poorly. A step whose gain ratio rho
-    (actual over predicted decrease) is below 0.25 raises mu to
-    max(4 mu, MU_FLOOR s), s the largest diagonal entry of w; any other step
-    scales mu by max(1/3, 1 - (2 rho - 1)^3) (Nielsen's rule). mu above
-    MU_COLLAPSE s is reported as non-convergence, never as an exception.
+    preconditions CG). Up to the cutoff H is the Hessian J^H J + conj(K .),
+    K the residual term built from the masked residual the solver holds,
+    with either operator and either strategy; where CG meets non-positive
+    curvature on it (Steihaug's exit), the iteration solves again with
+    H = J^H J and takes that step. Above the cutoff H is J^H J. The
+    predicted decrease of the undamped model the step was solved on,
+    Newton or Gauss-Newton, is read off the CG residual. mu starts at 0, so
+    the solver takes the plain Newton or Gauss-Newton point until a step
+    does poorly. A step whose gain ratio rho (actual over predicted
+    decrease) is below 0.25 raises mu to max(4 mu, MU_FLOOR s), s the
+    largest diagonal entry of w; any other step scales mu by
+    max(1/3, 1 - (2 rho - 1)^3) (Nielsen's rule). mu above MU_COLLAPSE s is
+    reported as non-convergence, never as an exception.
 
     A stall of the relative residual by less than REL_OBJECTIVE_TOL counts
     as converged only with two witnesses: the gradient certificate, and a
@@ -616,9 +667,20 @@ def cpd_nls(t, opts):
         else:
             build = _explicit_gn_operator if explicit else _structured_gn_operator
             matvec = build(factors, shifted, w_pair)
-        step, cg_residual = _pcg(matvec, -g, _block_jacobi(shifted, shape), CG_MAX_ITER, CG_RTOL)
+        prec = _block_jacobi(shifted, shape)
+        # Below the cutoff, the damped Newton step; where its CG meets
+        # non-positive curvature, the damped Gauss-Newton step from the same
+        # matrix. Taking the truncated CG iterate there instead (Steihaug)
+        # made the noiseless swamp solves of the parity tool slower: 441
+        # iterations instead of 299 cold, 579 instead of 453 warm.
+        if explicit:
+            step, cg_residual, curved = _pcg(_newton_operator(matvec, factors, r), -g, prec,
+                                             CG_MAX_ITER, CG_RTOL)
+        if not explicit or curved:
+            step, cg_residual, _ = _pcg(matvec, -g, prec, CG_MAX_ITER, CG_RTOL)
         step_norm = np.linalg.norm(step)
-        # the undamped model's decrease -(g^H p + p^H J^H J p / 2), J^H J p = -g - mu p - cg_residual.
+        # the undamped model's decrease -(g^H p + p^H H p / 2), H p = -g - mu p - cg_residual,
+        # H the Hessian of the model the step was solved on (Newton or Gauss-Newton).
         # Second witness: the step promises almost no further decrease. A
         # negative computed decrease means the inner solve failed, which
         # certifies nothing, hence the absolute value.

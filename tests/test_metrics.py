@@ -147,6 +147,18 @@ def test_cpderr_shape_validation():
         cpderr(a, init_model((4, 5, 4), 2, 0))
 
 
+def test_cpderr_refuses_non_finite_factors():
+    # one refusal, naming the model, wherever the non-finite entry sits
+    truth = init_model((4, 5, 6), 2, 0)
+    for name in ("truth", "estimate"):
+        for mode, bad in ((0, np.nan), (1, np.inf), (2, -np.inf)):
+            factors = [f.copy() for f in truth.factors]
+            factors[mode][1, 0] = bad
+            models = {"truth": truth, "estimate": truth, name: CpdModel(factors)}
+            with pytest.raises(ValueError, match=f"non-finite entry in the {name}"):
+                cpderr(models["truth"], models["estimate"])
+
+
 # ---------------------------------------------------------------------------
 # align_sources
 

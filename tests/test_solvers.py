@@ -501,9 +501,54 @@ def test_dense_matvec_matches_fd_gauss_newton_operator():
                 assert err < 1e-6 * max(np.abs(ref).max(), 1.0), (build.__name__, shape, mu)
 
 
+def test_newton_operator_is_mu_plus_the_fd_hessian():
+    # The Newton matvec at mu is mu v plus the Hessian-vector product of f,
+    # central differences of cpd_gradient, for the dense and the masked
+    # explicit operator. Along a step t v the Newton model then misses f by
+    # O(t^3), where the Gauss-Newton model misses it by O(t^2).
+    rng = np.random.default_rng(73)
+    rank = 2
+    for shape in [(4, 3), (4, 3, 5), (3, 2, 4, 3)]:
+        x, factors = flat_factors(rng, shape, rank)
+        values = crandn(rng, *shape)
+        mask = rng.random(shape) < 0.6
+        for t, masked in [(values, False), (IncompleteTensor(values, mask), True)]:
+            tvals, observed, _ = solvers._observed(t)
+
+            def residual(v):
+                return solvers._residual(tvals, observed, core.reconstruct(solvers._factor_views(v, shape, rank)))
+
+            def gradient(v):
+                return np.concatenate([b.ravel() for b in cpd_gradient(t, solvers._factor_views(v, shape, rank))])
+
+            def newton(mu):
+                if masked:
+                    gn = solvers._explicit_masked_gn_operator(factors, mask, mu)
+                else:
+                    gn = dense_operator(solvers._explicit_gn_operator, factors, mu)
+                return solvers._newton_operator(gn, factors, residual(x))
+
+            v = crandn(rng, x.size)
+            h = 1e-6
+            hessian_v = (gradient(x + h * v) - gradient(x - h * v)) / (2 * h)
+            for mu in MUS:
+                err = np.abs(newton(mu)(v) - mu * v - hessian_v).max()
+                assert err < 1e-7 * np.abs(hessian_v).max(), (shape, masked, mu)
+
+            def objective(v):
+                r = residual(v)
+                return 0.5 * np.vdot(r, r).real
+
+            slope, curvature = np.vdot(gradient(x), v).real, np.vdot(v, newton(0.0)(v)).real
+            misses = [abs(objective(x + step * v) - (objective(x) + step * slope + 0.5 * step ** 2 * curvature))
+                      for step in (1e-2, 1e-3)]
+            assert misses[1] <= 3e-3 * misses[0], (shape, masked, misses)
+
+
 def test_pcg_returns_the_residual_of_its_iterate_at_every_exit():
     # r = b - A x at the zero right-hand side, the tolerance, non-positive
-    # curvature (an indefinite A) and the iteration limit
+    # curvature (an indefinite A) and the iteration limit, and only the
+    # curvature exit is reported as one
     rng = np.random.default_rng(70)
     n = 12
     q, _ = np.linalg.qr(crandn(rng, n, n))
@@ -522,8 +567,9 @@ def test_pcg_returns_the_residual_of_its_iterate_at_every_exit():
             curvatures.append(np.vdot(v, av).real)
             return av
 
-        x, r = solvers._pcg(matvec, rhs, lambda v: v / scales, max_iter, rtol)
+        x, r, curved = solvers._pcg(matvec, rhs, lambda v: v / scales, max_iter, rtol)
         assert np.linalg.norm(r - (rhs - a @ x)) <= 1e-12 * max(np.linalg.norm(rhs), 1.0), exit_
+        assert curved is (exit_ == "curvature"), exit_
         # the exit taken is the one named
         reached = np.linalg.norm(r) <= rtol * np.linalg.norm(rhs)
         if exit_ == "zero":
@@ -537,7 +583,8 @@ def test_pcg_returns_the_residual_of_its_iterate_at_every_exit():
 
 
 def test_predicted_decrease_from_the_cg_residual_matches_the_undamped_model():
-    # on the 105-unknown demo-size explicit operator, near a noisy truth
+    # on the 105-unknown demo-size explicit operator, near a noisy truth,
+    # for the Gauss-Newton and the Newton model, at whichever exit CG takes
     rng = np.random.default_rng(71)
     shape, rank = (10, 10, 15), 3
     model = init_model(shape, rank, 1)
@@ -546,23 +593,27 @@ def test_predicted_decrease_from_the_cg_residual_matches_the_undamped_model():
     x = np.concatenate([f.ravel() for f in model.factors]) + 0.1 * crandn(rng, sum(shape) * rank)
     factors = solvers._factor_views(x, shape, rank)
     g = np.concatenate([b.ravel() for b in cpd_gradient(t, factors)])
+    residual = core.reconstruct(factors) - t
     w, w_pair = solvers._gramian_products(factors)
-    undamped = solvers._explicit_gn_operator(factors, w, w_pair)
     scale = w.diagonal(axis1=1, axis2=2).real.max()
     for mu in (0.0, 1e-3 * scale, scale):
         shifted = w + mu * np.eye(rank)
-        damped = solvers._explicit_gn_operator(factors, shifted, w_pair)
-        p, r = solvers._pcg(damped, -g, solvers._block_jacobi(shifted, shape),
-                            solvers.CG_MAX_ITER, solvers.CG_RTOL)
-        predicted = 0.5 * (np.vdot(r, p).real + mu * np.vdot(p, p).real - np.vdot(g, p).real)
-        direct = -(np.vdot(g, p).real + 0.5 * np.vdot(p, undamped(p)).real)
-        assert abs(predicted - direct) <= 1e-12 * abs(direct), mu
+        gauss_newton = [solvers._explicit_gn_operator(factors, weights, w_pair) for weights in (w, shifted)]
+        newton = [solvers._newton_operator(op, factors, residual) for op in gauss_newton]
+        for undamped, damped in (gauss_newton, newton):
+            p, r, _ = solvers._pcg(damped, -g, solvers._block_jacobi(shifted, shape),
+                                   solvers.CG_MAX_ITER, solvers.CG_RTOL)
+            predicted = 0.5 * (np.vdot(r, p).real + mu * np.vdot(p, p).real - np.vdot(g, p).real)
+            direct = -(np.vdot(g, p).real + 0.5 * np.vdot(p, undamped(p)).real)
+            assert abs(predicted - direct) <= 1e-12 * abs(direct), mu
 
 
 def test_damping_follows_the_gain_ratio_on_the_undamped_model(monkeypatch):
     # each mu update must follow from rho = actual / predicted, with the
-    # predicted decrease -(g^H p + p^H J^H J p / 2) of the undamped model,
-    # recomputed here from the iterate, the step and the operator
+    # predicted decrease -(g^H p + p^H H p / 2) of the undamped Newton model
+    # (H = J^H J + conj(K .); the Gauss-Newton one, H = J^H J, where CG met
+    # non-positive curvature), recomputed here from the iterate, the step
+    # and the operator of the last solve of each iteration
     rng = np.random.default_rng(72)
     shape, rank = (6, 7, 8), 3
     truth = core.reconstruct(init_model(shape, rank, 2))
@@ -580,9 +631,9 @@ def test_damping_follows_the_gain_ratio_on_the_undamped_model(monkeypatch):
         return real_jacobi(shifted, shape)
 
     def pcg(matvec, b, prec, max_iter, rtol):
-        p, r = real_pcg(matvec, b, prec, max_iter, rtol)
-        steps[-1].update(g=-b, p=p, jtj_p=matvec(p) - steps[-1]["mu"] * p)
-        return p, r
+        p, r, curved = real_pcg(matvec, b, prec, max_iter, rtol)
+        steps[-1].update(g=-b, p=p, hessian_p=matvec(p) - steps[-1]["mu"] * p)
+        return p, r, curved
 
     monkeypatch.setattr(solvers, "_gramian_products", products)
     monkeypatch.setattr(solvers, "_block_jacobi", jacobi)
@@ -597,7 +648,7 @@ def test_damping_follows_the_gain_ratio_on_the_undamped_model(monkeypatch):
     for step, following in zip(steps, steps[1:]):
         mu, p = step["mu"], step["p"]
         scale = step["w"].diagonal(axis1=1, axis2=2).real.max()
-        predicted = -(np.vdot(step["g"], p).real + 0.5 * np.vdot(p, step["jtj_p"]).real)
+        predicted = -(np.vdot(step["g"], p).real + 0.5 * np.vdot(p, step["hessian_p"]).real)
         rho = (objective(step["x"]) - objective(step["x"] + p)) / predicted
         if rho < 0.25:
             expected = max(4.0 * mu, solvers.MU_FLOOR * scale)

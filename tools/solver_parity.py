@@ -35,9 +35,12 @@ converged.
 With --against FILE, the solves are compared with those recorded in FILE.
 Each solve whose iteration count or converged flag differs, whose residual
 differs by more than RESIDUAL_RTOL relative, or that is missing on either
-side is listed on standard error, and the exit status is 1. The cpdhr
-package is imported from the src/ directory of the checkout that holds
-this script.
+side is listed on standard error, and the exit status is 1. Then, for
+each condition and algorithm, the converged count and the iteration total
+in FILE and here follow, with the largest relative residual gap among the
+solves converged on both sides: the gate for a change that moves
+iteration counts on purpose. The cpdhr package is imported from the src/
+directory of the checkout that holds this script.
 """
 
 import os
@@ -165,6 +168,27 @@ def unit_matches(records):
             for (condition, algorithm), same in cells.items()]
 
 
+def cell_comparisons(records, reference):
+    """One line per (condition, algorithm) of the records: converged count
+    and iteration total in the reference and here, and the largest
+    relative residual gap among the solves converged on both sides."""
+    ref = {_key(r): r for r in reference}
+    cells = {}
+    for rec in records:
+        cells.setdefault((rec["condition"], rec["algorithm"]), []).append((ref.get(_key(rec)), rec))
+    lines = []
+    for (condition, algorithm), pairs in cells.items():
+        pairs = [(old, new) for old, new in pairs if old is not None]
+        both = [(old, new) for old, new in pairs if old["converged"] and new["converged"]]
+        gaps = [abs(new["residual"] - old["residual"]) / abs(old["residual"]) for old, new in both]
+        lines.append(
+            f"{condition} {algorithm}: converged {sum(o['converged'] for o, _ in pairs)}/{len(pairs)} -> "
+            f"{sum(n['converged'] for _, n in pairs)}/{len(pairs)}, iterations total "
+            f"{sum(o['iterations'] for o, _ in pairs)} -> {sum(n['iterations'] for _, n in pairs)}, "
+            f"largest residual gap {max(gaps, default=0.0):.2g} over {len(both)} converged on both sides")
+    return lines
+
+
 def differences(records, reference):
     """One line per solve that differs from the reference or is missing."""
     ref = {_key(r): r for r in reference}
@@ -201,7 +225,7 @@ def main(argv=None):
     with open(args.against, encoding="utf-8") as fh:
         reference = [json.loads(line) for line in fh if line.strip()]
     lines = differences(records, reference)
-    for line in lines:
+    for line in lines + cell_comparisons(records, reference):
         print(line, file=sys.stderr)
     print(f"{len(lines)} differences over {len(records)} solves", file=sys.stderr)
     return 1 if lines else 0
