@@ -48,7 +48,10 @@ def build_parser():
     p.add_argument("out_dir")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--algorithm", choices=ALGORITHMS, default="gauss_newton_als_warmstart")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True,
+                   help="start seed: the slice weights of the algebraic start for a fully observed "
+                        "order-3 tensor of rank at most its first two extents, otherwise the "
+                        "random factors of the data-scaled seeded start")
     p.add_argument("--missing-data-strategy", choices=MISSING_STRATEGIES,
                    default="expectation_imputation")
 

@@ -1,5 +1,5 @@
-"""CPD solvers: alternating least squares and Gauss-Newton, plus seeded
-initialization and the normalization pass.
+"""CPD solvers: alternating least squares and Gauss-Newton, plus the start
+(algebraic or seeded) and the normalization pass.
 
 Both solvers accept dense arrays or :class:`~cpdhr.core.IncompleteTensor`
 inputs. Every solver keeps its state in one flat complex parameter vector
@@ -57,8 +57,9 @@ REL_OBJECTIVE_TOL = 1e-10
 class CpdOptions:
     """Solver configuration.
 
-    init is either an integer seed >= 0 (factors drawn by init_model) or an
-    explicit CpdModel to start from.
+    init is either an integer seed >= 0 or an explicit CpdModel to start
+    from. The seed draws the slice weights of the algebraic start where it
+    applies, and the factors of init_model elsewhere (see _start).
     """
 
     rank: int
@@ -165,23 +166,70 @@ def _factor_views(x, shape, rank):
     return views
 
 
-def _start(shape, opts, data_norm):
+def _start(tvals, mask, opts, data_norm):
     """The solver state: one flat complex vector whose block n is the
     C-order (I_n, R) view of factor n that _factor_views takes. An explicit
-    CpdModel init is used as given; a seeded start is scaled so that its
-    reconstruction has norm data_norm, since a badly scaled start wastes
-    iterations on pure rescaling."""
-    model = opts.init
+    CpdModel init is used as given. A seeded start of a fully observed
+    order-3 tensor with R <= I_0, R <= I_1 and I_2 >= 2 is the algebraic
+    start, the seed drawing its slice weights. Any other seeded start is
+    init_model scaled so that its reconstruction has norm data_norm, since
+    a badly scaled start wastes iterations on pure rescaling."""
+    shape, rank, model = tvals.shape, opts.rank, opts.init
     if isinstance(model, CpdModel):
-        if model.shape != tuple(shape):
-            raise ValueError(f"init model shape {model.shape} != tensor shape {tuple(shape)}")
-        if model.rank != opts.rank:
-            raise ValueError(f"init model rank {model.rank} != requested rank {opts.rank}")
+        if model.shape != shape:
+            raise ValueError(f"init model shape {model.shape} != tensor shape {shape}")
+        if model.rank != rank:
+            raise ValueError(f"init model rank {model.rank} != requested rank {rank}")
         return np.concatenate([f.ravel() for f in model.factors])
-    model = init_model(shape, opts.rank, int(model))
+    if mask is None and len(shape) == 3 and rank <= min(shape[:2]) and shape[2] >= 2:
+        return _algebraic_start(tvals, rank, int(model))
+    model = init_model(shape, rank, int(model))
     start_norm = float(np.linalg.norm(core.reconstruct(model).ravel()))
     x = np.concatenate([f.ravel() for f in model.factors])
     return x * (data_norm / start_norm) ** (1.0 / len(shape))
+
+
+def _algebraic_start(tvals, rank, seed):
+    """The CPD of an order-3 tensor of rank at most I_0 and I_1 from a
+    truncated MLSVD and one generalized eigenproblem, exact on noiseless
+    data (Sanchez & Kowalski, J. Chemometrics 1990; Domanov & De Lathauwer,
+    SIAM J. Matrix Anal. Appl. 2014).
+
+    U_0 and U_1 are the R dominant eigenvectors of the mode-0 and mode-1
+    unfolding Gramians. The compressed slices G_k = U_0^H T_k conj(U_1)
+    are A_c diag(C[k]) B_c^T, and so is any combination of them: two, in
+    their dominant mode-2 subspace of dimension min(R, I_2), with complex
+    Gaussian weights from default_rng(seed), make the pencil (s_1, s_2).
+    A_c is the eigenvectors of s_1 pinv(s_2), A = U_0 A_c and
+    B = U_1 (pinv(A_c) s_2)^T; C is one least-squares mode-2 update, as in
+    the dense ALS sweep. Every inverse is a pseudo-inverse, so the start is
+    finite on finite input. No intermediate is larger than the tensor, and
+    none grows with I_2 squared.
+    """
+    shape = tvals.shape
+    i0, i1, i2 = shape
+    conj_t = np.conj(tvals)
+    # the mode-1 Gramian slice by slice, so that no transposed copy is made
+    grams = (tvals.reshape(i0, -1) @ conj_t.reshape(i0, -1).T, sum(s @ c.T for s, c in zip(tvals, conj_t)))
+    del conj_t
+    u0, u1 = (np.linalg.eigh(g)[1][:, ::-1][:, :rank] for g in grams)
+    compressed = u1.conj().T @ (u0.conj().T @ tvals.reshape(i0, -1)).reshape(rank, i1, i2)
+    # the mode-2 fibres' dominant subspace: left singular vectors of the
+    # (R^2, I_2) unfolding, times their singular values
+    left, sv, _ = np.linalg.svd(compressed.reshape(rank * rank, i2), full_matrices=False)
+    dim = min(rank, i2)
+    rng = np.random.default_rng(seed)
+    weights = (rng.standard_normal((dim, 2)) + 1j * rng.standard_normal((dim, 2))) / np.sqrt(2.0)
+    s1, s2 = np.moveaxis(((left[:, :dim] * sv[:dim]) @ weights).reshape(rank, rank, 2), 2, 0)
+    a_c = np.linalg.eig(s1 @ np.linalg.pinv(s2, rcond=PINV_RCOND))[1]
+    x = np.zeros(sum(shape) * rank, dtype=np.complex128)
+    a, b, c = _factor_views(x, shape, rank)
+    a[...] = u0 @ a_c
+    b[...] = u1 @ (np.linalg.pinv(a_c, rcond=PINV_RCOND) @ s2).T
+    c[...] = core.mttkrp(tvals, [np.conj(a), np.conj(b), c], 2) @ _hermitian_pinv(
+        np.conj((a.conj().T @ a) * (b.conj().T @ b)))
+    _rebalance(x, shape, rank)
+    return x
 
 
 def _rebalance(x, shape, rank):
@@ -326,7 +374,7 @@ def cpd_als(t, opts):
     is a Hermitian one from eigh, cut at PINV_RCOND.
     """
     tvals, mask, norm = _observed(t)
-    x = _start(tvals.shape, opts, norm)
+    x = _start(tvals, mask, opts, norm)
     trace, converged = _als_iterate(tvals, mask, norm, x, opts, opts.max_iterations)
     return _finish(x, tvals.shape, opts.rank, trace, converged)
 
@@ -356,9 +404,9 @@ def cpd_als(t, opts):
 # term K is built as one more matrix, and the Gauss-Newton model takes over
 # for an iteration whose CG meets non-positive curvature on the Newton one.
 # At 0 dB the relative residual is near 0.7, so that term is large and
-# Gauss-Newton alone converges only linearly: on the 0 dB demo scene the
-# Newton step takes a warm-started solve from about 50 to about 20
-# iterations, each costing about twice as much.
+# Gauss-Newton alone converges only linearly: on the 0 dB demo scene, from
+# the data-scaled seeded start, the Newton step took a warm-started solve
+# from about 50 to about 20 iterations, each costing about twice as much.
 EXPLICIT_GN_MAX_PARAMS = 160
 
 
@@ -632,7 +680,7 @@ def cpd_nls(t, opts):
     # factors) and g_scale both scale as s^((2N-1)/N).
     n_observed = tvals.size if mask is None else np.count_nonzero(mask)
     g_scale = norm * (norm / math.sqrt(n_observed)) ** ((n_modes - 1) / n_modes)
-    x = _start(shape, opts, norm)
+    x = _start(tvals, mask, opts, norm)
     factors = _factor_views(x, shape, rank)
     use_masked_operator = mask is not None and opts.missing_data_strategy == "masked_residuals"
     explicit = x.size <= EXPLICIT_GN_MAX_PARAMS
@@ -724,16 +772,17 @@ def cpd_nls(t, opts):
 
 def cpd(t, opts):
     """Dispatch on opts.algorithm; the warmstart variant runs
-    WARMSTART_SWEEPS ALS sweeps from the same data-scaled start as the
-    other solvers and hands the rebalanced result to Gauss-Newton as an
-    explicit init."""
+    WARMSTART_SWEEPS ALS sweeps from the same start as the other solvers
+    (see _start: algebraic for a fully observed order-3 tensor of rank at
+    most I_0 and I_1, otherwise seeded and scaled to the data) and hands the
+    rebalanced result to Gauss-Newton as an explicit init."""
     if opts.algorithm == "als":
         return cpd_als(t, opts)
     if opts.algorithm == "gauss_newton":
         return cpd_nls(t, opts)
 
     tvals, mask, norm = _observed(t)
-    x = _start(tvals.shape, opts, norm)
+    x = _start(tvals, mask, opts, norm)
     _als_iterate(tvals, mask, norm, x, opts, WARMSTART_SWEEPS)
     warm = CpdModel(_factor_views(x, tvals.shape, opts.rank))
     return cpd_nls(t, dataclasses.replace(opts, algorithm="gauss_newton", init=warm))

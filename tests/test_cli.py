@@ -148,10 +148,11 @@ def test_pipeline_single_and_sweep(tmp_path):
 
 
 def test_decompose_nonconvergence_exits_2(tmp_path):
-    # two noiseless sources 40 degrees apart on a 6x6 array, seed 135: the
+    # two noiseless sources 40 degrees apart on a 6x6 array, seed 135, one
+    # sensor deactivated: masked, the tensor gets the seeded start, and the
     # warm-started rank-2 fit lands in a swamp and still crawls after 500
-    # iterations without passing the convergence witnesses (it needs about
-    # 600 to converge), and must say so via the code
+    # iterations without passing the convergence witnesses (it needs 1,366
+    # to converge), and must say so via the code
     seed = 135
     cfg = write_config(
         tmp_path / "config.json", seed=seed,
@@ -159,11 +160,12 @@ def test_decompose_nonconvergence_exits_2(tmp_path):
             {"azimuth_deg": 15.0, "elevation_deg": 25.0},
             {"azimuth_deg": 55.0, "elevation_deg": 40.0},
         ],
+        masks=[{"kind": "deactivated_sensor", "sensor": [5, 5]}],
     )
     truth = str(tmp_path / "truth")
     assert cli.main(["simulate", cfg, truth]) == 0
     code = cli.main([
-        "decompose", f"{truth}/noisy.tns", str(tmp_path / "est"),
+        "decompose", f"{truth}/masked.tns", str(tmp_path / "est"),
         "--rank", "2", "--seed", str(seed + INIT_SEED_OFFSET),
     ])
     assert code == 2

@@ -5,6 +5,7 @@ generating tensor (no permutation alignment needed); factor-level error
 checks live with the metrics tests.
 """
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,19 @@ def crandn(rng, *shape):
 
 def make_truth(shape, rank, seed):
     return normalize_model(init_model(shape, rank, seed))
+
+
+def seeded_start(t, rank, seed):
+    """The data-scaled seeded start as an explicit model: init_model scaled
+    so that its reconstruction has the norm of the observed data, as every
+    seeded start outside the algebraic start's reach. Tests of a solve's
+    trajectory start here, since the algebraic start solves a noiseless
+    fully observed order-3 tensor outright."""
+    vals = np.ascontiguousarray(t.values if isinstance(t, IncompleteTensor) else t, dtype=np.complex128)
+    model = init_model(vals.shape, rank, seed)
+    start_norm = float(np.linalg.norm(core.reconstruct(model).ravel()))
+    scale = (float(np.linalg.norm(vals.ravel())) / start_norm) ** (1.0 / vals.ndim)
+    return CpdModel([f * scale for f in model.factors])
 
 
 def fd_gradient(t, factors, h=1e-5):
@@ -638,7 +652,7 @@ def test_damping_follows_the_gain_ratio_on_the_undamped_model(monkeypatch):
     monkeypatch.setattr(solvers, "_gramian_products", products)
     monkeypatch.setattr(solvers, "_block_jacobi", jacobi)
     monkeypatch.setattr(solvers, "_pcg", pcg)
-    cpd_nls(t, CpdOptions(rank=rank, algorithm="gauss_newton", init=3, max_iterations=40))
+    cpd_nls(t, CpdOptions(rank=rank, algorithm="gauss_newton", init=seeded_start(t, rank, 3), max_iterations=40))
 
     def objective(x):
         r = core.reconstruct(solvers._factor_views(x, shape, rank)) - t
@@ -679,11 +693,12 @@ def test_solver_picks_the_operator_form_by_parameter_count(monkeypatch):
                                       ((4, 4, 500), 2, True, "_masked_gn_operator")]:
         used.clear()
         t = core.reconstruct(init_model(shape, rank, 0))
-        opts = CpdOptions(rank=rank, init=1, max_iterations=2)
+        strategy = "expectation_imputation"
         if masked:
             t = IncompleteTensor(t, np.random.default_rng(0).random(shape) < 0.9)
-            opts.missing_data_strategy = "masked_residuals"
-        cpd_nls(t, opts)
+            strategy = "masked_residuals"
+        cpd_nls(t, CpdOptions(rank=rank, init=seeded_start(t, rank, 1), max_iterations=2,
+                              missing_data_strategy=strategy))
         assert used and set(used) == {form}, form
 
 
@@ -721,36 +736,110 @@ def test_cpd_calls_gauss_newton_once_through_the_module_global(monkeypatch):
 # the start
 
 
-def masked_demo(seed):
-    """The pipeline's masked 0 dB demo tensor for scene seed `seed`."""
+def demo_tensors(seed):
+    """The pipeline's 0 dB demo tensor for scene seed `seed`, dense and
+    masked."""
     cfg = formats.load_config(Path(__file__).resolve().parents[1] / "configs" / "demo_scene.json")
     sources = scene.synthetic_sources(cfg.scene.time_len, cfg.scene.rank, seed=seed)
     clean, _ = scene.build_scene_tensor(cfg.scene, sources)
     noisy = scene.add_noise(clean, cfg.snr_db, seed=seed + NOISE_SEED_OFFSET)
-    return scene.apply_mask(noisy, cfg.masks)
+    return noisy, scene.apply_mask(noisy, cfg.masks)
 
 
 def test_default_solve_does_not_depend_on_the_data_unit():
-    # EEG recorded in volts has entries near 1e-5. The seeded start is
-    # scaled to the data, imputation's first sweep reads the zero-filled
-    # tensor and Gauss-Newton's stop tests are unit-free, so a solve lands
-    # in the same place, after as many iterations, in any unit.
+    # EEG recorded in volts has entries near 1e-5. The algebraic start is
+    # unit-free, the seeded start of a masked tensor is scaled to the data,
+    # imputation's first sweep reads the zero-filled tensor and
+    # Gauss-Newton's stop tests are unit-free, so a solve lands in the same
+    # place, after as many iterations, in any unit.
     for seed in range(3):
-        t = masked_demo(seed)
-        for algorithm in ("gauss_newton_als_warmstart", "gauss_newton"):
-            opts = CpdOptions(rank=3, algorithm=algorithm, init=seed + INIT_SEED_OFFSET)
-            _, unit = cpd(t, opts)
-            assert unit.converged, (seed, algorithm)
-            for factor in (1e-5, 1e5):
-                _, diag = cpd(IncompleteTensor(factor * t.values, t.mask), opts)
-                where = (seed, algorithm, factor)
-                assert (diag.iterations, diag.converged) == (unit.iterations, unit.converged), where
-                assert diag.final_relative_residual == pytest.approx(
-                    unit.final_relative_residual, rel=1e-12), where
+        for t in demo_tensors(seed):
+            masked = isinstance(t, IncompleteTensor)
+            for algorithm in ("gauss_newton_als_warmstart", "gauss_newton"):
+                opts = CpdOptions(rank=3, algorithm=algorithm, init=seed + INIT_SEED_OFFSET)
+                _, unit = cpd(t, opts)
+                assert unit.converged, (seed, masked, algorithm)
+                for factor in (1e-5, 1e5):
+                    _, diag = cpd(IncompleteTensor(factor * t.values, t.mask) if masked else factor * t, opts)
+                    where = (seed, masked, algorithm, factor)
+                    assert (diag.iterations, diag.converged) == (unit.iterations, unit.converged), where
+                    assert diag.final_relative_residual == pytest.approx(
+                        unit.final_relative_residual, rel=1e-12), where
+
+
+def start_of(t, rank, seed):
+    tvals, mask, norm = solvers._observed(t)
+    return solvers._start(tvals, mask, CpdOptions(rank=rank, init=seed), norm)
+
+
+def test_algebraic_start_is_exact_on_noiseless_dense_tensors():
+    # the MLSVD subspaces hold the factors and the pencil's eigenvectors
+    # are the compressed mode-0 factor, so the start is the tensor's CPD to
+    # rounding and Gauss-Newton only certifies it: the noiseless swamp
+    # scenes of seeds 0-11 and 35, and a random 5x6x7 rank-3 tensor
+    cases = [(scene.build_scene_tensor(SWAMP_SCENE, scene.synthetic_sources(
+                 SWAMP_SCENE.time_len, SWAMP_SCENE.rank, seed=seed))[0], 2, seed + INIT_SEED_OFFSET)
+             for seed in list(range(12)) + [35]]
+    cases.append((core.reconstruct(init_model((5, 6, 7), 3, 0)), 3, 1))
+    for t, rank, seed in cases:
+        x = start_of(t, rank, seed)
+        gap = np.linalg.norm(core.reconstruct(solvers._factor_views(x, t.shape, rank)) - t)
+        assert gap <= 1e-10 * np.linalg.norm(t), seed
+        _, diag = cpd(t, CpdOptions(rank=rank, algorithm="gauss_newton", init=seed))
+        assert diag.converged and diag.iterations <= 2, (seed, diag.iterations)
+
+
+def test_seeded_start_outside_the_algebraic_start_is_the_scaled_draw():
+    # masked tensors, other orders, R above I_0 or I_1 and I_2 = 1 keep the
+    # data-scaled init_model draw, bit for bit
+    truth = core.reconstruct(init_model((5, 6, 7), 2, 0))
+    cases = [(IncompleteTensor(truth, np.random.default_rng(0).random(truth.shape) < 0.8), 2),
+             (core.reconstruct(init_model((5, 6), 2, 0)), 2),
+             (core.reconstruct(init_model((3, 4, 5, 6), 2, 0)), 2),
+             (core.reconstruct(init_model((6, 3, 7), 2, 0)), 4),
+             (core.reconstruct(init_model((3, 6, 7), 2, 0)), 4),
+             (core.reconstruct(init_model((5, 6, 1), 2, 0)), 2)]
+    for t, rank in cases:
+        expected = np.concatenate([f.ravel() for f in seeded_start(t, rank, 9).factors])
+        assert np.array_equal(start_of(t, rank, 9), expected), (t.shape, rank)
+
+
+def test_algebraic_start_is_finite_on_degenerate_input():
+    # rank overshoot makes the pencil singular and its eigenvectors
+    # dependent, a zero slice takes a direction out of mode 2; the
+    # pseudo-inverses keep every entry finite
+    sources = scene.synthetic_sources(SWAMP_SCENE.time_len, SWAMP_SCENE.rank, seed=0)
+    swamp = scene.build_scene_tensor(SWAMP_SCENE, sources)[0]
+    zero_slice = core.reconstruct(init_model((5, 6, 7), 3, 0))
+    zero_slice[:, :, 2] = 0.0
+    noisy = core.reconstruct(init_model((5, 6, 7), 2, 0)) + 0.1 * crandn(np.random.default_rng(1), 5, 6, 7)
+    for t, rank in [(swamp, 4), (noisy, 1), (zero_slice, 3)]:
+        assert np.isfinite(start_of(t, rank, 4)).all(), (t.shape, rank)
+
+
+def test_the_seed_selects_the_algebraic_start():
+    t = core.reconstruct(init_model((5, 6, 7), 3, 0)) + 0.3 * crandn(np.random.default_rng(2), 5, 6, 7)
+    first = start_of(t, 3, 11)
+    assert np.array_equal(first, start_of(t, 3, 11))
+    assert not np.allclose(first, start_of(t, 3, 12))
+
+
+def test_algebraic_start_memory_stays_within_the_tensor():
+    # a long third mode must not build its I_2 x I_2 Gramian, nor any
+    # intermediate larger than the tensor (4 x 4 x 20000: 5.1 MB)
+    t = np.ascontiguousarray(core.reconstruct(init_model((4, 4, 20000), 2, 0)))
+    tracemalloc.start()
+    try:
+        x = start_of(t, 2, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(x).all()
+    assert peak < 3 * t.nbytes, peak / t.nbytes
 
 
 def test_imputation_first_sweep_does_not_depend_on_the_start_scale():
-    t = masked_demo(0)
+    t = demo_tensors(0)[1]
     factors = init_model(t.shape, 3, INIT_SEED_OFFSET).factors
     reconstructions = []
     for init in (CpdModel(factors), CpdModel([2 * f for f in factors])):
@@ -782,7 +871,8 @@ def test_gauss_newton_leaves_the_swamp():
     seed = 3
     sources = scene.synthetic_sources(SWAMP_SCENE.time_len, SWAMP_SCENE.rank, seed=seed)
     clean, _ = scene.build_scene_tensor(SWAMP_SCENE, sources)
-    opts = CpdOptions(rank=2, algorithm="gauss_newton_als_warmstart", init=seed + INIT_SEED_OFFSET)
+    opts = CpdOptions(rank=2, algorithm="gauss_newton_als_warmstart",
+                      init=seeded_start(clean, 2, seed + INIT_SEED_OFFSET))
     _, diag = cpd(clean, opts)
     assert diag.converged
     assert diag.final_relative_residual <= 1e-8
@@ -799,7 +889,7 @@ def test_gauss_newton_converged_implies_small_residual_on_noiseless_scenes(monke
         sources = scene.synthetic_sources(SWAMP_SCENE.time_len, SWAMP_SCENE.rank, seed=seed)
         clean, _ = scene.build_scene_tensor(SWAMP_SCENE, sources)
         for algorithm in ("gauss_newton", "gauss_newton_als_warmstart"):
-            opts = CpdOptions(rank=2, algorithm=algorithm, init=seed + INIT_SEED_OFFSET)
+            opts = CpdOptions(rank=2, algorithm=algorithm, init=seeded_start(clean, 2, seed + INIT_SEED_OFFSET))
             _, diag = cpd(clean, opts)
             if diag.converged:
                 assert diag.final_relative_residual <= 1e-8, (seed, algorithm)

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Solver parity check: 426 seeded in-memory solves, 360 on the 0 dB demo
-scene, 30 on a larger 0 dB array and 36 in a noiseless swamp.
+"""Solver parity check: 456 seeded in-memory solves, 360 on the 0 dB demo
+scene, 60 on a larger 0 dB array and 36 in a noiseless swamp.
 
     python3 tools/solver_parity.py > parent.jsonl            # on one checkout
     python3 tools/solver_parity.py --against parent.jsonl    # on another
@@ -21,9 +21,12 @@ a solve lands. The "large_mask_90" condition fits seeds 0-9 of
 LARGE_SCENE, four sources on a 16x16 array with 30 samples at 0 dB (248
 unknowns at rank 4, above solvers.EXPLICIT_GN_MAX_PARAMS, where the masked
 operator is in tangent form), with masked_residuals under a 90 percent mask
-drawn as above, under the three algorithms. The "swamp" condition adds
-seeds 0-11 of SWAMP_SCENE, two noiseless sources on a 6x6 array with 12
-samples, under the three algorithms: the configuration where last-bit
+drawn as above, under the three algorithms. The "large_dense" condition
+fits the same tensors unmasked under the three algorithms: the dense
+large-array cell, where the start of a fully observed order-3 tensor
+decides most of the iterations. The "swamp" condition adds seeds 0-11 of
+SWAMP_SCENE, two noiseless sources on a 6x6 array with 12 samples, under
+the three algorithms: the configuration where last-bit
 rounding decides whether a solve is certified as converged. Every solve
 prints one JSON line: seed, condition, algorithm, iterations, converged and
 final residual; the converged count and the median and total iterations of
@@ -130,6 +133,7 @@ def solves():
         large = noisy(LARGE_SCENE, seed)
         tensor = core.IncompleteTensor(large, heavy_mask(seed, large.shape) < 0.9)
         yield from _solve_all(tensor, seed, "large_mask_90", LARGE_SCENE.rank, "masked_residuals")
+        yield from _solve_all(large, seed, "large_dense", LARGE_SCENE.rank, "expectation_imputation")
     for seed in SWAMP_SEEDS:
         sources = scene.synthetic_sources(SWAMP_SCENE.time_len, SWAMP_SCENE.rank, seed=seed)
         clean, _ = scene.build_scene_tensor(SWAMP_SCENE, sources)
