@@ -272,16 +272,36 @@ def mttkrp(t, factors, mode):
 
 
 def _mttkrp(t, factors, mode):
-    """Order-N mttkrp, unchecked, on the C-order view (left, I_n, right) of
-    t: one GEMM contracts the right modes against their Khatri-Rao product,
-    then a broadcast multiply-and-sum contracts the left ones. The last
-    mode has no right modes and takes one transposed GEMM."""
-    extent, rank = t.shape[mode], factors[mode].shape[1]
+    """Order-N mttkrp, unchecked. The last mode is one transposed GEMM on
+    the C-order view (left, I_{N-1}) of t; every other mode is a rank-wise
+    reduction of the last-mode product (_last_mode_product,
+    _leading_mttkrp)."""
     if mode == t.ndim - 1:
-        return t.reshape(-1, extent).T @ _kr(factors[:mode], rank)
-    right = _kr(factors[mode + 1:], rank)
-    partial = t.reshape(-1, right.shape[0]) @ right
-    if mode == 0:
-        return partial
+        return t.reshape(-1, t.shape[mode]).T @ _kr(factors[:mode], factors[mode].shape[1])
+    return _leading_mttkrp(_last_mode_product(t, factors[-1]), factors, mode)
+
+
+def _last_mode_product(t, last):
+    """P = t contracted with the matrix last over its last mode, unchecked:
+    one GEMM on the C-order view (prod of the leading extents, I_{N-1}),
+    giving the (prod of the leading extents, R) matrix that
+    _leading_mttkrp reads. Passing the last factor conjugated gives the P
+    of a conjugated mttkrp."""
+    return t.reshape(-1, last.shape[0]) @ last
+
+
+def _leading_mttkrp(p, factors, mode):
+    """mttkrp(t, factors, mode) for a mode before the last, unchecked, from
+    p = _last_mode_product(t, factors[-1]): a rank-wise reduction of p, not
+    of the tensor. Column r of p is viewed as (left, I_n, right) over the
+    leading modes, and two batched products contract it with column r of
+    the Khatri-Rao products of the modes before n and after n. The last
+    factor and factors[mode] are not read. Mode 0 has no modes before it
+    and skips the first product."""
+    rank = p.shape[1]
     left = _kr(factors[:mode], rank)
-    return (partial.reshape(-1, extent, rank) * left[:, None, :]).sum(axis=0)
+    right = _kr(factors[mode + 1:-1], rank)
+    columns = p.reshape(left.shape[0], -1, rank).transpose(2, 0, 1)
+    if mode > 0:
+        columns = left.T[:, None, :] @ columns
+    return (columns.reshape(rank, -1, right.shape[0]) @ right.T[:, :, None])[:, :, 0].T

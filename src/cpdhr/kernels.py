@@ -3,10 +3,12 @@
 Each kernel is the order-3 case of the order-N formula in :mod:`cpdhr.core`,
 computed on C-order reshapes of the tensor:
 
-- mttkrp, mode n: view the tensor as (left, I_n, right); one GEMM contracts
-  ``right`` against the C-order Khatri-Rao product of the modes after n, a
-  broadcast multiply-and-sum contracts ``left`` against that of the modes
-  before n. Mode 0 is the GEMM alone, mode 2 one transposed GEMM.
+- mttkrp, mode 2: view the tensor as (I_0 I_1, I_2); one transposed GEMM
+  against ``kr(U_0, U_1)``.
+- mttkrp, mode 0 or 1: one GEMM contracts the tensor's last mode,
+  P = T x_2 U_2^T of shape (I_0 I_1, R); column r of P, viewed as
+  (I_0, I_1), is then contracted with column r of the other leading factor
+  by a batched product.
 - reconstruct: ``(kr(U_0, U_1) @ U_2.T).reshape(shape)``.
 
 Those reshapes are views of a C-contiguous tensor, so the kernels copy

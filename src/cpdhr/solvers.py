@@ -13,6 +13,7 @@ residual against the conjugated factors.
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +54,15 @@ GRAD_CERTIFICATE = 1e-6
 REL_OBJECTIVE_TOL = 1e-10
 
 
+def _integer(value, name):
+    """value as a Python int. A bool, a float or any other value that is
+    not of an integer type is refused, as the config parser refuses it;
+    numpy integers are accepted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class CpdOptions:
     """Solver configuration.
@@ -69,6 +79,10 @@ class CpdOptions:
     missing_data_strategy: str = "expectation_imputation"
 
     def __post_init__(self):
+        self.rank = _integer(self.rank, "rank")
+        self.max_iterations = _integer(self.max_iterations, "max_iterations")
+        if not isinstance(self.init, CpdModel):
+            self.init = _integer(self.init, "init seed")
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
         if self.max_iterations < 1:
@@ -289,14 +303,37 @@ def _hermitian_pinv(a):
     return (vecs * inverse[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
+def _mode_mttkrp(t, p, factors, n):
+    """mttkrp(t, factors, n), read off p = core._last_mode_product(t,
+    factors[-1]) below the last mode: one full pass over the tensor serves
+    every leading mode."""
+    if n < len(factors) - 1:
+        return core._leading_mttkrp(p, factors, n)
+    return core.mttkrp(t, factors, n)
+
+
+def _mttkrps(t, factors):
+    """Every mode's mttkrp of t against factors, flattened and stacked in
+    mode order: two passes over the tensor at any order, P and the last
+    mode."""
+    p = core._last_mode_product(t, factors[-1])
+    return np.concatenate([_mode_mttkrp(t, p, factors, n).ravel() for n in range(len(factors))])
+
+
 def _als_sweep_dense(tvals, factors):
+    """One sweep over the modes in order; returns the last mode's
+    right-hand sides b and its normal matrix a, U_{N-1} a = b."""
     conj_factors = [np.conj(f) for f in factors]
     grams = _gramians(factors)
+    # the last factor only changes at the end of the sweep
+    p = core._last_mode_product(tvals, conj_factors[-1])
     for n in range(len(factors)):
-        m = core.mttkrp(tvals, conj_factors, n)
-        factors[n][...] = m @ _hermitian_pinv(np.conj(_hadamard_except(grams, n)))
+        b = _mode_mttkrp(tvals, p, conj_factors, n)
+        a = np.conj(_hadamard_except(grams, n))
+        factors[n][...] = b @ _hermitian_pinv(a)
         conj_factors[n] = np.conj(factors[n])
         grams[n] = factors[n].conj().T @ factors[n]
+    return b, a
 
 
 def _pair_columns(f):
@@ -311,17 +348,21 @@ def _als_sweep_masked(tvals, mask, factors):
     # mode n solves u_i a_i = b_i with a_i = sum_j mask[i, j] z_j^T conj(z_j),
     # z_j the Khatri-Rao row of the other modes, so the stack of a_i is one
     # mttkrp of the mask against the pair columns. Rows with nothing
-    # observed get the least-norm answer (zero).
+    # observed get the least-norm answer (zero). Returns the last mode's b
+    # and its stack of a_i.
     weights = mask.astype(tvals.dtype)
     conj_factors = [np.conj(f) for f in factors]
     pairs = [_pair_columns(f) for f in factors]
     rank = factors[0].shape[1]
+    p_values = core._last_mode_product(tvals, conj_factors[-1])  # masked values are zero-filled
+    p_weights = core._last_mode_product(weights, pairs[-1])
     for n in range(len(factors)):
-        b = core.mttkrp(tvals, conj_factors, n)  # masked values are zero-filled
-        a = core.mttkrp(weights, pairs, n).reshape(-1, rank, rank)
+        b = _mode_mttkrp(tvals, p_values, conj_factors, n)
+        a = _mode_mttkrp(weights, p_weights, pairs, n).reshape(-1, rank, rank)
         factors[n][...] = (b[:, None, :] @ _hermitian_pinv(a))[:, 0, :]
         conj_factors[n] = np.conj(factors[n])
         pairs[n] = _pair_columns(factors[n])
+    return b, a
 
 
 def _residual(tvals, mask, model):
@@ -330,34 +371,68 @@ def _residual(tvals, mask, model):
     return r if mask is None else np.where(mask, r, 0.0)
 
 
+def _relative_residual(tvals, mask, norm, model):
+    return float(np.linalg.norm(_residual(tvals, mask, model).ravel())) / norm
+
+
 def _als_iterate(tvals, mask, norm, x, opts, n_sweeps):
     """Run up to n_sweeps ALS sweeps on the factor views of x, in place;
-    returns (trace, converged). With imputation the first sweep reads the
-    zero-filled tensor, so where ALS lands depends neither on the start's
-    scale nor on the data's unit."""
+    returns (trace, converged, exact), exact telling whether the last trace
+    entry is the computed residual of the factors left in x. With
+    imputation the first sweep reads the zero-filled tensor, so where ALS
+    lands depends neither on the start's scale nor on the data's unit, and
+    each sweep's reconstruction gives both its residual and the next
+    sweep's imputed entries.
+
+    Otherwise a sweep reads its fit off its last mode's normal equations
+    u_k a_k = b_k, row k of U_{N-1} (a dense sweep has one a for every
+    row, the Hadamard product of the conjugated Gramians): the squared
+    residual is
+    ||T||^2 - 2 Re<T, M> + ||M||^2 with <T, M> = vdot(U_{N-1}, b) and
+    ||M||^2 = sum_k u_k a_k u_k^H, over the observed entries with
+    masked_residuals. Its three terms are of size ||T||^2, and a sum of n
+    terms rounds with an error that grows like sqrt(n) eps (Higham & Mary,
+    SIAM J. Sci. Comput. 2019), n the entry count. That error in rel^2 is
+    an error of about sqrt(n) eps / (2 rel) in the relative residual rel,
+    so the difference of two entries that the stall test reads is off by
+    up to sqrt(n) eps / rel. Below rel = 2 sqrt(n) eps / REL_OBJECTIVE_TOL,
+    where that could reach half the tolerance, the sweep computes the
+    residual instead. (On a 32x32x64 rank-6 tensor the error in rel^2
+    measured at most 15 eps, against sqrt(n) = 256.) A stall is only
+    decided on a computed residual: when a fit read off the normal
+    equations would end the loop, it is replaced by the computed one and
+    the test is made again, so a converged trace ends on the exact
+    residual.
+    """
     shape, rank = tvals.shape, opts.rank
     factors = _factor_views(x, shape, rank)
     impute = mask is not None and opts.missing_data_strategy == "expectation_imputation"
-    # with imputation, a sweep's reconstruction gives both its residual and
-    # the next sweep's imputed entries
+    exact_below = 2.0 * math.sqrt(tvals.size) * np.finfo(np.float64).eps / REL_OBJECTIVE_TOL
     model = 0.0
     trace = []
+    exact = False
     for _ in range(n_sweeps):
-        if mask is None:
-            _als_sweep_dense(tvals, factors)
-        elif impute:
+        if impute:
             _als_sweep_dense(np.where(mask, tvals, model), factors)
+            rel = math.nan
         else:
-            _als_sweep_masked(tvals, mask, factors)
+            b, a = _als_sweep_dense(tvals, factors) if mask is None else _als_sweep_masked(tvals, mask, factors)
+            u = factors[-1]
+            model_sq = np.vdot(u, (u[:, None, :] @ a)[:, 0, :]).real
+            rel = math.sqrt(max(1.0 + (model_sq - 2.0 * np.vdot(u, b).real) / norm ** 2, 0.0))
         _rebalance(x, shape, rank)
-        model = core.reconstruct(factors)
-        rel = float(np.linalg.norm(_residual(tvals, mask, model).ravel())) / norm
+        # both comparisons are false for the nan of imputation and of a
+        # non-finite fit
+        exact = not rel >= exact_below or (len(trace) > 0 and trace[-1] - rel < REL_OBJECTIVE_TOL)
+        if exact:
+            model = core.reconstruct(factors)
+            rel = _relative_residual(tvals, mask, norm, model)
         trace.append(rel)
         if len(trace) >= 2 and trace[-2] - trace[-1] < REL_OBJECTIVE_TOL:
-            return trace, True
+            return trace, True, exact
         if not math.isfinite(rel):
             break
-    return trace, False
+    return trace, False, exact
 
 
 def cpd_als(t, opts):
@@ -372,10 +447,22 @@ def cpd_als(t, opts):
     same mttkrp and their R x R matrices from one mttkrp of the mask
     against the columns U_m[:, r] * conj(U_m[:, s]). Every pseudo-inverse
     is a Hermitian one from eigh, cut at PINV_RCOND.
+
+    The last factor changes only at the end of a sweep, so each sweep
+    contracts the tensor (and the mask, for the normal matrices) with it
+    once, and every other mode's mttkrp is a rank-wise reduction of that
+    product (core._last_mode_product, core._leading_mttkrp): two passes
+    over the tensor per mttkrp kind instead of N. A dense or
+    masked_residuals sweep reads its fit off its last mode's normal
+    equations, with no reconstruct (see _als_iterate). A stall ends the
+    solve only if it holds for the sweep's computed residual, and the last
+    trace entry is the computed residual of the returned model.
     """
     tvals, mask, norm = _observed(t)
     x = _start(tvals, mask, opts, norm)
-    trace, converged = _als_iterate(tvals, mask, norm, x, opts, opts.max_iterations)
+    trace, converged, exact = _als_iterate(tvals, mask, norm, x, opts, opts.max_iterations)
+    if not exact:
+        trace[-1] = _relative_residual(tvals, mask, norm, core.reconstruct(_factor_views(x, tvals.shape, opts.rank)))
     return _finish(x, tvals.shape, opts.rank, trace, converged)
 
 
@@ -419,8 +506,8 @@ def cpd_gradient(t, factors):
     tvals, mask, _ = _observed(t)
     factors = [np.asarray(f, dtype=np.complex128) for f in core._factor_list(factors)]
     r = _residual(tvals, mask, core.reconstruct(factors))
-    conj_factors = [np.conj(f) for f in factors]
-    return [core.mttkrp(r, conj_factors, n) for n in range(len(factors))]
+    g = _mttkrps(r, [np.conj(f) for f in factors])
+    return _factor_views(g, tvals.shape, factors[0].shape[1])
 
 
 def _gramian_products(factors, pairs=True):
@@ -584,8 +671,7 @@ def _masked_gn_operator(factors, mask, mu):
         for block, d in zip(blocks, _factor_views(v, shape, rank)):
             block[...] = d
         tangent = np.where(mask, core.reconstruct(wide), 0.0)
-        jtj_v = np.concatenate([core.mttkrp(tangent, conj_factors, n).ravel() for n in range(n_modes)])
-        return jtj_v + mu * v
+        return _mttkrps(tangent, conj_factors) + mu * v
 
     return matvec
 
@@ -695,7 +781,7 @@ def cpd_nls(t, opts):
     conj_factors = _factor_views(np.conj(x), shape, rank)
 
     for _ in range(opts.max_iterations):
-        g = np.concatenate([core.mttkrp(r, conj_factors, n).ravel() for n in range(n_modes)])
+        g = _mttkrps(r, conj_factors)
         g_norm = np.linalg.norm(g)
         # an exact fit: on noiseless data the predicted-decrease witness is
         # rounding noise near the solution, and without this exit a

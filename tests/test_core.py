@@ -4,6 +4,8 @@ Every nontrivial routine is checked against an independent reimplementation
 that follows the index formulas directly, with no shared code paths.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -453,6 +455,57 @@ def test_mttkrp_all_ones_gives_fiber_sums():
     factors = [np.ones((s, 1), dtype=complex) for s in (2, 3, 4)]
     out = mttkrp(t, factors, 0)
     assert np.allclose(out, 12.0 * np.ones((2, 1)))
+
+
+def test_leading_mttkrps_from_the_last_mode_product_match_naive():
+    # orders 2 to 4, tensor and factors in each memory layout: P, the
+    # tensor contracted once with the last factor, gives every other mode
+    rng = np.random.default_rng(64)
+    for shape in [(3, 4), (4, 3, 5), (2, 3, 2, 3), (3, 1, 4, 2)]:
+        t = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        factors = random_factors(rng, shape, 3)
+        for layout in ("C", "F", "sliced"):
+            tl = layouts(t)[layout]
+            fl = [layouts(f)[layout] for f in factors]
+            p = core._last_mode_product(tl, fl[-1])
+            assert p.shape == (t.size // shape[-1], 3)
+            for mode in range(len(shape) - 1):
+                got = core._leading_mttkrp(p, fl, mode)
+                want = naive_mttkrp(t, factors, mode)
+                assert got.shape == want.shape
+                assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-10, (shape, layout, mode)
+                assert np.linalg.norm(got - mttkrp(tl, fl, mode)) / np.linalg.norm(want) < 1e-12, (shape, layout, mode)
+
+
+def test_mttkrp_does_not_read_the_rows_of_the_factor_of_its_mode():
+    # factors[mode] only fixes the list length and the rank; a stand-in
+    # with another row count gives the same product at every mode
+    rng = np.random.default_rng(65)
+    for shape in [(4, 3, 5), (2, 3, 2, 3)]:
+        t = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        factors = random_factors(rng, shape, 3)
+        for mode in range(len(shape)):
+            stand_in = factors[:mode] + [np.zeros((7, 3))] + factors[mode + 1:]
+            want = naive_mttkrp(t, factors, mode)
+            assert np.linalg.norm(mttkrp(t, stand_in, mode) - want) / np.linalg.norm(want) < 1e-10, (shape, mode)
+
+
+def test_last_mode_product_does_not_copy_a_c_contiguous_tensor():
+    # the C-order reshape is a view; a copy of the tensor alone would
+    # already reach its nbytes
+    rng = np.random.default_rng(66)
+    for shape in [(32, 32, 64), (8, 8, 16, 64)]:
+        t = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        factors = random_factors(rng, shape, 6)
+        tracemalloc.start()
+        try:
+            p = core._last_mode_product(t, factors[-1])
+            for mode in range(len(shape) - 1):
+                core._leading_mttkrp(p, factors, mode)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < t.nbytes, (shape, peak / t.nbytes)
 
 
 def test_mttkrp_dimension_mismatch():

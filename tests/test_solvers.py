@@ -5,6 +5,7 @@ generating tensor (no permutation alignment needed); factor-level error
 checks live with the metrics tests.
 """
 
+import dataclasses
 import tracemalloc
 from pathlib import Path
 
@@ -158,6 +159,23 @@ def test_options_validation():
         CpdOptions(rank=1, init=-5)
 
 
+@pytest.mark.parametrize("name,value", [
+    ("rank", 2.0), ("rank", True),
+    ("max_iterations", 2.5), ("max_iterations", True),
+    ("init", 1.5), ("init", True),
+])
+def test_options_refuse_a_bool_or_a_non_integer(name, value):
+    # as the config parser does: a seed of 1.5 or True would otherwise run
+    # seed 1, and a float rank or iteration count fail inside the solve
+    with pytest.raises(ValueError, match=f"^{name}( seed)? must be an integer, got {value!r}$"):
+        CpdOptions(**{"rank": 2, name: value})
+
+
+def test_options_accept_numpy_integers():
+    opts = CpdOptions(rank=np.int64(2), max_iterations=np.int32(50), init=np.uint16(1))
+    assert [(type(v), v) for v in (opts.rank, opts.max_iterations, opts.init)] == [(int, 2), (int, 50), (int, 1)]
+
+
 def test_zero_tensor_rejected():
     with pytest.raises(ValueError):
         cpd_als(np.zeros((3, 3, 3)), CpdOptions(rank=1))
@@ -239,6 +257,55 @@ def test_als_noise_floor_at_equal_power():
     floor = np.linalg.norm(n) / np.linalg.norm(noisy)
     _, diag = cpd_als(noisy, CpdOptions(rank=3, algorithm="als", init=2, max_iterations=200))
     assert abs(diag.final_relative_residual - floor) / floor < 0.05
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_als_fit_read_off_the_last_mode_is_the_residual_of_the_sweep(masked):
+    # a sweep takes its fit from its last mode's normal equations; the same
+    # solve stopped after j + 1 sweeps reports the exact residual of the
+    # model of sweep j
+    for seed in range(3):
+        t = demo_tensors(seed)[masked]
+        opts = CpdOptions(rank=3, algorithm="als", init=seed + INIT_SEED_OFFSET, max_iterations=6,
+                          missing_data_strategy="masked_residuals")
+        _, diag = cpd_als(t, opts)
+        assert diag.iterations == 6, seed
+        for j, rel in enumerate(diag.objective_trace):
+            _, short = cpd_als(t, dataclasses.replace(opts, max_iterations=j + 1))
+            assert rel == pytest.approx(short.final_relative_residual, rel=1e-12, abs=0), (seed, j)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_als_stall_holds_on_the_returned_trace(masked):
+    # a stall is only taken on a computed residual, so the trace of a
+    # converged solve shows it, and its last entry is the returned model's
+    # residual over the observed entries
+    for seed in range(3):
+        t = demo_tensors(seed)[masked]
+        opts = CpdOptions(rank=3, algorithm="als", init=seed + INIT_SEED_OFFSET,
+                          missing_data_strategy="masked_residuals")
+        model, diag = cpd_als(t, opts)
+        assert diag.converged, seed
+        trace = diag.objective_trace
+        assert trace[-2] - trace[-1] < solvers.REL_OBJECTIVE_TOL, seed
+        values, mask = (t.values, t.mask) if masked else (t, np.ones(t.shape, dtype=bool))
+        exact = np.linalg.norm(np.where(mask, core.reconstruct(model) - values, 0.0)) / np.linalg.norm(values)
+        assert trace[-1] == pytest.approx(exact, rel=1e-12, abs=0), seed
+
+
+def test_noiseless_als_stalls_on_exact_residuals():
+    # near an exact fit the fit read off the normal equations is rounding
+    # noise, about sqrt(eps) at best; the sweeps compute the residual there,
+    # so a noiseless solve still stalls below 1e-10 and reports the
+    # returned model's residual
+    truth = make_truth((10, 10, 15), 2, 21)
+    t = core.reconstruct(truth)
+    model, diag = cpd_als(t, CpdOptions(rank=2, algorithm="als", init=seeded_start(t, 2, 1)))
+    assert diag.converged
+    assert diag.iterations > 2
+    assert max(diag.objective_trace[-2:]) <= 1e-10
+    exact = np.linalg.norm(core.reconstruct(model) - t) / np.linalg.norm(t)
+    assert abs(diag.final_relative_residual - exact) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -933,12 +1000,16 @@ def test_rebalance_equalizes_column_norms_and_keeps_the_model():
 
 def masked_normal_equations(tvals, mask, factors, n):
     """Right-hand sides b (I_n, R) and normal matrices a (I_n, R, R) of the
-    masked ALS update of mode n, as the sweep forms them: two mttkrps."""
+    masked ALS update of mode n, as the sweep forms them: two mttkrps, read
+    off the last-mode products of the values and of the mask below the last
+    mode."""
     rank = factors[0].shape[1]
     pairs = [(f[:, :, None] * np.conj(f)[:, None, :]).reshape(f.shape[0], -1) for f in factors]
-    b = core.mttkrp(tvals, [np.conj(f) for f in factors], n)
-    a = core.mttkrp(mask.astype(complex), pairs, n).reshape(-1, rank, rank)
-    return b, a
+    conj_factors = [np.conj(f) for f in factors]
+    weights = mask.astype(complex)
+    b = solvers._mode_mttkrp(tvals, core._last_mode_product(tvals, conj_factors[-1]), conj_factors, n)
+    a = solvers._mode_mttkrp(weights, core._last_mode_product(weights, pairs[-1]), pairs, n)
+    return b, a.reshape(-1, rank, rank)
 
 
 def masked_sweep_problem(rng, shape, rank):

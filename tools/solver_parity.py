@@ -28,9 +28,11 @@ decides most of the iterations. The "swamp" condition adds seeds 0-11 of
 SWAMP_SCENE, two noiseless sources on a 6x6 array with 12 samples, under
 the three algorithms: the configuration where last-bit
 rounding decides whether a solve is certified as converged. Every solve
-prints one JSON line: seed, condition, algorithm, iterations, converged and
-final residual; the converged count and the median and total iterations of
-every condition and algorithm follow on standard error, and then, for each
+prints one JSON line: seed, condition, algorithm, iterations, converged,
+final residual and wall time in milliseconds ("ms", informational: no
+comparison reads it, and files without it are still read); the converged
+count, the median and total iterations and the median wall time of every
+condition and algorithm follow on standard error, and then, for each
 unit condition and algorithm, how many seeds match the unscaled
 "expectation_imputation" solve of the same seed in iterations and
 converged.
@@ -42,7 +44,8 @@ side is listed on standard error, and the exit status is 1. Then, for
 each condition and algorithm, the converged count and the iteration total
 in FILE and here follow, with the largest relative residual gap among the
 solves converged on both sides: the gate for a change that moves
-iteration counts on purpose. The cpdhr package is imported from the src/
+iteration counts on purpose. The median wall times in FILE and here
+follow where FILE has them. The cpdhr package is imported from the src/
 directory of the checkout that holds this script.
 """
 
@@ -56,6 +59,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
+import time  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -92,10 +96,12 @@ def _solve_all(tensor, seed, condition, rank, strategy):
     for algorithm in solvers.ALGORITHMS:
         opts = CpdOptions(rank=rank, algorithm=algorithm,
                           init=seed + INIT_SEED_OFFSET, missing_data_strategy=strategy)
+        start = time.perf_counter()
         _, diag = solvers.cpd(tensor, opts)
+        ms = 1e3 * (time.perf_counter() - start)
         yield {"seed": seed, "condition": condition, "algorithm": algorithm,
                "iterations": diag.iterations, "converged": diag.converged,
-               "residual": diag.final_relative_residual}
+               "residual": diag.final_relative_residual, "ms": round(ms, 3)}
 
 
 def solves():
@@ -145,14 +151,14 @@ def _key(rec):
 
 
 def cell_summaries(records):
-    """One line per (condition, algorithm): converged solves of all, and
-    the median and total iterations."""
+    """One line per (condition, algorithm): converged solves of all, the
+    median and total iterations, and the median wall time."""
     cells = {}
     for rec in records:
         cells.setdefault((rec["condition"], rec["algorithm"]), []).append(rec)
     return [f"{condition} {algorithm}: {sum(r['converged'] for r in recs)}/{len(recs)} converged, "
             f"iterations median {np.median([r['iterations'] for r in recs]):g} "
-            f"total {sum(r['iterations'] for r in recs)}"
+            f"total {sum(r['iterations'] for r in recs)}, median {np.median([r['ms'] for r in recs]):.2f} ms"
             for (condition, algorithm), recs in cells.items()]
 
 
@@ -174,8 +180,9 @@ def unit_matches(records):
 
 def cell_comparisons(records, reference):
     """One line per (condition, algorithm) of the records: converged count
-    and iteration total in the reference and here, and the largest
-    relative residual gap among the solves converged on both sides."""
+    and iteration total in the reference and here, the largest relative
+    residual gap among the solves converged on both sides, and the median
+    wall times where the reference has them."""
     ref = {_key(r): r for r in reference}
     cells = {}
     for rec in records:
@@ -185,11 +192,16 @@ def cell_comparisons(records, reference):
         pairs = [(old, new) for old, new in pairs if old is not None]
         both = [(old, new) for old, new in pairs if old["converged"] and new["converged"]]
         gaps = [abs(new["residual"] - old["residual"]) / abs(old["residual"]) for old, new in both]
+        times = ""
+        if pairs and all("ms" in old for old, _ in pairs):
+            times = (f", median {np.median([o['ms'] for o, _ in pairs]):.2f} -> "
+                     f"{np.median([n['ms'] for _, n in pairs]):.2f} ms")
         lines.append(
             f"{condition} {algorithm}: converged {sum(o['converged'] for o, _ in pairs)}/{len(pairs)} -> "
             f"{sum(n['converged'] for _, n in pairs)}/{len(pairs)}, iterations total "
             f"{sum(o['iterations'] for o, _ in pairs)} -> {sum(n['iterations'] for _, n in pairs)}, "
-            f"largest residual gap {max(gaps, default=0.0):.2g} over {len(both)} converged on both sides")
+            f"largest residual gap {max(gaps, default=0.0):.2g} over {len(both)} converged on both sides"
+            + times)
     return lines
 
 
