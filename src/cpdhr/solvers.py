@@ -38,6 +38,18 @@ CG_MAX_ITER = 60
 CG_RTOL = 1e-2
 WARMSTART_SWEEPS = 3
 
+# ALS sweeps from this one on (counting from 0), dense or masked_residuals,
+# end with an exact line search (see _line_search), which costs about one
+# more sweep. Solves from the algebraic start of a fully observed tensor
+# mostly stop after ten or eleven sweeps (17 of the first 30 ALS cases of
+# perfbench's large_array_dense workload), where a search would only add
+# cost; slow solves, the seeded masked ones and the dense ones that crawl,
+# run on and gain. Over the ALS solves of tools/solver_parity.py, starting
+# at sweep 3 or 5 saved few more sweeps (dense demo cell 922 against 983
+# at 10) and starting at 15 or 20 kept more (masked_residuals 1,002 and
+# 1,031 against 984). The warm start's WARMSTART_SWEEPS never reach it.
+LINE_SEARCH_FROM = 10
+
 # Gauss-Newton's tolerance-based stops only count as convergence once the
 # gradient norm is this small relative to the data's gradient scale g_scale
 # (see cpd_nls), a ratio that does not depend on the data's unit. A slow
@@ -248,10 +260,10 @@ def _algebraic_start(tvals, rank, seed):
 
 def _rebalance(x, shape, rank):
     # gauge-only: spread each column's magnitude evenly over the modes, in
-    # place on the (sum I_n, R) view of x. Keeping the blocks comparably
-    # scaled matters a lot downstream: the spherical damping mu * I on the
-    # stacked parameters damps the modes unevenly when one mode carries all
-    # the magnitude.
+    # place on the (sum I_n, R) view of x; returns the (N, R) column
+    # scales. Keeping the blocks comparably scaled matters a lot
+    # downstream: the spherical damping mu * I on the stacked parameters
+    # damps the modes unevenly when one mode carries all the magnitude.
     rows = x.reshape(-1, rank)
     norms = np.sqrt(np.add.reduceat((rows.conj() * rows).real, np.cumsum((0,) + shape[:-1]), axis=0))
     total = norms.prod(axis=0)
@@ -259,6 +271,7 @@ def _rebalance(x, shape, rank):
     target = np.power(np.where(alive, total, 1.0), 1.0 / len(shape))
     scale = np.where(alive, target / np.where(norms > 0, norms, 1.0), 1.0)
     rows *= np.repeat(scale, shape, axis=0)
+    return scale
 
 
 def _finish(x, shape, rank, trace, converged):
@@ -291,6 +304,26 @@ def _hadamard_except(grams, *skip):
     return w
 
 
+def _hermitian_solve(a, b):
+    """x with x a = b, a Hermitian: every row of b against one matrix a, or
+    row k of b against a[k] of a stack. A batched Cholesky factorization
+    checks that every matrix is positive definite with every squared pivot
+    above PINV_RCOND times the largest of its matrix; then x is one batched
+    LU solve. Otherwise (an unobserved row, rank overshoot) the whole stack
+    takes b @ _hermitian_pinv(a), bit for bit."""
+    try:
+        pivots = np.linalg.cholesky(a).diagonal(axis1=-2, axis2=-1).real ** 2
+        definite = bool((pivots.min(axis=-1) > PINV_RCOND * pivots.max(axis=-1)).all())
+    except np.linalg.LinAlgError:
+        definite = False
+    if a.ndim == 2:
+        # x a = b is a^T x^T = b^T
+        return np.linalg.solve(a.T, b.T).T if definite else b @ _hermitian_pinv(a)
+    if definite:
+        return np.linalg.solve(a.swapaxes(-1, -2), b[..., None])[..., 0]
+    return (b[..., None, :] @ _hermitian_pinv(a))[..., 0, :]
+
+
 def _hermitian_pinv(a):
     """Pseudo-inverse of a Hermitian matrix or stack of them, from one
     eigh: eigenvalues at or below PINV_RCOND times the largest in
@@ -320,17 +353,20 @@ def _mttkrps(t, factors):
     return np.concatenate([_mode_mttkrp(t, p, factors, n).ravel() for n in range(len(factors))])
 
 
-def _als_sweep_dense(tvals, factors):
-    """One sweep over the modes in order; returns the last mode's
-    right-hand sides b and its normal matrix a, U_{N-1} a = b."""
+def _als_sweep_dense(tvals, factors, p=None):
+    """One sweep over the modes in order, from p, the tensor's last-mode
+    product against the conjugated last factor (formed here when None);
+    returns the last mode's right-hand sides b and its normal matrix a,
+    U_{N-1} a = b."""
     conj_factors = [np.conj(f) for f in factors]
     grams = _gramians(factors)
-    # the last factor only changes at the end of the sweep
-    p = core._last_mode_product(tvals, conj_factors[-1])
+    if p is None:
+        # the last factor only changes at the end of the sweep
+        p = core._last_mode_product(tvals, conj_factors[-1])
     for n in range(len(factors)):
         b = _mode_mttkrp(tvals, p, conj_factors, n)
         a = np.conj(_hadamard_except(grams, n))
-        factors[n][...] = b @ _hermitian_pinv(a)
+        factors[n][...] = _hermitian_solve(a, b)
         conj_factors[n] = np.conj(factors[n])
         grams[n] = factors[n].conj().T @ factors[n]
     return b, a
@@ -343,26 +379,169 @@ def _pair_columns(f):
     return (f[:, :, None] * np.conj(f)[:, None, :]).reshape(f.shape[0], -1)
 
 
-def _als_sweep_masked(tvals, mask, factors):
+def _real_product(m, c):
+    """The real matrix m times the complex matrix c as one real GEMM against
+    the float64 view of c (copied first unless C-contiguous): half the work
+    of the complex GEMM that casting m would take."""
+    return (m @ np.ascontiguousarray(c).view(np.float64)).view(np.complex128)
+
+
+def _masked_normal_matrices(weights, p_weights, pairs, n):
+    """The masked normal matrices a_i of mode n, row i flattened to R^2:
+    one mttkrp of the float64 mask against the pair columns, read off
+    p_weights = _real_product(mask over its last mode, pairs[-1]) below the
+    last mode."""
+    if n < len(pairs) - 1:
+        return core._leading_mttkrp(p_weights, pairs, n)
+    return _real_product(weights.reshape(-1, weights.shape[-1]).T, core._kr(pairs[:-1], pairs[0].shape[1]))
+
+
+def _als_sweep_masked(tvals, mask, factors, p=None):
     # Per-row normal equations restricted to the observed entries: row i of
     # mode n solves u_i a_i = b_i with a_i = sum_j mask[i, j] z_j^T conj(z_j),
     # z_j the Khatri-Rao row of the other modes, so the stack of a_i is one
-    # mttkrp of the mask against the pair columns. Rows with nothing
-    # observed get the least-norm answer (zero). Returns the last mode's b
-    # and its stack of a_i.
-    weights = mask.astype(tvals.dtype)
+    # mttkrp of the mask against the pair columns, taken as real products.
+    # Rows with nothing observed get the least-norm answer (zero). p holds
+    # the last-mode products of the values against the conjugated last
+    # factor and of the mask against its pair columns (formed here when
+    # None). Returns the last mode's b and its stack of a_i.
+    weights = np.asarray(mask, dtype=np.float64)
     conj_factors = [np.conj(f) for f in factors]
     pairs = [_pair_columns(f) for f in factors]
     rank = factors[0].shape[1]
-    p_values = core._last_mode_product(tvals, conj_factors[-1])  # masked values are zero-filled
-    p_weights = core._last_mode_product(weights, pairs[-1])
+    if p is None:
+        # masked values are zero-filled
+        p = (core._last_mode_product(tvals, conj_factors[-1]),
+             _real_product(weights.reshape(-1, weights.shape[-1]), pairs[-1]))
+    p_values, p_weights = p
     for n in range(len(factors)):
         b = _mode_mttkrp(tvals, p_values, conj_factors, n)
-        a = _mode_mttkrp(weights, p_weights, pairs, n).reshape(-1, rank, rank)
-        factors[n][...] = (b[:, None, :] @ _hermitian_pinv(a))[:, 0, :]
+        a = _masked_normal_matrices(weights, p_weights, pairs, n).reshape(-1, rank, rank)
+        factors[n][...] = _hermitian_solve(a, b)
         conj_factors[n] = np.conj(factors[n])
         pairs[n] = _pair_columns(factors[n])
     return b, a
+
+
+def _convolve(terms):
+    """out[:, a + b] = sum of terms[:, a, ..., b]: column by column, the
+    coefficients of a product of two polynomials in nu from the products
+    of their coefficients, the first's on axis 1 and the second's on the
+    last axis."""
+    k, j = terms.shape[1], terms.shape[-1]
+    out = np.zeros(terms.shape[:1] + (k + j - 1,) + terms.shape[2:-1], dtype=terms.dtype)
+    for b in range(j):
+        out[:, b:b + k] += terms[..., b]
+    return out
+
+
+def _leading_polynomial(z, polys):
+    """The sum over all columns of a product of polynomials in nu: z holds
+    the coefficients (C, k, prod of the leading extents) of a last-mode
+    product and polys[n] those (C, I_n, j) of mode n, column c of each
+    contracted with column c of the others over the leading modes, one
+    batched GEMM per mode."""
+    for f in reversed(polys):
+        z = _convolve((z.reshape(z.shape[0], -1, f.shape[1]) @ f).reshape(z.shape[:2] + (-1, f.shape[-1])))
+    return z.sum(axis=(0, 2))
+
+
+def _pair_polynomial(u, d):
+    """The pair columns of u + nu d, ordered (r, s), as a polynomial of
+    degree 2 in real nu: coefficients (R^2, rows, 3)."""
+    ut, dt = u.T[:, None], d.T[:, None]
+    uc, dc = np.conj(u.T), np.conj(d.T)
+    out = np.empty(ut.shape[:1] + uc.shape + (3,), dtype=np.complex128)
+    np.multiply(ut, uc, out=out[..., 0])
+    np.multiply(ut, dc, out=out[..., 1])
+    out[..., 1] += dt * uc
+    np.multiply(dt, dc, out=out[..., 2])
+    return out.reshape(-1, u.shape[0], 3)
+
+
+def _by_column(p, degree):
+    """A last-mode product whose degree + 1 column blocks hold the
+    coefficients of a polynomial, as (C, degree + 1, prod of the leading
+    extents), the layout _leading_polynomial reads."""
+    return np.ascontiguousarray(p.reshape(p.shape[0], degree + 1, -1).transpose(2, 1, 0))
+
+
+def _line_search_polynomial(tvals, weights, norm, x, d, rank):
+    """The squared relative residual over the observed entries of the model
+    x + nu d, as the ascending coefficients of a real polynomial of degree
+    2N in real nu, with the last-mode products it was read off:
+    (coefficients, p_values, p_weights).
+
+    ||T - M||^2 = ||T||^2 - 2 Re<T, M> + ||M||^2. <T, M(nu)> contracts
+    p_values, the (prod of the leading extents, 2R) last-mode product of
+    the zero-filled tensor against [conj U_{N-1} | conj D_{N-1}], with the
+    leading modes' conjugated U_n + nu D_n. ||M(nu)||^2 sums the
+    Khatri-Rao product of every mode's pair columns of U_n + nu D_n, each
+    of degree 2, weighted by the mask. Dense, that is the product of their
+    sums over each mode's rows, the Gramians of U_n + nu D_n; masked, it
+    contracts p_weights, the real product of the mask over its last mode
+    against the last mode's pair columns, (prod of the leading extents,
+    3 R^2), with the leading modes' pair columns. Neither the tensor nor
+    the mask is read more than once."""
+    shape = tvals.shape
+    starts = np.cumsum((0,) + shape)
+    xr, dr = x.reshape(-1, rank), d.reshape(-1, rank)
+    last = slice(starts[-2], None)
+    p_values = core._last_mode_product(tvals, np.conj(np.concatenate([xr[last], dr[last]], axis=1)))
+    linear = np.conj(np.stack([xr, dr], axis=-1)).transpose(1, 0, 2)
+    inner = _leading_polynomial(_by_column(p_values, 1),
+                                [linear[:, starts[n]:starts[n + 1]] for n in range(len(shape) - 1)])
+    pairs = _pair_polynomial(xr, dr)
+    if weights is None:
+        p_weights = None
+        grams = np.add.reduceat(pairs, starts[:-1], axis=1)
+        model_sq = grams[:, 0]
+        for n in range(1, len(shape)):
+            model_sq = _convolve(model_sq[:, :, None] * grams[:, n, None, :])
+        model_sq = model_sq.sum(axis=0)
+    else:
+        last_pairs = pairs[:, last].transpose(1, 2, 0).reshape(shape[-1], -1)
+        p_weights = _real_product(weights.reshape(-1, shape[-1]), last_pairs)
+        model_sq = _leading_polynomial(_by_column(p_weights, 2),
+                                       [pairs[:, starts[n]:starts[n + 1]] for n in range(len(shape) - 1)])
+    coefficients = model_sq.real
+    coefficients[:inner.size] -= 2.0 * inner.real
+    coefficients /= norm ** 2
+    coefficients[0] += 1.0
+    return coefficients, p_values, p_weights
+
+
+def _line_search(tvals, weights, norm, x, x_prev, rank):
+    """Exact line search from the sweep's point x along d = x - x_prev, in
+    place: x becomes x + nu d for the real nu > 0 that minimizes the
+    observed squared residual, read off _line_search_polynomial, when that
+    beats nu = 0 (x_prev + mu d for mu = 1 + nu >= 1, in the terms of Rajih,
+    Comon & Harshman, SIAM J. Matrix Anal. Appl. 2008). Returns the squared
+    relative residual at the point left in x and the next sweep's last-mode
+    products there."""
+    d = x - x_prev
+    coefficients, p_values, p_weights = _line_search_polynomial(tvals, weights, norm, x, d, rank)
+    nu, rel_sq = 0.0, coefficients[0]
+    # the top coefficient, the observed squared norm of the model of the
+    # D_n, is > 0 unless that model vanishes on the observed entries; then
+    # the polynomial grows without bound, and its minimizer over nu >= 0 is
+    # 0 or a real root of its derivative, an eigenvalue of the companion
+    # matrix. The real parts of the complex roots are candidates too,
+    # which cannot evaluate below that minimizer.
+    derivative = coefficients[1:] * np.arange(1, coefficients.size)
+    if np.isfinite(coefficients).all() and derivative[-1] > 0.0:
+        companion = np.diag(np.ones(derivative.size - 2), -1)
+        companion[:, -1] = -derivative[:-1] / derivative[-1]
+        roots = np.linalg.eigvals(companion).real
+        roots = roots[roots > 0.0]
+        values = (roots[:, None] ** np.arange(coefficients.size)) @ coefficients
+        if values.size and values.min() < rel_sq:
+            nu, rel_sq = roots[values.argmin()], values.min()
+    x += nu * d
+    p_values = p_values[:, :rank] + nu * p_values[:, rank:]
+    if p_weights is None:
+        return rel_sq, p_values
+    return rel_sq, (p_values, nu ** np.arange(3) @ p_weights.reshape(-1, 3, rank * rank))
 
 
 def _residual(tvals, mask, model):
@@ -403,24 +582,42 @@ def _als_iterate(tvals, mask, norm, x, opts, n_sweeps):
     equations would end the loop, it is replaced by the computed one and
     the test is made again, so a converged trace ends on the exact
     residual.
+
+    From sweep LINE_SEARCH_FROM on, a dense or masked_residuals sweep ends
+    with _line_search along its own step, which reads the fit off its
+    polynomial under the same rules, and hands the next sweep its
+    last-mode products p, so that sweep makes no pass of its own over the
+    tensor or the mask for them. The rebalance scales column r of the last
+    factor by s_r, so p's columns follow: s_r for the values and s_r s_s
+    for pair (r, s) of the mask's.
     """
     shape, rank = tvals.shape, opts.rank
     factors = _factor_views(x, shape, rank)
     impute = mask is not None and opts.missing_data_strategy == "expectation_imputation"
+    weights = None if mask is None else mask.astype(np.float64)
     exact_below = 2.0 * math.sqrt(tvals.size) * np.finfo(np.float64).eps / REL_OBJECTIVE_TOL
     model = 0.0
+    p = None
     trace = []
     exact = False
-    for _ in range(n_sweeps):
+    for sweep in range(n_sweeps):
         if impute:
             _als_sweep_dense(np.where(mask, tvals, model), factors)
             rel = math.nan
         else:
-            b, a = _als_sweep_dense(tvals, factors) if mask is None else _als_sweep_masked(tvals, mask, factors)
-            u = factors[-1]
-            model_sq = np.vdot(u, (u[:, None, :] @ a)[:, 0, :]).real
-            rel = math.sqrt(max(1.0 + (model_sq - 2.0 * np.vdot(u, b).real) / norm ** 2, 0.0))
-        _rebalance(x, shape, rank)
+            x_prev = x.copy() if sweep >= LINE_SEARCH_FROM else None
+            b, a = _als_sweep_dense(tvals, factors, p) if mask is None else _als_sweep_masked(tvals, weights, factors, p)
+            if x_prev is not None:
+                rel_sq, p = _line_search(tvals, weights, norm, x, x_prev, rank)
+            else:
+                u = factors[-1]
+                model_sq = np.vdot(u, (u[:, None, :] @ a)[:, 0, :]).real
+                rel_sq = 1.0 + (model_sq - 2.0 * np.vdot(u, b).real) / norm ** 2
+            rel = math.sqrt(max(rel_sq, 0.0))
+        scale = _rebalance(x, shape, rank)[-1]
+        if p is not None:
+            # the last-mode products follow the last factor's column scales
+            p = p * scale if mask is None else (p[0] * scale, p[1] * np.outer(scale, scale).ravel())
         # both comparisons are false for the nan of imputation and of a
         # non-finite fit
         exact = not rel >= exact_below or (len(trace) > 0 and trace[-1] - rel < REL_OBJECTIVE_TOL)
@@ -445,8 +642,12 @@ def cpd_als(t, opts):
     first sweep) or excluded via per-row masked normal equations, depending on
     opts.missing_data_strategy. Those take their right-hand sides from the
     same mttkrp and their R x R matrices from one mttkrp of the mask
-    against the columns U_m[:, r] * conj(U_m[:, s]). Every pseudo-inverse
-    is a Hermitian one from eigh, cut at PINV_RCOND.
+    against the columns U_m[:, r] * conj(U_m[:, s]), the mask taken as
+    float64 in real products. Each mode's R x R systems are solved at once
+    by _hermitian_solve: a batched Cholesky factorization checks that they
+    are positive definite and a batched LU solve takes them; a stack that
+    fails the check (an unobserved row, rank overshoot) takes the Hermitian
+    pseudo-inverse from eigh, cut at PINV_RCOND.
 
     The last factor changes only at the end of a sweep, so each sweep
     contracts the tensor (and the mask, for the normal matrices) with it
@@ -454,9 +655,16 @@ def cpd_als(t, opts):
     product (core._last_mode_product, core._leading_mttkrp): two passes
     over the tensor per mttkrp kind instead of N. A dense or
     masked_residuals sweep reads its fit off its last mode's normal
-    equations, with no reconstruct (see _als_iterate). A stall ends the
-    solve only if it holds for the sweep's computed residual, and the last
-    trace entry is the computed residual of the returned model.
+    equations, with no reconstruct (see _als_iterate). From sweep
+    LINE_SEARCH_FROM on, such a sweep ends with an exact line search
+    along its step (Rajih, Comon & Harshman, SIAM J. Matrix Anal. Appl.
+    2008): the observed squared residual along the line is a polynomial of
+    degree 2N, built from the last-mode products the next sweep needs
+    anyway, and its minimizer beyond the sweep's point is taken when it
+    is lower (see _line_search). No step raises the objective. Imputation
+    sweeps take no search. A stall ends the solve only if it holds for the
+    sweep's computed residual, and the last trace entry is the computed
+    residual of the returned model.
     """
     tvals, mask, norm = _observed(t)
     x = _start(tvals, mask, opts, norm)
@@ -581,8 +789,8 @@ def _explicit_masked_gn_operator(factors, mask, mu):
     for n in range(n_modes):
         for m in range(n + 1, n_modes):
             others = core._kr([pairs[k] for k in range(n_modes) if k not in (n, m)], rank * rank)
-            w_nm = (np.moveaxis(weights, (n, m), (0, 1)).reshape(mask.shape[n] * mask.shape[m], -1)
-                    @ others.view(np.float64)).view(np.complex128)
+            w_nm = _real_product(np.moveaxis(weights, (n, m), (0, 1)).reshape(mask.shape[n] * mask.shape[m], -1),
+                                 others)
             w[n, m] = w_nm.reshape(mask.shape[n], mask.shape[m], rank * rank)
     if n_modes == 1:
         diag = [np.repeat(weights[:, None], rank * rank, axis=1)]

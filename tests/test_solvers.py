@@ -261,15 +261,17 @@ def test_als_noise_floor_at_equal_power():
 
 @pytest.mark.parametrize("masked", [False, True])
 def test_als_fit_read_off_the_last_mode_is_the_residual_of_the_sweep(masked):
-    # a sweep takes its fit from its last mode's normal equations; the same
-    # solve stopped after j + 1 sweeps reports the exact residual of the
-    # model of sweep j
+    # a sweep takes its fit from its last mode's normal equations, or from
+    # the line search's polynomial once the searches start; the same solve
+    # stopped after j + 1 sweeps reports the exact residual of the model of
+    # sweep j
+    sweeps = solvers.LINE_SEARCH_FROM + 4
     for seed in range(3):
         t = demo_tensors(seed)[masked]
-        opts = CpdOptions(rank=3, algorithm="als", init=seed + INIT_SEED_OFFSET, max_iterations=6,
+        opts = CpdOptions(rank=3, algorithm="als", init=seed + INIT_SEED_OFFSET, max_iterations=sweeps,
                           missing_data_strategy="masked_residuals")
         _, diag = cpd_als(t, opts)
-        assert diag.iterations == 6, seed
+        assert diag.iterations == sweeps, seed
         for j, rel in enumerate(diag.objective_trace):
             _, short = cpd_als(t, dataclasses.replace(opts, max_iterations=j + 1))
             assert rel == pytest.approx(short.final_relative_residual, rel=1e-12, abs=0), (seed, j)
@@ -291,6 +293,120 @@ def test_als_stall_holds_on_the_returned_trace(masked):
         values, mask = (t.values, t.mask) if masked else (t, np.ones(t.shape, dtype=bool))
         exact = np.linalg.norm(np.where(mask, core.reconstruct(model) - values, 0.0)) / np.linalg.norm(values)
         assert trace[-1] == pytest.approx(exact, rel=1e-12, abs=0), seed
+
+
+def test_als_line_search_shortens_the_algebraic_start_crawl():
+    # from the algebraic start, plain ALS crawled on the dense 0 dB demo
+    # tensors of seeds 5, 6 and 12 (291, 203 and 442 sweeps); the line
+    # search takes them out of the swamp
+    for seed in (5, 6, 12):
+        dense, _ = demo_tensors(seed)
+        _, diag = cpd_als(dense, CpdOptions(rank=3, algorithm="als", init=seed + INIT_SEED_OFFSET))
+        assert diag.converged and diag.iterations < 200, (seed, diag.iterations)
+
+
+def line_search_problem(rng, shape, rank, masked):
+    """A tensor with noise, its float64 mask or None, and a point x and a
+    step d of the flat parameters; masked, row 1 of mode 0 is unobserved."""
+    truth = [crandn(rng, i, rank) for i in shape]
+    t = core.reconstruct(truth) + 0.3 * crandn(rng, *shape)
+    weights = None
+    if masked:
+        mask = rng.random(shape) < 0.7
+        mask[1] = False
+        t, weights = np.where(mask, t, 0.0), mask.astype(np.float64)
+    x = np.concatenate([(f + 0.2 * crandn(rng, *f.shape)).ravel() for f in truth])
+    return t, weights, x, 0.1 * crandn(rng, x.size)
+
+
+def observed_rel_sq(t, weights, x, rank):
+    r = core.reconstruct(solvers._factor_views(x, t.shape, rank)) - t
+    if weights is not None:
+        r = np.where(weights > 0, r, 0.0)
+    return np.vdot(r, r).real / np.vdot(t, t).real
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_line_search_polynomial_is_the_observed_residual(masked):
+    rng = np.random.default_rng(67)
+    for shape in ((5, 4, 6), (3, 4, 2, 5)):
+        t, weights, x, d = line_search_problem(rng, shape, 3, masked)
+        coefficients, _, _ = solvers._line_search_polynomial(t, weights, np.linalg.norm(t), x, d, 3)
+        assert coefficients.size == 2 * len(shape) + 1
+        for nu in rng.uniform(-1.0, 3.0, 5):
+            direct = observed_rel_sq(t, weights, x + nu * d, 3)
+            value = np.polynomial.polynomial.polyval(nu, coefficients)
+            assert value == pytest.approx(direct, rel=1e-10, abs=0), (shape, nu)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_line_search_never_raises_the_objective(masked):
+    # from random points and steps, and from the points of real sweeps, the
+    # search leaves a point no worse than the sweep's (nu = 0), reports its
+    # residual, and hands the next sweep the last-mode products of that point
+    rng = np.random.default_rng(68)
+    problems = []
+    for shape in ((5, 4, 6), (3, 4, 2, 5)):
+        for _ in range(4):
+            problems.append(line_search_problem(rng, shape, 3, masked))
+        t, weights, x, _ = problems[-1]
+        x = x.copy()
+        for _ in range(3):
+            x_prev = x.copy()
+            factors = solvers._factor_views(x, shape, 3)
+            if masked:
+                solvers._als_sweep_masked(t, weights, factors)
+            else:
+                solvers._als_sweep_dense(t, factors)
+            problems.append((t, weights, x.copy(), x - x_prev))
+    moved = 0
+    for t, weights, x, d in problems:
+        rank = 3
+        x_prev = x - d
+        before = observed_rel_sq(t, weights, x, rank)
+        rel_sq, p = solvers._line_search(t, weights, np.linalg.norm(t), x, x_prev, rank)
+        after = observed_rel_sq(t, weights, x, rank)
+        moved += not np.array_equal(x, x_prev + d)
+        assert after <= before * (1.0 + 1e-12)
+        assert rel_sq == pytest.approx(after, rel=1e-10, abs=0)
+        factors = solvers._factor_views(x, t.shape, rank)
+        p_values = core._last_mode_product(t, np.conj(factors[-1]))
+        p_weights = None if weights is None else solvers._real_product(
+            weights.reshape(-1, t.shape[-1]), solvers._pair_columns(factors[-1]))
+        for carried, fresh in zip((p, None) if weights is None else p, (p_values, p_weights)):
+            if fresh is not None:
+                assert np.abs(carried - fresh).max() <= 1e-12 * np.abs(fresh).max()
+    assert moved >= len(problems) // 2
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_sweeps_after_a_line_search_start_from_its_products(monkeypatch, masked):
+    # the search hands the next sweep the last-mode products of the point
+    # it leaves, which the rebalance rescales with the last factor
+    name = "_als_sweep_masked" if masked else "_als_sweep_dense"
+    sweep = getattr(solvers, name)
+    carried = []
+
+    def checking(tvals, *args):
+        factors, p = args[-2:]
+        if p is not None:
+            fresh = [core._last_mode_product(tvals, np.conj(factors[-1]))]
+            if masked:
+                weights = args[0]
+                fresh.append(solvers._real_product(weights.reshape(-1, tvals.shape[-1]),
+                                                   solvers._pair_columns(factors[-1])))
+            for given, ref in zip(p if masked else [p], fresh):
+                assert np.abs(given - ref).max() <= 1e-12 * np.abs(ref).max()
+            carried.append(len(fresh))
+        return sweep(tvals, *args)
+
+    monkeypatch.setattr(solvers, name, checking)
+    t = demo_tensors(0)[masked]
+    opts = CpdOptions(rank=3, algorithm="als", init=INIT_SEED_OFFSET, missing_data_strategy="masked_residuals",
+                      max_iterations=solvers.LINE_SEARCH_FROM + 5)
+    _, diag = cpd_als(t, opts)
+    assert diag.iterations == opts.max_iterations
+    assert carried == [1 + masked] * 4
 
 
 def test_noiseless_als_stalls_on_exact_residuals():
@@ -1002,13 +1118,14 @@ def masked_normal_equations(tvals, mask, factors, n):
     """Right-hand sides b (I_n, R) and normal matrices a (I_n, R, R) of the
     masked ALS update of mode n, as the sweep forms them: two mttkrps, read
     off the last-mode products of the values and of the mask below the last
-    mode."""
+    mode, the mask's as real products."""
     rank = factors[0].shape[1]
-    pairs = [(f[:, :, None] * np.conj(f)[:, None, :]).reshape(f.shape[0], -1) for f in factors]
+    pairs = [solvers._pair_columns(f) for f in factors]
     conj_factors = [np.conj(f) for f in factors]
-    weights = mask.astype(complex)
+    weights = mask.astype(np.float64)
     b = solvers._mode_mttkrp(tvals, core._last_mode_product(tvals, conj_factors[-1]), conj_factors, n)
-    a = solvers._mode_mttkrp(weights, core._last_mode_product(weights, pairs[-1]), pairs, n)
+    p_weights = solvers._real_product(weights.reshape(-1, mask.shape[-1]), pairs[-1])
+    a = solvers._masked_normal_matrices(weights, p_weights, pairs, n)
     return b, a.reshape(-1, rank, rank)
 
 
@@ -1029,9 +1146,13 @@ def test_masked_als_sweep_matches_per_row_solves():
         looped = [f.copy() for f in start]
         for n in range(len(shape)):
             b, a = masked_normal_equations(tvals, mask, looped, n)
+            # a stack with an unobserved row, a zero a_i, falls back whole to
+            # the pseudo-inverse: here mode 0's
+            dead = not a.any(axis=(1, 2)).all()
+            assert dead == (n == 0), (shape, n)
             rows = np.empty_like(b)
             for i in range(b.shape[0]):
-                rows[i] = b[i] @ solvers._hermitian_pinv(a[i])
+                rows[i] = b[i] @ solvers._hermitian_pinv(a[i]) if dead else solvers._hermitian_solve(a[i], b[i])
             looped[n] = rows
         for fb, fl in zip(batched, looped):
             assert np.array_equal(fb, fl), shape
@@ -1053,6 +1174,39 @@ def test_masked_normal_equations_match_unfolded_formulas():
             assert np.abs(a - a_ref).max() <= 1e-12 * np.abs(a_ref).max(), (shape, n)
             if n == 0:
                 assert not a[1].any() and not b[1].any()
+
+
+def test_hermitian_solve_matches_the_pseudo_inverse_on_definite_stacks():
+    # the normal matrices of the masked sweep with nothing unobserved, and
+    # of the dense sweep, at orders 3 and 4
+    rng = np.random.default_rng(69)
+    for shape in ((5, 4, 6), (3, 4, 2, 5)):
+        tvals, mask, factors = masked_sweep_problem(rng, shape, 3)
+        mask[...] = True
+        for n in range(len(shape)):
+            b, a = masked_normal_equations(tvals, mask, factors, n)
+            ref = (b[:, None, :] @ solvers._hermitian_pinv(a))[:, 0, :]
+            assert np.abs(solvers._hermitian_solve(a, b) - ref).max() <= 1e-12 * np.abs(ref).max(), (shape, n)
+            dense = np.conj(solvers._hadamard_except(solvers._gramians(factors), n))
+            ref = b @ solvers._hermitian_pinv(dense)
+            assert np.abs(solvers._hermitian_solve(dense, b) - ref).max() <= 1e-12 * np.abs(ref).max(), (shape, n)
+
+
+def test_hermitian_solve_falls_back_whole_to_the_pseudo_inverse():
+    # a zero matrix, or a pivot whose square is below PINV_RCOND times the
+    # largest, sends the whole stack to the pseudo-inverse, bit for bit
+    rng = np.random.default_rng(70)
+    g = crandn(rng, 3, 5)
+    v = crandn(rng, 3, 1)
+    definite = g @ g.conj().T
+    barely = v @ v.conj().T + 1e-14 * np.abs(v).max() ** 2 * np.eye(3)
+    np.linalg.cholesky(barely)  # positive definite, but past the cut
+    b = crandn(rng, 2, 3)
+    for bad in (np.zeros((3, 3), complex), barely):
+        stack = np.stack([definite, bad])
+        ref = (b[:, None, :] @ solvers._hermitian_pinv(stack))[:, 0, :]
+        assert np.array_equal(solvers._hermitian_solve(stack, b), ref)
+        assert np.array_equal(solvers._hermitian_solve(bad, b), b @ solvers._hermitian_pinv(bad))
 
 
 def test_hermitian_pinv_matches_numpy():

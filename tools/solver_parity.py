@@ -29,9 +29,11 @@ SWAMP_SCENE, two noiseless sources on a 6x6 array with 12 samples, under
 the three algorithms: the configuration where last-bit
 rounding decides whether a solve is certified as converged. Every solve
 prints one JSON line: seed, condition, algorithm, iterations, converged,
-final residual and wall time in milliseconds ("ms", informational: no
-comparison reads it, and files without it are still read); the converged
-count, the median and total iterations and the median wall time of every
+final residual and wall time in milliseconds ("ms", the best of
+TIMING_REPEATS runs of the solve; informational: no gate reads it, and
+files without it are still read); the converged count, the median and
+total iterations, the count of solves that ran out of iterations (500,
+unconverged) and the median and 90th percentile wall time of every
 condition and algorithm follow on standard error, and then, for each
 unit condition and algorithm, how many seeds match the unscaled
 "expectation_imputation" solve of the same seed in iterations and
@@ -41,11 +43,12 @@ With --against FILE, the solves are compared with those recorded in FILE.
 Each solve whose iteration count or converged flag differs, whose residual
 differs by more than RESIDUAL_RTOL relative, or that is missing on either
 side is listed on standard error, and the exit status is 1. Then, for
-each condition and algorithm, the converged count and the iteration total
-in FILE and here follow, with the largest relative residual gap among the
-solves converged on both sides: the gate for a change that moves
-iteration counts on purpose. The median wall times in FILE and here
-follow where FILE has them. The cpdhr package is imported from the src/
+each condition and algorithm, the converged count, the iteration total
+and the solves out of iterations in FILE and here follow, with the
+largest relative residual gap among the solves converged on both sides:
+the gate for a change that moves iteration counts on purpose. The median
+and 90th percentile wall times in FILE and here follow where FILE has
+them. The cpdhr package is imported from the src/
 directory of the checkout that holds this script.
 """
 
@@ -89,6 +92,9 @@ LARGE_SCENE = scene.DoaScene(
     grid_m1=16, grid_m2=16, time_len=30,
 )
 RESIDUAL_RTOL = 1e-12
+# every solve is timed as the best of this many runs of it: one wall-time
+# sample of a solve of a few milliseconds moves by 10-20% from run to run
+TIMING_REPEATS = 3
 
 
 def _solve_all(tensor, seed, condition, rank, strategy):
@@ -96,9 +102,12 @@ def _solve_all(tensor, seed, condition, rank, strategy):
     for algorithm in solvers.ALGORITHMS:
         opts = CpdOptions(rank=rank, algorithm=algorithm,
                           init=seed + INIT_SEED_OFFSET, missing_data_strategy=strategy)
-        start = time.perf_counter()
-        _, diag = solvers.cpd(tensor, opts)
-        ms = 1e3 * (time.perf_counter() - start)
+        times = []
+        for _ in range(TIMING_REPEATS):
+            start = time.perf_counter()
+            _, diag = solvers.cpd(tensor, opts)
+            times.append(time.perf_counter() - start)
+        ms = 1e3 * min(times)
         yield {"seed": seed, "condition": condition, "algorithm": algorithm,
                "iterations": diag.iterations, "converged": diag.converged,
                "residual": diag.final_relative_residual, "ms": round(ms, 3)}
@@ -150,15 +159,30 @@ def _key(rec):
     return rec["seed"], rec["condition"], rec["algorithm"]
 
 
+def _stops(recs):
+    """How many solves ran out of iterations: stopped unconverged at the
+    default limit."""
+    limit = CpdOptions(rank=1).max_iterations
+    return sum(r["iterations"] >= limit and not r["converged"] for r in recs)
+
+
+def _times(recs):
+    """The median and 90th percentile of the solves' wall times."""
+    ms = [r["ms"] for r in recs]
+    return f"{np.median(ms):.2f}/{np.percentile(ms, 90):.2f} ms"
+
+
 def cell_summaries(records):
     """One line per (condition, algorithm): converged solves of all, the
-    median and total iterations, and the median wall time."""
+    median and total iterations, the solves that ran out of iterations, and
+    the median and 90th percentile wall time."""
     cells = {}
     for rec in records:
         cells.setdefault((rec["condition"], rec["algorithm"]), []).append(rec)
     return [f"{condition} {algorithm}: {sum(r['converged'] for r in recs)}/{len(recs)} converged, "
             f"iterations median {np.median([r['iterations'] for r in recs]):g} "
-            f"total {sum(r['iterations'] for r in recs)}, median {np.median([r['ms'] for r in recs]):.2f} ms"
+            f"total {sum(r['iterations'] for r in recs)}, {_stops(recs)} out of iterations, "
+            f"median/p90 {_times(recs)}"
             for (condition, algorithm), recs in cells.items()]
 
 
@@ -179,10 +203,11 @@ def unit_matches(records):
 
 
 def cell_comparisons(records, reference):
-    """One line per (condition, algorithm) of the records: converged count
-    and iteration total in the reference and here, the largest relative
-    residual gap among the solves converged on both sides, and the median
-    wall times where the reference has them."""
+    """One line per (condition, algorithm) of the records: converged count,
+    iteration total and solves out of iterations in the reference and here,
+    the largest relative residual gap among the solves converged on both
+    sides, and the median and 90th percentile wall times where the
+    reference has them."""
     ref = {_key(r): r for r in reference}
     cells = {}
     for rec in records:
@@ -192,15 +217,15 @@ def cell_comparisons(records, reference):
         pairs = [(old, new) for old, new in pairs if old is not None]
         both = [(old, new) for old, new in pairs if old["converged"] and new["converged"]]
         gaps = [abs(new["residual"] - old["residual"]) / abs(old["residual"]) for old, new in both]
+        olds, news = [o for o, _ in pairs], [n for _, n in pairs]
         times = ""
-        if pairs and all("ms" in old for old, _ in pairs):
-            times = (f", median {np.median([o['ms'] for o, _ in pairs]):.2f} -> "
-                     f"{np.median([n['ms'] for _, n in pairs]):.2f} ms")
+        if pairs and all("ms" in old for old in olds):
+            times = f", median/p90 {_times(olds)} -> {_times(news)}"
         lines.append(
-            f"{condition} {algorithm}: converged {sum(o['converged'] for o, _ in pairs)}/{len(pairs)} -> "
-            f"{sum(n['converged'] for _, n in pairs)}/{len(pairs)}, iterations total "
-            f"{sum(o['iterations'] for o, _ in pairs)} -> {sum(n['iterations'] for _, n in pairs)}, "
-            f"largest residual gap {max(gaps, default=0.0):.2g} over {len(both)} converged on both sides"
+            f"{condition} {algorithm}: converged {sum(o['converged'] for o in olds)}/{len(pairs)} -> "
+            f"{sum(n['converged'] for n in news)}/{len(pairs)}, iterations total "
+            f"{sum(o['iterations'] for o in olds)} -> {sum(n['iterations'] for n in news)}, "
+            f"out of iterations {_stops(olds)} -> {_stops(news)}, largest residual gap {max(gaps, default=0.0):.2g} over {len(both)} converged on both sides"
             + times)
     return lines
 
