@@ -9,12 +9,8 @@ from .core import (
     CpdModel,
     IncompleteTensor,
     fold,
-    frobenius_norm,
-    identity_tensor,
     khatri_rao,
-    mode_n_product,
     mttkrp,
-    outer_product,
     reconstruct,
     unfold,
 )
@@ -40,8 +36,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CpdModel", "IncompleteTensor", "unfold", "fold", "khatri_rao",
-    "outer_product", "reconstruct", "mode_n_product", "identity_tensor",
-    "frobenius_norm", "mttkrp",
+    "reconstruct", "mttkrp",
     "CpdOptions", "CpdDiagnostics", "cpd", "cpd_als", "cpd_nls",
     "cpd_gradient", "init_model", "normalize_model",
     "CpdErrReport", "CorrelationReport", "cpderr", "align_sources",

@@ -9,7 +9,7 @@ import argparse
 import sys
 
 from . import formats, pipeline
-from .solvers import ALGORITHMS, MISSING_STRATEGIES
+from .solvers import ALGORITHMS
 
 
 def _parse_seed_range(text):
@@ -52,8 +52,6 @@ def build_parser():
                    help="start seed: the slice weights of the algebraic start for a fully observed "
                         "order-3 tensor of rank at most its first two extents, otherwise the "
                         "random factors of the data-scaled seeded start")
-    p.add_argument("--missing-data-strategy", choices=MISSING_STRATEGIES,
-                   default="expectation_imputation")
 
     p = sub.add_parser("evaluate", help="compare estimated factors against the truth")
     p.add_argument("truth_dir")
@@ -83,10 +81,7 @@ def run(argv):
         pipeline.simulate(args.config, args.out_dir)
         return 0
     if args.command == "decompose":
-        _, diag = pipeline.decompose(
-            args.tensor, args.rank, args.algorithm, args.seed, args.out_dir,
-            missing_data_strategy=args.missing_data_strategy,
-        )
+        _, diag = pipeline.decompose(args.tensor, args.rank, args.algorithm, args.seed, args.out_dir)
         return 0 if diag.converged else 2
     if args.command == "evaluate":
         pipeline.evaluate(args.truth_dir, args.estimate_dir, args.out_report)

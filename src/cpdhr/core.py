@@ -9,7 +9,6 @@ C-contiguous tensor, so they never copy one.
 """
 
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -52,7 +51,7 @@ class IncompleteTensor:
 
     Unobserved entries are forced to zero on construction so whole-array
     reductions only ever see observed values. A fully missing fiber is
-    legal; the solvers skip or impute those rows.
+    legal; the solvers give those rows the least-norm answer, zero.
     """
 
     values: np.ndarray
@@ -189,15 +188,6 @@ def kr_chain(factors, skip):
     return _kr(mats, np.shape(factors[skip])[1])
 
 
-def outer_product(vectors):
-    """Outer product of N vectors: entry (i1..iN) = prod_n v_n[i_n]."""
-    vecs = [np.asarray(v, dtype=np.complex128).ravel() for v in vectors]
-    if not vecs:
-        raise ValueError("outer_product needs at least one vector")
-    check_shape(tuple(v.size for v in vecs))
-    return reduce(np.multiply.outer, vecs)
-
-
 def _factor_list(model):
     if isinstance(model, CpdModel):
         return model.factors
@@ -217,36 +207,6 @@ def reconstruct(model):
     if len(factors) == 3:
         return kernels.reconstruct3(factors[0], factors[1], factors[2])
     return _reconstruct(factors)
-
-
-def mode_n_product(t, m, mode):
-    """Contract matrix m (J x I_n) against mode n of t."""
-    t = np.asarray(t)
-    m = np.asarray(m)
-    _check_mode(mode, t.ndim)
-    if m.ndim != 2 or m.shape[1] != t.shape[mode]:
-        raise ValueError(
-            f"matrix shape {m.shape} incompatible with extent {t.shape[mode]} of mode {mode}"
-        )
-    new_shape = tuple(m.shape[0] if i == mode else s for i, s in enumerate(t.shape))
-    return fold(m @ unfold(t, mode), mode, new_shape)
-
-
-def identity_tensor(order, rank):
-    """order-way tensor of extent rank per mode, ones on the superdiagonal."""
-    if order < 1 or rank < 1:
-        raise ValueError("order and rank must be >= 1")
-    t = np.zeros((rank,) * order, dtype=np.complex128)
-    t[(np.arange(rank),) * order] = 1.0
-    return t
-
-
-def frobenius_norm(t):
-    """sqrt of the sum of squared magnitudes; observed entries only for
-    an IncompleteTensor (its missing entries are stored as zero)."""
-    if isinstance(t, IncompleteTensor):
-        return float(np.linalg.norm(t.values.ravel()))
-    return float(np.linalg.norm(np.asarray(t).ravel()))
 
 
 def mttkrp(t, factors, mode):

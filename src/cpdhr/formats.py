@@ -186,7 +186,6 @@ class SceneConfig:
     algorithm: str
     signals: str
     masks: list = field(default_factory=list)
-    missing_data_strategy: str = "expectation_imputation"
 
     def __post_init__(self):
         if self.snr_db is not None:
@@ -194,8 +193,7 @@ class SceneConfig:
         self.seed = int(self.seed)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        CpdOptions(rank=self.rank, algorithm=self.algorithm,
-                   missing_data_strategy=self.missing_data_strategy)
+        CpdOptions(rank=self.rank, algorithm=self.algorithm)
         if not isinstance(self.signals, str) or not self.signals:
             raise ValueError("signals must be 'synthetic' or a CSV path")
 
@@ -204,7 +202,7 @@ _REQUIRED_KEYS = {
     "grid_m1", "grid_m2", "time_len", "snr_db", "seed", "rank", "algorithm",
     "sources", "signals",
 }
-_OPTIONAL_KEYS = {"masks", "missing_data_strategy"}
+_OPTIONAL_KEYS = {"masks"}
 _SOURCE_KEYS = {"azimuth_deg", "elevation_deg"}
 _SOURCE_OPTIONAL = {"attenuation"}
 _MASK_KEYS = {"kind", "sensor"}
@@ -286,7 +284,6 @@ def parse_config(text):
         algorithm=doc["algorithm"],
         signals=doc["signals"],
         masks=masks,
-        missing_data_strategy=doc.get("missing_data_strategy", "expectation_imputation"),
     )
 
 

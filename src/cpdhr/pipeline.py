@@ -51,12 +51,10 @@ def simulate(config_path, out_dir):
     return cfg
 
 
-def decompose(tensor_path, rank, algorithm, seed, out_dir,
-              missing_data_strategy="expectation_imputation"):
+def decompose(tensor_path, rank, algorithm, seed, out_dir):
     """Run the CPD solver on a tensor file and write factors + diagnostics."""
     t = formats.load_tensor(tensor_path)
-    opts = CpdOptions(rank=rank, algorithm=algorithm, init=seed,
-                      missing_data_strategy=missing_data_strategy)
+    opts = CpdOptions(rank=rank, algorithm=algorithm, init=seed)
     model, diag = cpd(t, opts)
     os.makedirs(out_dir, exist_ok=True)
     for n, factor in enumerate(model.factors, start=1):
@@ -66,7 +64,6 @@ def decompose(tensor_path, rank, algorithm, seed, out_dir,
         "rank": rank,
         "algorithm": algorithm,
         "seed": seed,
-        "missing_data_strategy": missing_data_strategy,
         "iterations": diag.iterations,
         "converged": diag.converged,
         "final_relative_residual": diag.final_relative_residual,
@@ -181,10 +178,7 @@ def _run_single(config_path, out_dir):
     reports = {}
     for tensor_name, est_name, report_name in jobs:
         est_dir = os.path.join(out_dir, est_name)
-        _, diag = decompose(
-            os.path.join(truth_dir, tensor_name), cfg.rank, cfg.algorithm,
-            solver_seed, est_dir, missing_data_strategy=cfg.missing_data_strategy,
-        )
+        _, diag = decompose(os.path.join(truth_dir, tensor_name), cfg.rank, cfg.algorithm, solver_seed, est_dir)
         all_converged = all_converged and diag.converged
         report = evaluate(truth_dir, est_dir, os.path.join(out_dir, report_name))
         reports[report_name] = report

@@ -38,7 +38,7 @@ CG_MAX_ITER = 60
 CG_RTOL = 1e-2
 WARMSTART_SWEEPS = 3
 
-# ALS sweeps from this one on (counting from 0), dense or masked_residuals,
+# ALS sweeps from this one on (counting from 0), dense or masked,
 # end with an exact line search (see _line_search), which costs about one
 # more sweep. Solves from the algebraic start of a fully observed tensor
 # mostly stop after ten or eleven sweeps (17 of the first 30 ALS cases of
@@ -82,13 +82,18 @@ class CpdOptions:
     init is either an integer seed >= 0 or an explicit CpdModel to start
     from. The seed draws the slice weights of the algebraic start where it
     applies, and the factors of init_model elsewhere (see _start).
+
+    missing_data_strategy selects nothing: an IncompleteTensor is always
+    fitted on the masked least-squares objective, and both names in
+    MISSING_STRATEGIES select that one estimator. The field is validated
+    and kept for callers that still pass it.
     """
 
     rank: int
     algorithm: str = "gauss_newton_als_warmstart"
     max_iterations: int = 500
     init: "CpdModel | int" = 0
-    missing_data_strategy: str = "expectation_imputation"
+    missing_data_strategy: str = "masked_residuals"
 
     def __post_init__(self):
         self.rank = _integer(self.rank, "rank")
@@ -557,20 +562,16 @@ def _relative_residual(tvals, mask, norm, model):
 def _als_iterate(tvals, mask, norm, x, opts, n_sweeps):
     """Run up to n_sweeps ALS sweeps on the factor views of x, in place;
     returns (trace, converged, exact), exact telling whether the last trace
-    entry is the computed residual of the factors left in x. With
-    imputation the first sweep reads the zero-filled tensor, so where ALS
-    lands depends neither on the start's scale nor on the data's unit, and
-    each sweep's reconstruction gives both its residual and the next
-    sweep's imputed entries.
+    entry is the computed residual of the factors left in x.
 
-    Otherwise a sweep reads its fit off its last mode's normal equations
+    A sweep reads its fit off its last mode's normal equations
     u_k a_k = b_k, row k of U_{N-1} (a dense sweep has one a for every
     row, the Hadamard product of the conjugated Gramians): the squared
     residual is
     ||T||^2 - 2 Re<T, M> + ||M||^2 with <T, M> = vdot(U_{N-1}, b) and
-    ||M||^2 = sum_k u_k a_k u_k^H, over the observed entries with
-    masked_residuals. Its three terms are of size ||T||^2, and a sum of n
-    terms rounds with an error that grows like sqrt(n) eps (Higham & Mary,
+    ||M||^2 = sum_k u_k a_k u_k^H, over the observed entries of a masked
+    tensor. Its three terms are of size ||T||^2, and a sum of n terms
+    rounds with an error that grows like sqrt(n) eps (Higham & Mary,
     SIAM J. Sci. Comput. 2019), n the entry count. That error in rel^2 is
     an error of about sqrt(n) eps / (2 rel) in the relative residual rel,
     so the difference of two entries that the stall test reads is off by
@@ -583,47 +584,38 @@ def _als_iterate(tvals, mask, norm, x, opts, n_sweeps):
     the test is made again, so a converged trace ends on the exact
     residual.
 
-    From sweep LINE_SEARCH_FROM on, a dense or masked_residuals sweep ends
-    with _line_search along its own step, which reads the fit off its
-    polynomial under the same rules, and hands the next sweep its
-    last-mode products p, so that sweep makes no pass of its own over the
-    tensor or the mask for them. The rebalance scales column r of the last
-    factor by s_r, so p's columns follow: s_r for the values and s_r s_s
-    for pair (r, s) of the mask's.
+    From sweep LINE_SEARCH_FROM on, a sweep ends with _line_search along
+    its own step, which reads the fit off its polynomial under the same
+    rules, and hands the next sweep its last-mode products p, so that sweep
+    makes no pass of its own over the tensor or the mask for them. The
+    rebalance scales column r of the last factor by s_r, so p's columns
+    follow: s_r for the values and s_r s_s for pair (r, s) of the mask's.
     """
     shape, rank = tvals.shape, opts.rank
     factors = _factor_views(x, shape, rank)
-    impute = mask is not None and opts.missing_data_strategy == "expectation_imputation"
     weights = None if mask is None else mask.astype(np.float64)
     exact_below = 2.0 * math.sqrt(tvals.size) * np.finfo(np.float64).eps / REL_OBJECTIVE_TOL
-    model = 0.0
     p = None
     trace = []
     exact = False
     for sweep in range(n_sweeps):
-        if impute:
-            _als_sweep_dense(np.where(mask, tvals, model), factors)
-            rel = math.nan
+        x_prev = x.copy() if sweep >= LINE_SEARCH_FROM else None
+        b, a = _als_sweep_dense(tvals, factors, p) if mask is None else _als_sweep_masked(tvals, weights, factors, p)
+        if x_prev is not None:
+            rel_sq, p = _line_search(tvals, weights, norm, x, x_prev, rank)
         else:
-            x_prev = x.copy() if sweep >= LINE_SEARCH_FROM else None
-            b, a = _als_sweep_dense(tvals, factors, p) if mask is None else _als_sweep_masked(tvals, weights, factors, p)
-            if x_prev is not None:
-                rel_sq, p = _line_search(tvals, weights, norm, x, x_prev, rank)
-            else:
-                u = factors[-1]
-                model_sq = np.vdot(u, (u[:, None, :] @ a)[:, 0, :]).real
-                rel_sq = 1.0 + (model_sq - 2.0 * np.vdot(u, b).real) / norm ** 2
-            rel = math.sqrt(max(rel_sq, 0.0))
+            u = factors[-1]
+            model_sq = np.vdot(u, (u[:, None, :] @ a)[:, 0, :]).real
+            rel_sq = 1.0 + (model_sq - 2.0 * np.vdot(u, b).real) / norm ** 2
+        rel = math.sqrt(max(rel_sq, 0.0))
         scale = _rebalance(x, shape, rank)[-1]
         if p is not None:
             # the last-mode products follow the last factor's column scales
             p = p * scale if mask is None else (p[0] * scale, p[1] * np.outer(scale, scale).ravel())
-        # both comparisons are false for the nan of imputation and of a
-        # non-finite fit
+        # both comparisons are false for the nan of a non-finite fit
         exact = not rel >= exact_below or (len(trace) > 0 and trace[-1] - rel < REL_OBJECTIVE_TOL)
         if exact:
-            model = core.reconstruct(factors)
-            rel = _relative_residual(tvals, mask, norm, model)
+            rel = _relative_residual(tvals, mask, norm, core.reconstruct(factors))
         trace.append(rel)
         if len(trace) >= 2 and trace[-2] - trace[-1] < REL_OBJECTIVE_TOL:
             return trace, True, exact
@@ -637,11 +629,9 @@ def cpd_als(t, opts):
 
     Per sweep and mode, solves the linear least-squares update
     U_n <- mttkrp(t, conj(U), n) @ pinv(conj(W_n)) with W_n the Hadamard
-    product of the other modes' Gramians. Missing entries are either
-    imputed from the previous sweep's reconstruction (zero before the
-    first sweep) or excluded via per-row masked normal equations, depending on
-    opts.missing_data_strategy. Those take their right-hand sides from the
-    same mttkrp and their R x R matrices from one mttkrp of the mask
+    product of the other modes' Gramians. Missing entries are excluded via
+    per-row masked normal equations, which take their right-hand sides from
+    the same mttkrp and their R x R matrices from one mttkrp of the mask
     against the columns U_m[:, r] * conj(U_m[:, s]), the mask taken as
     float64 in real products. Each mode's R x R systems are solved at once
     by _hermitian_solve: a batched Cholesky factorization checks that they
@@ -653,18 +643,17 @@ def cpd_als(t, opts):
     contracts the tensor (and the mask, for the normal matrices) with it
     once, and every other mode's mttkrp is a rank-wise reduction of that
     product (core._last_mode_product, core._leading_mttkrp): two passes
-    over the tensor per mttkrp kind instead of N. A dense or
-    masked_residuals sweep reads its fit off its last mode's normal
-    equations, with no reconstruct (see _als_iterate). From sweep
-    LINE_SEARCH_FROM on, such a sweep ends with an exact line search
-    along its step (Rajih, Comon & Harshman, SIAM J. Matrix Anal. Appl.
-    2008): the observed squared residual along the line is a polynomial of
-    degree 2N, built from the last-mode products the next sweep needs
-    anyway, and its minimizer beyond the sweep's point is taken when it
-    is lower (see _line_search). No step raises the objective. Imputation
-    sweeps take no search. A stall ends the solve only if it holds for the
-    sweep's computed residual, and the last trace entry is the computed
-    residual of the returned model.
+    over the tensor per mttkrp kind instead of N. A sweep reads its fit
+    off its last mode's normal equations, with no reconstruct (see
+    _als_iterate). From sweep LINE_SEARCH_FROM on, it ends with an exact
+    line search along its step (Rajih, Comon & Harshman, SIAM J. Matrix
+    Anal. Appl. 2008): the observed squared residual along the line is a
+    polynomial of degree 2N, built from the last-mode products the next
+    sweep needs anyway, and its minimizer beyond the sweep's point is taken
+    when it is lower (see _line_search). No step raises the objective. A
+    stall ends the solve only if it holds for the sweep's computed
+    residual, and the last trace entry is the computed residual of the
+    returned model.
     """
     tvals, mask, norm = _observed(t)
     x = _start(tvals, mask, opts, norm)
@@ -933,13 +922,11 @@ def cpd_nls(t, opts):
     EXPLICIT_GN_MAX_PARAMS unknowns the steps are damped Newton steps.
 
     The objective is half the squared Frobenius residual over observed
-    entries. With masked_residuals the Gramian operator excludes the
-    missing entries; with expectation_imputation the dense operator is
-    used (the gradient is identical either way since imputed entries carry
-    zero residual). The operator is built once per outer iteration: up to
+    entries, and for a masked tensor the Gramian operator excludes the
+    missing entries. The operator is built once per outer iteration: up to
     EXPLICIT_GN_MAX_PARAMS unknowns as one assembled Hermitian J^H J,
-    dense or masked, and above that in structured form, or with
-    masked_residuals in tangent form. The masked matrix is the dense one
+    dense or masked, and above that in structured form, or for a masked
+    tensor in tangent form. The masked matrix is the dense one
     with row-dependent weights, taken from one GEMM per mode pair of the
     mask against the Khatri-Rao product of the pair columns the masked ALS
     sweep uses.
@@ -948,7 +935,7 @@ def cpd_nls(t, opts):
     (the dense builders take w shifted by mu I, whose block Jacobi inverse
     preconditions CG). Up to the cutoff H is the Hessian J^H J + conj(K .),
     K the residual term built from the masked residual the solver holds,
-    with either operator and either strategy; where CG meets non-positive
+    with either operator; where CG meets non-positive
     curvature on it (Steihaug's exit), the iteration solves again with
     H = J^H J and takes that step. Above the cutoff H is J^H J. The
     predicted decrease of the undamped model the step was solved on,
@@ -976,7 +963,6 @@ def cpd_nls(t, opts):
     g_scale = norm * (norm / math.sqrt(n_observed)) ** ((n_modes - 1) / n_modes)
     x = _start(tvals, mask, opts, norm)
     factors = _factor_views(x, shape, rank)
-    use_masked_operator = mask is not None and opts.missing_data_strategy == "masked_residuals"
     explicit = x.size <= EXPLICIT_GN_MAX_PARAMS
 
     r = _residual(tvals, mask, core.reconstruct(factors))
@@ -1001,9 +987,9 @@ def cpd_nls(t, opts):
             break
 
         # the preconditioner reads the dense w whatever the operator
-        w, w_pair = _gramian_products(factors, pairs=not use_masked_operator)
+        w, w_pair = _gramian_products(factors, pairs=mask is None)
         shifted = w + mu * np.eye(rank)
-        if use_masked_operator:
+        if mask is not None:
             build = _explicit_masked_gn_operator if explicit else _masked_gn_operator
             matvec = build(factors, mask, mu)
         else:

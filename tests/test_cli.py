@@ -7,6 +7,7 @@ import pytest
 
 from cpdhr import cli, formats
 from cpdhr.cli import _parse_seed_range
+from cpdhr.core import IncompleteTensor
 from cpdhr.pipeline import INIT_SEED_OFFSET
 
 
@@ -133,6 +134,25 @@ def test_usage_errors_exit_1_not_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_decompose_refuses_a_missing_data_strategy_as_a_usage_error(tmp_path, capsys):
+    # the flag is gone with the imputation solver: argparse refuses it
+    # before any file is written, and main folds its usage exit into 1
+    tensor = tmp_path / "t.tns"
+    tensor.write_text("tns 1 3\n1.0 0.0\n2.0 0.0\n3.0 0.0\n", encoding="utf-8")
+    out = tmp_path / "est"
+    argv = ["decompose", str(tensor), str(out), "--rank", "1", "--seed", "0",
+            "--missing-data-strategy", "masked_residuals"]
+    with pytest.raises(SystemExit) as exc:
+        cli.run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: cpdhr")
+    assert "unrecognized arguments: --missing-data-strategy masked_residuals" in err
+    assert cli.main(argv) == 1
+    capsys.readouterr()
+    assert not files_under(out)
+
+
 def test_pipeline_single_and_sweep(tmp_path):
     cfg = write_config(tmp_path / "config.json", snr_db=0.0)
     single = tmp_path / "single"
@@ -148,26 +168,21 @@ def test_pipeline_single_and_sweep(tmp_path):
 
 
 def test_decompose_nonconvergence_exits_2(tmp_path):
-    # two noiseless sources 40 degrees apart on a 6x6 array, seed 135, one
-    # sensor deactivated: masked, the tensor gets the seeded start, and the
-    # warm-started rank-2 fit lands in a swamp and still crawls after 500
-    # iterations without passing the convergence witnesses (it needs 1,366
-    # to converge), and must say so via the code
-    seed = 135
-    cfg = write_config(
-        tmp_path / "config.json", seed=seed,
-        sources=[
-            {"azimuth_deg": 15.0, "elevation_deg": 25.0},
-            {"azimuth_deg": 55.0, "elevation_deg": 40.0},
-        ],
-        masks=[{"kind": "deactivated_sensor", "sensor": [5, 5]}],
-    )
-    truth = str(tmp_path / "truth")
-    assert cli.main(["simulate", cfg, truth]) == 0
-    code = cli.main([
-        "decompose", f"{truth}/masked.tns", str(tmp_path / "est"),
-        "--rank", "2", "--seed", str(seed + INIT_SEED_OFFSET),
-    ])
+    # the sum of the outer products x0 o x1 o y2, x0 o y1 o x2 and
+    # y0 o x1 o x2 has rank 3 but is a limit of rank-2 tensors, so it has
+    # no best rank-2 approximation (de Silva & Lim, SIAM J. Matrix Anal.
+    # Appl. 2008): a rank-2 fit drives its residual towards zero while its
+    # factors diverge, and after 500 iterations it has no minimum to
+    # certify. One entry is missing, so the tensor gets the seeded start.
+    # The solver must say so via the code, and still write its artifacts.
+    rng = np.random.default_rng(0)
+    x, y = np.moveaxis(rng.standard_normal((3, 4, 2)) + 1j * rng.standard_normal((3, 4, 2)), 2, 0)
+    t = sum(np.einsum("i,j,k->ijk", *(y[n] if n == m else x[n] for n in range(3))) for m in range(3))
+    mask = np.ones(t.shape, dtype=bool)
+    mask[0, 0, 0] = False
+    tensor = tmp_path / "degenerate.tns"
+    formats.save_tensor(IncompleteTensor(t, mask), tensor)
+    code = cli.main(["decompose", str(tensor), str(tmp_path / "est"), "--rank", "2", "--seed", "0"])
     assert code == 2
     diag = formats.load_report(tmp_path / "est" / "diagnostics.json")
     assert diag["converged"] is False

@@ -15,13 +15,9 @@ from cpdhr.core import (
     IncompleteTensor,
     check_shape,
     fold,
-    frobenius_norm,
-    identity_tensor,
     khatri_rao,
     kr_chain,
-    mode_n_product,
     mttkrp,
-    outer_product,
     reconstruct,
     unfold,
 )
@@ -99,11 +95,16 @@ def naive_mttkrp(t, factors, mode):
     return out
 
 
-def naive_frobenius(t):
-    total = 0.0
-    for x in np.asarray(t).ravel():
-        total += abs(x) ** 2
-    return total**0.5
+def _mode_n_product(t, m, mode):
+    """m (J x I_n) applied to every mode-n fiber of t."""
+    return np.moveaxis(np.tensordot(m, t, axes=(1, mode)), 0, mode)
+
+
+def _identity_tensor(order, rank):
+    """Extent rank in every mode, ones on the superdiagonal."""
+    t = np.zeros((rank,) * order, dtype=complex)
+    t[(np.arange(rank),) * order] = 1.0
+    return t
 
 
 def random_factors(rng, shape, rank):
@@ -256,7 +257,7 @@ def test_khatri_rao_rank1_is_vec_of_outer():
     a = rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1))
     b = rng.standard_normal((3, 1)) + 1j * rng.standard_normal((3, 1))
     # column of a kr b, read b-fastest, is the layout-order vec of b a^T
-    vec = outer_product([b.ravel(), a.ravel()]).ravel(order="F")
+    vec = naive_outer([b.ravel(), a.ravel()]).ravel(order="F")
     assert np.allclose(khatri_rao(a, b)[:, 0], vec)
 
 
@@ -265,26 +266,15 @@ def test_khatri_rao_column_mismatch():
         khatri_rao(np.zeros((2, 2)), np.zeros((3, 3)))
 
 
-def test_outer_product_hand_examples():
-    out = outer_product([[1, 2], [3, 4]])
-    assert np.array_equal(out, np.array([[3, 4], [6, 8]], dtype=complex))
-    zed = outer_product([[1, 2], [0, 0], [5]])
-    assert not zed.any()
-    assert np.allclose(
-        outer_product([[1, 2], [1, 0, 1], [2]]),
-        naive_outer([[1, 2], [1, 0, 1], [2]]),
-    )
-
-
 # ---------------------------------------------------------------------------
-# reconstruct / mode products / identity tensor
+# reconstruct
 
 
 def test_reconstruct_rank1_is_outer_product():
     rng = np.random.default_rng(31)
     factors = random_factors(rng, (2, 3, 4), 1)
     model = CpdModel(factors)
-    expected = outer_product([f[:, 0] for f in factors])
+    expected = naive_outer([f[:, 0] for f in factors])
     assert np.allclose(reconstruct(model), expected)
 
 
@@ -320,9 +310,9 @@ def test_reconstruct_agrees_with_identity_tensor_route():
     for shape, rank in [((3, 4, 5), 2), ((2, 3, 4, 2), 3), ((4, 4), 3)]:
         factors = random_factors(rng, shape, rank)
         direct = reconstruct(factors)
-        via_identity = identity_tensor(len(shape), rank)
+        via_identity = _identity_tensor(len(shape), rank)
         for n, f in enumerate(factors):
-            via_identity = mode_n_product(via_identity, f, n)
+            via_identity = _mode_n_product(via_identity, f, n)
         scale = max(1.0, float(np.abs(direct).max()))
         assert np.abs(direct - via_identity).max() / scale < 1e-12
 
@@ -340,65 +330,6 @@ def test_unfold_of_reconstruct_is_factor_times_kr_chain():
             rhs = factors[n] @ kr_chain(factors, n).T
             err = np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs)
             assert err < 1e-10
-
-
-def test_mode_n_product_identity_matrix():
-    rng = np.random.default_rng(41)
-    t = rng.standard_normal((3, 4, 5)) + 1j * rng.standard_normal((3, 4, 5))
-    for mode in range(3):
-        assert np.allclose(mode_n_product(t, np.eye(t.shape[mode]), mode), t)
-
-
-def test_mode_n_product_hand_example():
-    t = np.asarray(np.arange(1, 9), dtype=complex).reshape((2, 2, 2), order="F")
-    m = np.array([[1.0, 1.0], [0.0, 2.0]])
-    out = mode_n_product(t, m, 0)
-    # oracle: matrix-multiply each mode-0 fiber
-    expected = fold(m @ naive_unfold(t, 0), 0, (2, 2, 2))
-    assert np.allclose(out, expected)
-
-
-def test_mode_n_product_dimension_mismatch():
-    with pytest.raises(ValueError):
-        mode_n_product(np.zeros((2, 3)), np.zeros((4, 4)), 0)
-
-
-def test_identity_tensor_cases():
-    assert np.array_equal(identity_tensor(2, 3), np.eye(3, dtype=complex))
-    t = identity_tensor(3, 2)
-    assert t[0, 0, 0] == 1 and t[1, 1, 1] == 1
-    assert t.sum() == 2
-    for order in (1, 2, 3, 4):
-        assert identity_tensor(order, 3).sum() == 3
-
-
-# ---------------------------------------------------------------------------
-# norms
-
-
-def test_frobenius_norm_cases():
-    assert frobenius_norm(np.zeros((3, 3))) == 0.0
-    assert np.isclose(frobenius_norm(np.ones((10, 10, 15))), np.sqrt(1500.0))
-    rng = np.random.default_rng(51)
-    t = rng.standard_normal((4, 5, 3)) + 1j * rng.standard_normal((4, 5, 3))
-    assert abs(frobenius_norm(t) - naive_frobenius(t)) / naive_frobenius(t) < 1e-12
-    assert frobenius_norm(t - t) == 0.0
-
-
-def test_frobenius_norm_incomplete_counts_observed_only():
-    rng = np.random.default_rng(52)
-    vals = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    mask = rng.random((4, 4)) < 0.6
-    it = IncompleteTensor(vals, mask)
-    assert np.isclose(frobenius_norm(it), naive_frobenius(vals[mask]))
-
-
-def test_frobenius_triangle_inequality():
-    rng = np.random.default_rng(53)
-    for _ in range(10):
-        a = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-        b = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-        assert frobenius_norm(a + b) <= frobenius_norm(a) + frobenius_norm(b) + 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -250,6 +250,14 @@ class TestSceneConfig:
         with pytest.raises(ValueError, match="typo"):
             parse_config(json.dumps(doc))
 
+    def test_missing_data_strategy_key_refused(self):
+        # every incomplete tensor is fitted on the masked objective, so a
+        # config that names a missing-data strategy names an unknown key
+        for strategy in ("masked_residuals", "expectation_imputation"):
+            doc = dict(BASE_CONFIG, missing_data_strategy=strategy)
+            with pytest.raises(ValueError, match=r"unknown key\(s\) \['missing_data_strategy'\]"):
+                parse_config(json.dumps(doc))
+
     def test_masks_one_based_and_bounded(self):
         doc = dict(BASE_CONFIG, masks=[{"kind": "deactivated_sensor", "sensor": [1, 10]}])
         cfg = parse_config(json.dumps(doc))

@@ -1,27 +1,27 @@
 #!/usr/bin/env python3
-"""Solver parity check: 456 seeded in-memory solves, 360 on the 0 dB demo
+"""Solver parity check: 396 seeded in-memory solves, 300 on the 0 dB demo
 scene, 60 on a larger 0 dB array and 36 in a noiseless swamp.
 
     python3 tools/solver_parity.py > parent.jsonl            # on one checkout
     python3 tools/solver_parity.py --against parent.jsonl    # on another
 
-Seeds 0-19 of configs/demo_scene.json, each under three conditions (dense,
-masked with expectation_imputation, masked with masked_residuals) and the
-three algorithms, with the noise and solver seeds the pipeline derives from
-the scene seed. The "heavy_mask_<percent>" conditions fit seeds 0-9 of the
-same noisy tensors with masked_residuals under random masks keeping 90, 70,
-50 and 30 percent of the entries (one uniform draw per seed from
-default_rng(seed + HEAVY_MASK_SEED_OFFSET), thresholded at each fraction),
-under the three algorithms: where the masked curvature decides whether a
-solve converges at all. The "unit_1e-5" and "unit_1e5" conditions fit
-seeds 0-9 of the masked demo tensor scaled by that factor, with
-expectation_imputation, under the three algorithms: a change of the data's
-unit (EEG recorded in volts has entries near 1e-5) should not change where
-a solve lands. The "large_mask_90" condition fits seeds 0-9 of
-LARGE_SCENE, four sources on a 16x16 array with 30 samples at 0 dB (248
-unknowns at rank 4, above solvers.EXPLICIT_GN_MAX_PARAMS, where the masked
-operator is in tangent form), with masked_residuals under a 90 percent mask
-drawn as above, under the three algorithms. The "large_dense" condition
+Seeds 0-19 of configs/demo_scene.json, each under two conditions ("dense",
+and "masked_residuals": under the config's masks, fitted on the masked
+objective as every incomplete tensor is) and the three algorithms, with
+the noise and solver seeds the pipeline derives from the scene seed. The
+"heavy_mask_<percent>" conditions fit seeds 0-9 of the same noisy tensors
+under random masks keeping 90, 70, 50 and 30 percent of the entries (one
+uniform draw per seed from default_rng(seed + HEAVY_MASK_SEED_OFFSET),
+thresholded at each fraction), under the three algorithms: where the
+masked curvature decides whether a solve converges at all. The
+"unit_1e-5" and "unit_1e5" conditions fit seeds 0-9 of the masked demo
+tensor scaled by that factor, under the three algorithms: a change of the
+data's unit (EEG recorded in volts has entries near 1e-5) should not
+change where a solve lands. The "large_mask_90" condition fits seeds 0-9
+of LARGE_SCENE, four sources on a 16x16 array with 30 samples at 0 dB
+(248 unknowns at rank 4, above solvers.EXPLICIT_GN_MAX_PARAMS, where the
+masked operator is in tangent form), under a 90 percent mask drawn as
+above, under the three algorithms. The "large_dense" condition
 fits the same tensors unmasked under the three algorithms: the dense
 large-array cell, where the start of a fully observed order-3 tensor
 decides most of the iterations. The "swamp" condition adds seeds 0-11 of
@@ -36,8 +36,7 @@ total iterations, the count of solves that ran out of iterations (500,
 unconverged) and the median and 90th percentile wall time of every
 condition and algorithm follow on standard error, and then, for each
 unit condition and algorithm, how many seeds match the unscaled
-"expectation_imputation" solve of the same seed in iterations and
-converged.
+"masked_residuals" solve of the same seed in iterations and converged.
 
 With --against FILE, the solves are compared with those recorded in FILE.
 Each solve whose iteration count or converged flag differs, whose residual
@@ -74,7 +73,6 @@ from cpdhr.pipeline import INIT_SEED_OFFSET, NOISE_SEED_OFFSET  # noqa: E402
 from cpdhr.solvers import CpdOptions  # noqa: E402
 
 SEEDS = range(20)
-CONDITIONS = ("dense", "expectation_imputation", "masked_residuals")
 HEAVY_MASK_SEEDS = range(10)
 HEAVY_MASK_FRACTIONS = (0.9, 0.7, 0.5, 0.3)
 HEAVY_MASK_SEED_OFFSET = 3000003
@@ -97,11 +95,10 @@ RESIDUAL_RTOL = 1e-12
 TIMING_REPEATS = 3
 
 
-def _solve_all(tensor, seed, condition, rank, strategy):
+def _solve_all(tensor, seed, condition, rank):
     """One record per algorithm for one tensor."""
     for algorithm in solvers.ALGORITHMS:
-        opts = CpdOptions(rank=rank, algorithm=algorithm,
-                          init=seed + INIT_SEED_OFFSET, missing_data_strategy=strategy)
+        opts = CpdOptions(rank=rank, algorithm=algorithm, init=seed + INIT_SEED_OFFSET)
         times = []
         for _ in range(TIMING_REPEATS):
             start = time.perf_counter()
@@ -128,31 +125,29 @@ def solves():
     for seed in SEEDS:
         demo = noisy(cfg.scene, seed)
         masked = scene.apply_mask(demo, cfg.masks)
-        for condition in CONDITIONS:
-            tensor = demo if condition == "dense" else masked
-            strategy = "expectation_imputation" if condition == "dense" else condition
-            yield from _solve_all(tensor, seed, condition, cfg.rank, strategy)
+        yield from _solve_all(demo, seed, "dense", cfg.rank)
+        yield from _solve_all(masked, seed, "masked_residuals", cfg.rank)
     for seed in HEAVY_MASK_SEEDS:
         demo = noisy(cfg.scene, seed)
         draw = heavy_mask(seed, demo.shape)
         for fraction in HEAVY_MASK_FRACTIONS:
             tensor = core.IncompleteTensor(demo, draw < fraction)
             condition = f"heavy_mask_{round(100 * fraction)}"
-            yield from _solve_all(tensor, seed, condition, cfg.rank, "masked_residuals")
+            yield from _solve_all(tensor, seed, condition, cfg.rank)
     for seed in UNIT_SEEDS:
         masked = scene.apply_mask(noisy(cfg.scene, seed), cfg.masks)
         for condition, factor in UNIT_SCALES.items():
             tensor = core.IncompleteTensor(factor * masked.values, masked.mask)
-            yield from _solve_all(tensor, seed, condition, cfg.rank, "expectation_imputation")
+            yield from _solve_all(tensor, seed, condition, cfg.rank)
     for seed in LARGE_SEEDS:
         large = noisy(LARGE_SCENE, seed)
         tensor = core.IncompleteTensor(large, heavy_mask(seed, large.shape) < 0.9)
-        yield from _solve_all(tensor, seed, "large_mask_90", LARGE_SCENE.rank, "masked_residuals")
-        yield from _solve_all(large, seed, "large_dense", LARGE_SCENE.rank, "expectation_imputation")
+        yield from _solve_all(tensor, seed, "large_mask_90", LARGE_SCENE.rank)
+        yield from _solve_all(large, seed, "large_dense", LARGE_SCENE.rank)
     for seed in SWAMP_SEEDS:
         sources = scene.synthetic_sources(SWAMP_SCENE.time_len, SWAMP_SCENE.rank, seed=seed)
         clean, _ = scene.build_scene_tensor(SWAMP_SCENE, sources)
-        yield from _solve_all(clean, seed, "swamp", SWAMP_SCENE.rank, "expectation_imputation")
+        yield from _solve_all(clean, seed, "swamp", SWAMP_SCENE.rank)
 
 
 def _key(rec):
@@ -188,9 +183,9 @@ def cell_summaries(records):
 
 def unit_matches(records):
     """One line per (unit condition, algorithm): the seeds whose iterations
-    and converged flag equal those of the unscaled expectation_imputation
-    solve of the same seed and algorithm."""
-    base = {(r["seed"], r["algorithm"]): r for r in records if r["condition"] == "expectation_imputation"}
+    and converged flag equal those of the unscaled masked_residuals solve
+    of the same seed and algorithm."""
+    base = {(r["seed"], r["algorithm"]): r for r in records if r["condition"] == "masked_residuals"}
     cells = {}
     for rec in records:
         if rec["condition"] in UNIT_SCALES:
@@ -198,7 +193,7 @@ def unit_matches(records):
             same = all(rec[name] == old[name] for name in ("iterations", "converged"))
             cells.setdefault((rec["condition"], rec["algorithm"]), []).append(same)
     return [f"{condition} {algorithm}: {sum(same)}/{len(same)} seeds match unscaled "
-            f"expectation_imputation in iterations and converged"
+            f"masked_residuals in iterations and converged"
             for (condition, algorithm), same in cells.items()]
 
 
