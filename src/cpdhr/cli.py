@@ -49,9 +49,9 @@ def build_parser():
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--algorithm", choices=ALGORITHMS, default="gauss_newton_als_warmstart")
     p.add_argument("--seed", type=int, required=True,
-                   help="start seed: the slice weights of the algebraic start for a fully observed "
-                        "order-3 tensor of rank at most its first two extents, otherwise the "
-                        "random factors of the data-scaled seeded start")
+                   help="start seed: the slice weights of the algebraic start for an order-3 tensor "
+                        "of rank at most its first two extents (of its zero-filled values if masked), "
+                        "otherwise the random factors of the data-scaled seeded start")
 
     p = sub.add_parser("evaluate", help="compare estimated factors against the truth")
     p.add_argument("truth_dir")

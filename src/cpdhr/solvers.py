@@ -43,11 +43,11 @@ WARMSTART_SWEEPS = 3
 # more sweep. Solves from the algebraic start of a fully observed tensor
 # mostly stop after ten or eleven sweeps (17 of the first 30 ALS cases of
 # perfbench's large_array_dense workload), where a search would only add
-# cost; slow solves, the seeded masked ones and the dense ones that crawl,
-# run on and gain. Over the ALS solves of tools/solver_parity.py, starting
-# at sweep 3 or 5 saved few more sweeps (dense demo cell 922 against 983
-# at 10) and starting at 15 or 20 kept more (masked_residuals 1,002 and
-# 1,031 against 984). The warm start's WARMSTART_SWEEPS never reach it.
+# cost; slow solves, masked or dense, run on and gain. Over the ALS
+# solves of tools/solver_parity.py, starting at sweep 3 or 5 saved few
+# more sweeps (dense demo cell 922 against 983 at 10) and starting at 15
+# or 20 kept more (masked_residuals 1,002 and 1,031 against 984). The
+# warm start's WARMSTART_SWEEPS never reach it.
 LINE_SEARCH_FROM = 10
 
 # Gauss-Newton's tolerance-based stops only count as convergence once the
@@ -197,12 +197,13 @@ def _factor_views(x, shape, rank):
     return views
 
 
-def _start(tvals, mask, opts, data_norm):
+def _start(tvals, opts, data_norm):
     """The solver state: one flat complex vector whose block n is the
     C-order (I_n, R) view of factor n that _factor_views takes. An explicit
-    CpdModel init is used as given. A seeded start of a fully observed
-    order-3 tensor with R <= I_0, R <= I_1 and I_2 >= 2 is the algebraic
-    start, the seed drawing its slice weights. Any other seeded start is
+    CpdModel init is used as given. A seeded start of an order-3 tensor
+    with R <= I_0, R <= I_1 and I_2 >= 2 is the algebraic start of tvals,
+    the seed drawing its slice weights; for an IncompleteTensor tvals holds
+    zeros where an entry is unobserved. Any other seeded start is
     init_model scaled so that its reconstruction has norm data_norm, since
     a badly scaled start wastes iterations on pure rescaling."""
     shape, rank, model = tvals.shape, opts.rank, opts.init
@@ -212,7 +213,7 @@ def _start(tvals, mask, opts, data_norm):
         if model.rank != rank:
             raise ValueError(f"init model rank {model.rank} != requested rank {rank}")
         return np.concatenate([f.ravel() for f in model.factors])
-    if mask is None and len(shape) == 3 and rank <= min(shape[:2]) and shape[2] >= 2:
+    if len(shape) == 3 and rank <= min(shape[:2]) and shape[2] >= 2:
         return _algebraic_start(tvals, rank, int(model))
     model = init_model(shape, rank, int(model))
     start_norm = float(np.linalg.norm(core.reconstruct(model).ravel()))
@@ -236,6 +237,11 @@ def _algebraic_start(tvals, rank, seed):
     the dense ALS sweep. Every inverse is a pseudo-inverse, so the start is
     finite on finite input. No intermediate is larger than the tensor, and
     none grows with I_2 squared.
+
+    On masked input tvals is the zero-filled tensor. Its MLSVD subspaces
+    and pencil are only near those of the observed entries' CPD, so there
+    the start is not exact, even on noiseless data: it is where the masked
+    solvers begin, not a solution.
     """
     shape = tvals.shape
     i0, i1, i2 = shape
@@ -656,7 +662,7 @@ def cpd_als(t, opts):
     returned model.
     """
     tvals, mask, norm = _observed(t)
-    x = _start(tvals, mask, opts, norm)
+    x = _start(tvals, opts, norm)
     trace, converged, exact = _als_iterate(tvals, mask, norm, x, opts, opts.max_iterations)
     if not exact:
         trace[-1] = _relative_residual(tvals, mask, norm, core.reconstruct(_factor_views(x, tvals.shape, opts.rank)))
@@ -961,7 +967,7 @@ def cpd_nls(t, opts):
     # factors) and g_scale both scale as s^((2N-1)/N).
     n_observed = tvals.size if mask is None else np.count_nonzero(mask)
     g_scale = norm * (norm / math.sqrt(n_observed)) ** ((n_modes - 1) / n_modes)
-    x = _start(tvals, mask, opts, norm)
+    x = _start(tvals, opts, norm)
     factors = _factor_views(x, shape, rank)
     explicit = x.size <= EXPLICIT_GN_MAX_PARAMS
 
@@ -1053,16 +1059,16 @@ def cpd_nls(t, opts):
 def cpd(t, opts):
     """Dispatch on opts.algorithm; the warmstart variant runs
     WARMSTART_SWEEPS ALS sweeps from the same start as the other solvers
-    (see _start: algebraic for a fully observed order-3 tensor of rank at
-    most I_0 and I_1, otherwise seeded and scaled to the data) and hands the
-    rebalanced result to Gauss-Newton as an explicit init."""
+    (see _start: algebraic for an order-3 tensor of rank at most I_0 and
+    I_1, masked or not, otherwise seeded and scaled to the data) and hands
+    the rebalanced result to Gauss-Newton as an explicit init."""
     if opts.algorithm == "als":
         return cpd_als(t, opts)
     if opts.algorithm == "gauss_newton":
         return cpd_nls(t, opts)
 
     tvals, mask, norm = _observed(t)
-    x = _start(tvals, mask, opts, norm)
+    x = _start(tvals, opts, norm)
     _als_iterate(tvals, mask, norm, x, opts, WARMSTART_SWEEPS)
     warm = CpdModel(_factor_views(x, tvals.shape, opts.rank))
     return cpd_nls(t, dataclasses.replace(opts, algorithm="gauss_newton", init=warm))

@@ -29,9 +29,11 @@ SWAMP_SCENE, two noiseless sources on a 6x6 array with 12 samples, under
 the three algorithms: the configuration where last-bit
 rounding decides whether a solve is certified as converged. Every solve
 prints one JSON line: seed, condition, algorithm, iterations, converged,
-final residual and wall time in milliseconds ("ms", the best of
-TIMING_REPEATS runs of the solve; informational: no gate reads it, and
-files without it are still read); the converged count, the median and
+final residual and wall time in milliseconds ("scaled_ms": the best of
+TIMING_REPEATS runs of the solve, scaled to nominal machine speed by the
+perfbench reference clock timed between consecutive solves, as perfbench
+scales its times; informational: no gate reads it, and files without it
+are still read); the converged count, the median and
 total iterations, the count of solves that ran out of iterations (500,
 unconverged) and the median and 90th percentile wall time of every
 condition and algorithm follow on standard error, and then, for each
@@ -43,12 +45,15 @@ Each solve whose iteration count or converged flag differs, whose residual
 differs by more than RESIDUAL_RTOL relative, or that is missing on either
 side is listed on standard error, and the exit status is 1. Then, for
 each condition and algorithm, the converged count, the iteration total
-and the solves out of iterations in FILE and here follow, with the
-largest relative residual gap among the solves converged on both sides:
-the gate for a change that moves iteration counts on purpose. The median
-and 90th percentile wall times in FILE and here follow where FILE has
-them. The cpdhr package is imported from the src/
-directory of the checkout that holds this script.
+and the solves out of iterations in FILE and here follow, with how many
+solves end at a lower residual than in FILE, at an equal one (within
+RESIDUAL_RTOL relative) and at a higher one, and the largest relative
+residual gap among the solves converged on both sides: the gate for a
+change that moves iteration counts or minima on purpose. The median and
+90th percentile scaled wall times in FILE and here follow where FILE has
+them. The cpdhr package and perfbench's bench_clock module are imported
+from the src/ and perfbench/ directories of the checkout that holds this
+script.
 """
 
 import os
@@ -65,8 +70,10 @@ import time  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import numpy as np  # noqa: E402
+from bench_clock import Clock  # noqa: E402
 
 from cpdhr import core, formats, scene, solvers  # noqa: E402
 from cpdhr.pipeline import INIT_SEED_OFFSET, NOISE_SEED_OFFSET  # noqa: E402
@@ -95,24 +102,43 @@ RESIDUAL_RTOL = 1e-12
 TIMING_REPEATS = 3
 
 
-def _solve_all(tensor, seed, condition, rank):
-    """One record per algorithm for one tensor."""
-    for algorithm in solvers.ALGORITHMS:
-        opts = CpdOptions(rank=rank, algorithm=algorithm, init=seed + INIT_SEED_OFFSET)
+class _ScaledTimer:
+    """Best-of-TIMING_REPEATS wall times of solves, scaled to nominal
+    machine speed: the speed of a shared core drifts by more than the
+    best-of-3 removes, and the perfbench reference, timed once between
+    consecutive solves, drifts with it."""
+
+    def __init__(self):
+        self._clock = Clock()
+        self._before = self._clock.reference_ms()
+
+    def solve(self, tensor, opts):
+        """solvers.cpd(tensor, opts)'s diagnostics and scaled time in ms."""
         times = []
         for _ in range(TIMING_REPEATS):
             start = time.perf_counter()
             _, diag = solvers.cpd(tensor, opts)
             times.append(time.perf_counter() - start)
-        ms = 1e3 * min(times)
+        after = self._clock.reference_ms()
+        ms = 1e3 * min(times) * self._clock.scale(self._before, after)
+        self._before = after
+        return diag, ms
+
+
+def _solve_all(timer, tensor, seed, condition, rank):
+    """One record per algorithm for one tensor."""
+    for algorithm in solvers.ALGORITHMS:
+        opts = CpdOptions(rank=rank, algorithm=algorithm, init=seed + INIT_SEED_OFFSET)
+        diag, ms = timer.solve(tensor, opts)
         yield {"seed": seed, "condition": condition, "algorithm": algorithm,
                "iterations": diag.iterations, "converged": diag.converged,
-               "residual": diag.final_relative_residual, "ms": round(ms, 3)}
+               "residual": diag.final_relative_residual, "scaled_ms": round(ms, 3)}
 
 
 def solves():
     """One record per (seed, condition, algorithm), in a fixed order."""
     cfg = formats.load_config(os.path.join(ROOT, "configs", "demo_scene.json"))
+    timer = _ScaledTimer()
 
     def noisy(doa_scene, seed):
         sources = scene.synthetic_sources(doa_scene.time_len, doa_scene.rank, seed=seed)
@@ -125,29 +151,29 @@ def solves():
     for seed in SEEDS:
         demo = noisy(cfg.scene, seed)
         masked = scene.apply_mask(demo, cfg.masks)
-        yield from _solve_all(demo, seed, "dense", cfg.rank)
-        yield from _solve_all(masked, seed, "masked_residuals", cfg.rank)
+        yield from _solve_all(timer, demo, seed, "dense", cfg.rank)
+        yield from _solve_all(timer, masked, seed, "masked_residuals", cfg.rank)
     for seed in HEAVY_MASK_SEEDS:
         demo = noisy(cfg.scene, seed)
         draw = heavy_mask(seed, demo.shape)
         for fraction in HEAVY_MASK_FRACTIONS:
             tensor = core.IncompleteTensor(demo, draw < fraction)
             condition = f"heavy_mask_{round(100 * fraction)}"
-            yield from _solve_all(tensor, seed, condition, cfg.rank)
+            yield from _solve_all(timer, tensor, seed, condition, cfg.rank)
     for seed in UNIT_SEEDS:
         masked = scene.apply_mask(noisy(cfg.scene, seed), cfg.masks)
         for condition, factor in UNIT_SCALES.items():
             tensor = core.IncompleteTensor(factor * masked.values, masked.mask)
-            yield from _solve_all(tensor, seed, condition, cfg.rank)
+            yield from _solve_all(timer, tensor, seed, condition, cfg.rank)
     for seed in LARGE_SEEDS:
         large = noisy(LARGE_SCENE, seed)
         tensor = core.IncompleteTensor(large, heavy_mask(seed, large.shape) < 0.9)
-        yield from _solve_all(tensor, seed, "large_mask_90", LARGE_SCENE.rank)
-        yield from _solve_all(large, seed, "large_dense", LARGE_SCENE.rank)
+        yield from _solve_all(timer, tensor, seed, "large_mask_90", LARGE_SCENE.rank)
+        yield from _solve_all(timer, large, seed, "large_dense", LARGE_SCENE.rank)
     for seed in SWAMP_SEEDS:
         sources = scene.synthetic_sources(SWAMP_SCENE.time_len, SWAMP_SCENE.rank, seed=seed)
         clean, _ = scene.build_scene_tensor(SWAMP_SCENE, sources)
-        yield from _solve_all(clean, seed, "swamp", SWAMP_SCENE.rank)
+        yield from _solve_all(timer, clean, seed, "swamp", SWAMP_SCENE.rank)
 
 
 def _key(rec):
@@ -162,15 +188,15 @@ def _stops(recs):
 
 
 def _times(recs):
-    """The median and 90th percentile of the solves' wall times."""
-    ms = [r["ms"] for r in recs]
+    """The median and 90th percentile of the solves' scaled wall times."""
+    ms = [r["scaled_ms"] for r in recs]
     return f"{np.median(ms):.2f}/{np.percentile(ms, 90):.2f} ms"
 
 
 def cell_summaries(records):
     """One line per (condition, algorithm): converged solves of all, the
     median and total iterations, the solves that ran out of iterations, and
-    the median and 90th percentile wall time."""
+    the median and 90th percentile scaled wall time."""
     cells = {}
     for rec in records:
         cells.setdefault((rec["condition"], rec["algorithm"]), []).append(rec)
@@ -197,12 +223,23 @@ def unit_matches(records):
             for (condition, algorithm), same in cells.items()]
 
 
+def _residual_sign(old, new):
+    """-1, 0 or 1 as new's residual is lower than, equal within
+    RESIDUAL_RTOL relative to, or higher than old's; a NaN counts as
+    lower, so that it is never taken as equal."""
+    gap = new["residual"] - old["residual"]
+    if abs(gap) <= RESIDUAL_RTOL * abs(old["residual"]):
+        return 0
+    return 1 if gap > 0 else -1
+
+
 def cell_comparisons(records, reference):
     """One line per (condition, algorithm) of the records: converged count,
     iteration total and solves out of iterations in the reference and here,
-    the largest relative residual gap among the solves converged on both
-    sides, and the median and 90th percentile wall times where the
-    reference has them."""
+    the solves whose residual is lower, equal and higher here, the largest
+    relative residual gap among the solves converged on both sides, and the
+    median and 90th percentile scaled wall times where the reference has
+    them."""
     ref = {_key(r): r for r in reference}
     cells = {}
     for rec in records:
@@ -213,14 +250,17 @@ def cell_comparisons(records, reference):
         both = [(old, new) for old, new in pairs if old["converged"] and new["converged"]]
         gaps = [abs(new["residual"] - old["residual"]) / abs(old["residual"]) for old, new in both]
         olds, news = [o for o, _ in pairs], [n for _, n in pairs]
+        signs = [_residual_sign(old, new) for old, new in pairs]
         times = ""
-        if pairs and all("ms" in old for old in olds):
+        if pairs and all("scaled_ms" in old for old in olds):
             times = f", median/p90 {_times(olds)} -> {_times(news)}"
         lines.append(
             f"{condition} {algorithm}: converged {sum(o['converged'] for o in olds)}/{len(pairs)} -> "
             f"{sum(n['converged'] for n in news)}/{len(pairs)}, iterations total "
             f"{sum(o['iterations'] for o in olds)} -> {sum(n['iterations'] for n in news)}, "
-            f"out of iterations {_stops(olds)} -> {_stops(news)}, largest residual gap {max(gaps, default=0.0):.2g} over {len(both)} converged on both sides"
+            f"out of iterations {_stops(olds)} -> {_stops(news)}, residual lower/equal/higher "
+            f"{signs.count(-1)}/{signs.count(0)}/{signs.count(1)}, "
+            f"largest residual gap {max(gaps, default=0.0):.2g} over {len(both)} converged on both sides"
             + times)
     return lines
 
@@ -236,8 +276,7 @@ def differences(records, reference):
             continue
         diffs = [f"{name} {old[name]} -> {rec[name]}" for name in ("iterations", "converged")
                  if rec[name] != old[name]]
-        gap = abs(rec["residual"] - old["residual"])
-        if not gap <= RESIDUAL_RTOL * abs(old["residual"]):
+        if _residual_sign(old, rec):
             diffs.append(f"residual {old['residual']!r} -> {rec['residual']!r}")
         if diffs:
             lines.append(f"{_key(rec)}: " + ", ".join(diffs))
