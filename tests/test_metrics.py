@@ -1,4 +1,5 @@
-"""Metrics tests: gauge invariance, padding rules, correlation oracles."""
+"""Metrics tests: gauge invariance, padding rules, assignment and correlation
+oracles. scipy is a test-only oracle; the package never loads it."""
 
 import os
 import subprocess
@@ -7,11 +8,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
+import scipy.special
 import scipy.stats
 
 import cpdhr
 from cpdhr.core import CpdModel
-from cpdhr.metrics import align_sources, correlate_sources, cpderr, pearson
+from cpdhr.metrics import (
+    CONGRUENCE_FLOOR, _assign, _t_pvalue, align_sources, correlate_sources, cpderr,
+    match_columns, pearson,
+)
 from cpdhr.solvers import init_model, normalize_model
 
 
@@ -160,6 +166,69 @@ def test_cpderr_refuses_non_finite_factors():
 
 
 # ---------------------------------------------------------------------------
+# assignment
+
+
+def _scipy_assignment(cost):
+    rows, cols = scipy.optimize.linear_sum_assignment(cost)
+    match = [-1] * cost.shape[0]
+    for r, c in zip(rows.tolist(), cols.tolist()):
+        match[r] = c
+    return match
+
+
+def _total(cost, match):
+    return sum(cost[r, c] for r, c in enumerate(match) if c >= 0)
+
+
+def test_assignment_matches_scipy_on_random_matrices():
+    # 10,000 continuous costs, square and rectangular, 1 to 8 on each side
+    rng = np.random.default_rng(41)
+    for _ in range(10_000):
+        rows, cols = rng.integers(1, 9, size=2)
+        cost = rng.standard_normal((rows, cols))
+        got, ref = _assign(cost), _scipy_assignment(cost)
+        assert got == ref
+        assert _total(cost, got) == _total(cost, ref)
+
+
+def test_assignment_ties_match_scipy():
+    # small integer costs have many optimal assignments; the tie rule
+    # picks the same one as the reference
+    rng = np.random.default_rng(42)
+    for _ in range(3_000):
+        rows, cols = rng.integers(1, 9, size=2)
+        cost = rng.integers(0, 3, size=(rows, cols)).astype(np.float64)
+        assert _assign(cost) == _scipy_assignment(cost)
+
+
+def test_assignment_tie_rule_hand_cases():
+    # a constant block is matched on its diagonal, in every shape
+    for shape in ((3, 3), (2, 4), (4, 2), (1, 3), (3, 1)):
+        expected = [r if r < min(shape) else -1 for r in range(shape[0])]
+        assert _assign(np.full(shape, -np.log(CONGRUENCE_FLOOR))) == expected
+    assert _assign(np.array([[1.0, 1, 0], [1, 1, 1], [0, 1, 1]])) == [2, 1, 0]
+    assert _assign(np.array([[2.0, 1, 1], [1, 2, 1]])) == [1, 0]
+    assert _assign(np.array([[1.0, 1], [1, 1], [0, 0]])) == [-1, 1, 0]
+
+
+def test_match_columns_ties_on_zero_norm_and_padded_columns():
+    # zero-norm estimate columns all cost -log(CONGRUENCE_FLOOR); the
+    # truth columns left to them take them in index order
+    e = np.eye(4, dtype=complex)
+    zero = np.zeros((4, 1), dtype=complex)
+    truth = CpdModel([e[:, :3].copy() for _ in range(3)])
+    est = CpdModel([np.hstack([zero, e[:, [0]], zero]) for _ in range(3)])
+    assert match_columns(truth, est) == [1, 0, 2]
+    est = CpdModel([np.hstack([e[:, [2]], zero, zero, e[:, [0]]]) for _ in range(3)])
+    assert match_columns(truth, est) == [3, 1, 0]
+    est = CpdModel([np.hstack([zero, e[:, [1]]]) for _ in range(3)])
+    assert match_columns(truth, est) == [0, 1, None]
+    est = CpdModel([np.zeros((4, 2), dtype=complex) for _ in range(3)])
+    assert match_columns(truth, est) == [0, 1, None]
+
+
+# ---------------------------------------------------------------------------
 # align_sources
 
 
@@ -261,6 +330,44 @@ def test_pearson_matches_scipy():
         assert abs(p - ref.pvalue) < 1e-10
 
 
+def _pvalue_errors(ns, rs):
+    """Relative error of _t_pvalue against the reference incomplete beta at
+    x = nu / (nu + t^2), computed as pearson computes it."""
+    worst = 0.0
+    for n in ns:
+        nu = n - 2
+        for r in rs:
+            t2 = r * r * nu / (1.0 - r * r)
+            x = nu / (nu + t2)
+            p = _t_pvalue(nu, x)
+            ref = float(scipy.special.betainc(0.5 * nu, 0.5, x))
+            assert 0.0 <= p <= 1.0
+            if ref < np.finfo(np.float64).tiny:
+                # below the normal range neither side keeps relative digits
+                assert p < np.finfo(np.float64).tiny
+            else:
+                worst = max(worst, abs(p - ref) / ref)
+    return worst
+
+
+def test_pvalue_matches_scipy_betainc_on_a_grid():
+    assert _pvalue_errors(range(3, 257), np.linspace(0.0, 0.9999, 101)) < 1e-13
+
+
+def test_pvalue_error_bound_beyond_256_samples():
+    # the continued fraction loses digits near its switch point as nu grows
+    assert _pvalue_errors((300, 517, 1000), np.linspace(0.0, 0.9999, 201)) < 2e-13
+
+
+def test_pearson_p_edge_values():
+    # orthogonal centered samples give r = 0 exactly, and p = 1 exactly
+    r, p = pearson([1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0])
+    assert r == 0.0 and p == 1.0
+    # centered norms 1 and 2 make |r| = 1 exactly
+    assert pearson([0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 2.0, 2.0]) == (1.0, 0.0)
+    assert pearson([0.0, 0.0, 1.0, 1.0], [0.0, 0.0, -2.0, -2.0]) == (-1.0, 0.0)
+
+
 def test_pearson_p_monotone_in_correlation():
     # fabricate vectors with increasing |r| at fixed length
     k = 20
@@ -297,9 +404,18 @@ def test_correlate_sources_columnwise():
         correlate_sources(truth, est[:, :2])
 
 
-def test_import_loads_no_scipy_submodule():
-    # scipy is loaded where an assignment or a p-value is computed, not on import
-    code = "import sys, cpdhr; print(sorted(m for m in ('scipy.optimize', 'scipy.special') if m in sys.modules))"
+def test_pipeline_and_evaluate_load_no_scipy(tmp_path):
+    # a whole run, evaluation included, loads no module of scipy
+    root = Path(cpdhr.__file__).parents[2]
+    code = (
+        "import sys, cpdhr\n"
+        "from cpdhr import cli\n"
+        f"out = {str(tmp_path / 'run')!r}\n"
+        f"assert cli.run(['pipeline', {str(root / 'configs' / 'demo_scene.json')!r}, out]) == 0\n"
+        "assert cli.run(['evaluate', out + '/truth', out + '/estimate', out + '/again.json']) == 0\n"
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy'}))\n"
+    )
     env = dict(os.environ, PYTHONPATH=str(Path(cpdhr.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"
+    assert (tmp_path / "run" / "again.json").read_bytes() == (tmp_path / "run" / "report.json").read_bytes()
