@@ -76,6 +76,10 @@ def match_columns(truth, estimate):
     all-zero estimate gives (every congruence at CONGRUENCE_FLOOR), is
     thus matched on its diagonal: the first min(R_truth, R_estimate)
     truth columns take the estimate columns of the same index.
+
+    Factor entries large enough to overflow a column norm make a
+    congruence inf/inf = NaN; ``_assign`` refuses that cost with
+    ValueError.
     """
     cost = -np.log(np.maximum(_congruence_matrix(truth, estimate), CONGRUENCE_FLOOR))
     return [None if c < 0 else c for c in _assign(cost)]
@@ -90,8 +94,11 @@ def _assign(cost):
     fewer columns than rows leaves out. Such a matrix is solved transposed.
     Rows are added one at a time; each addition runs a Dijkstra search
     over reduced costs to the nearest unassigned column, updates the duals
-    u, v and flips the assignments along the path.
+    u, v and flips the assignments along the path. A NaN or infinite cost
+    is refused with ValueError: the search would find no path through it.
     """
+    if not np.isfinite(cost).all():
+        raise ValueError("assignment cost matrix has a non-finite entry")
     tall = cost.shape[0] > cost.shape[1]
     if tall:
         cost = cost.T
@@ -288,7 +295,7 @@ def _t_pvalue(nu, x):
         if abs(delta - 1.0) <= eps:
             break
     else:
-        raise ArithmeticError(f"incomplete beta fraction did not converge at nu={nu}, x={x}")
+        raise ValueError(f"incomplete beta fraction did not converge at nu={nu}, x={x}")
     tail = front * h / a
     return 1.0 - tail if swap else tail
 

@@ -117,6 +117,26 @@ def test_validation_failures_exit_1(tmp_path, capsys):
     ]) == 1
 
 
+def test_evaluate_of_overflowing_factors_exits_1(tmp_path, capsys):
+    # factors near 1e160 are finite on disk, but their congruences are
+    # inf/inf = NaN; evaluate reports that and writes no report
+    cfg = write_config(tmp_path / "config.json")
+    truth = tmp_path / "truth"
+    est = tmp_path / "estimate"
+    assert cli.main(["simulate", cfg, str(truth)]) == 0
+    assert cli.main([
+        "decompose", str(truth / "clean.tns"), str(est),
+        "--rank", "2", "--seed", str(4 + INIT_SEED_OFFSET),
+    ]) == 0
+    for path in [*truth.glob("truth_mode*.tns"), *est.glob("factor_mode*.tns")]:
+        formats.save_tensor(np.full(formats.load_tensor(path).shape, 1e160 + 0j), path)
+    out = tmp_path / "report.json"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(["evaluate", str(truth), str(est), str(out)]) == 1
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_rejected_slices_exit_1_and_write_nothing(tmp_path, capsys):
     vec = tmp_path / "v.tns"
     vec.write_text("tns 1 3\n1.0 0.0\n2.0 0.0\n3.0 0.0\n", encoding="utf-8")

@@ -165,6 +165,17 @@ def test_cpderr_refuses_non_finite_factors():
                 cpderr(models["truth"], models["estimate"])
 
 
+def test_cpderr_refuses_congruences_that_overflow():
+    # finite entries near 1e160 overflow every column norm and inner
+    # product, so the congruence is inf/inf = NaN: a ValueError, not a
+    # search that never finds its augmenting path
+    for rank in (1, 2):
+        big = CpdModel([np.full((4, rank), 1e160, dtype=complex) for _ in range(3)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite"):
+                cpderr(big, big)
+
+
 # ---------------------------------------------------------------------------
 # assignment
 
@@ -210,6 +221,15 @@ def test_assignment_tie_rule_hand_cases():
     assert _assign(np.array([[1.0, 1, 0], [1, 1, 1], [0, 1, 1]])) == [2, 1, 0]
     assert _assign(np.array([[2.0, 1, 1], [1, 2, 1]])) == [1, 0]
     assert _assign(np.array([[1.0, 1], [1, 1], [0, 0]])) == [-1, 1, 0]
+
+
+def test_assignment_refuses_non_finite_costs():
+    for bad in (np.nan, np.inf, -np.inf):
+        for shape in ((1, 1), (2, 3), (3, 2)):
+            cost = np.zeros(shape)
+            cost[-1, -1] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                _assign(cost)
 
 
 def test_match_columns_ties_on_zero_norm_and_padded_columns():
