@@ -9,7 +9,7 @@ import argparse
 import sys
 
 from . import formats, pipeline
-from .solvers import ALGORITHMS
+from .solvers import ALGORITHMS, CpdOptions
 
 
 def _parse_seed_range(text):
@@ -47,7 +47,7 @@ def build_parser():
     p.add_argument("tensor")
     p.add_argument("out_dir")
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--algorithm", choices=ALGORITHMS, default="gauss_newton_als_warmstart")
+    p.add_argument("--algorithm", choices=ALGORITHMS, default=CpdOptions.algorithm)
     p.add_argument("--seed", type=int, required=True,
                    help="start seed: the slice weights of the algebraic start for an order-3 tensor "
                         "of rank at most its first two extents (of its zero-filled values if masked), "

@@ -8,7 +8,6 @@ seed + NOISE_SEED_OFFSET, solver initialization uses seed + INIT_SEED_OFFSET.
 """
 
 import json
-import math
 import os
 import shutil
 
@@ -107,17 +106,7 @@ def evaluate(truth_dir, estimate_dir, out_path):
     formats.save_signals(aligned_set, os.path.join(estimate_dir, "aligned_sources.csv"))
     corr = metrics.correlate_sources(sources.signals, aligned)
 
-    try:
-        doa = scene_mod.estimate_doa(estimate, cfg.scene)
-        doa_doc = {
-            "azimuth_deg": doa.azimuth_deg,
-            "elevation_deg": doa.elevation_deg,
-            "azimuth_rel_err": doa.azimuth_rel_err,
-            "elevation_rel_err": doa.elevation_rel_err,
-        }
-    except ValueError as exc:
-        doa_doc = {"error": str(exc)}
-
+    doa = scene_mod.estimate_doa(estimate, cfg.scene)
     report = {
         "provenance": {
             "config_sha256": digest,
@@ -140,7 +129,7 @@ def evaluate(truth_dir, estimate_dir, out_path):
             "per_source_r": corr.per_source_r,
             "per_source_p": corr.per_source_p,
         },
-        "doa": doa_doc,
+        "doa": vars(doa),
     }
     formats.save_report(report, out_path)
     return report
@@ -248,12 +237,9 @@ def run_pipeline(config_path, out_dir, seeds=None):
         "median_min_correlation": _median([r["unmasked"]["min_correlation"] for r in rows]),
         "per_seed": rows,
     }
-    # a seed whose DOA could not be read off counts as an infinite error for
-    # every source, as estimate_doa counts a source with no matched column
-    n_src = formats.load_config(config_path).scene.rank
     for key in ("azimuth_rel_err", "elevation_rel_err"):
-        errs = [r["unmasked"]["doa"].get(key, [math.inf] * n_src) for r in rows]
-        summary[f"median_{key}"] = [_median([e[k] for e in errs]) for k in range(n_src)]
+        errs = [r["unmasked"]["doa"][key] for r in rows]
+        summary[f"median_{key}"] = [_median(e) for e in zip(*errs)]
     if any("masked" in r for r in rows):
         masked_rows = [r for r in rows if "masked" in r]
         summary["median_cpderr_masked"] = [

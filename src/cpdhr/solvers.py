@@ -676,7 +676,7 @@ def cpd_als(t, opts):
 # J^H J is complex-linear on the flat parameter vector, and Re(vdot(a, b))
 # is the inner product of the real parameters (Re x, Im x). The Hessian of
 # f adds to it the residual term v -> conj(K v), K complex symmetric (see
-# _newton_operator): real-linear only, but self-adjoint for that inner
+# _residual_term): real-linear only, but self-adjoint for that inner
 # product, so the same CG solves with it.
 
 # Largest parameter count sum(I_n * R) for which the dense operator is the
@@ -730,7 +730,7 @@ def _gramian_products(factors, pairs=True):
 
 
 def _assembled_gn_operator(factors, diag, off):
-    """v -> J^H J v with J^H J assembled as one Hermitian matrix.
+    """J^H J assembled as one Hermitian matrix.
 
     Row (n, i, s) and column (m, j, t) index entry (i, s) of factor n and
     entry (j, t) of factor m. Row i of block (n, n) is the (s, t) matrix
@@ -755,7 +755,7 @@ def _assembled_gn_operator(factors, diag, off):
             block = block.reshape(fn.size, factors[m].size)
             jtj[rows, cols] = block
             jtj[cols, rows] = block.conj().T
-    return jtj.dot
+    return jtj
 
 
 def _explicit_gn_operator(factors, w, w_pair):
@@ -802,11 +802,11 @@ def _explicit_masked_gn_operator(factors, mask, mu):
     return _assembled_gn_operator(factors, diag, off)
 
 
-def _newton_operator(gn_matvec, factors, r):
-    """v -> gn_matvec(v) + conj(K v): the damped J^H J that gn_matvec
-    applies plus the residual term of the Hessian at residual r, K the
-    complex-symmetric matrix with Re(p^T K p) / 2 = Re(r^H Q(p)), Q the
-    part of the model quadratic in the step.
+def _residual_term(factors, r):
+    """K, the residual term of the Hessian at residual r, which adds
+    v -> conj(K v) to J^H J: the complex-symmetric matrix with
+    Re(p^T K p) / 2 = Re(r^H Q(p)), Q the part of the model quadratic in
+    the step.
 
     In the (sum I_n, R, sum I_n, R) layout of _assembled_gn_operator,
     block (n, n) is zero, the model being linear in each factor, and for
@@ -831,8 +831,7 @@ def _newton_operator(gn_matvec, factors, r):
                     @ others).reshape(extents[n], extents[m], rank)
             rank_diagonal[rows_n, rows_m] = k_nm
             rank_diagonal[rows_m, rows_n] = k_nm.transpose(1, 0, 2)
-    k = k.reshape(n_rows * rank, n_rows * rank)
-    return lambda v: gn_matvec(v) + np.conj(k.dot(v))
+    return k.reshape(n_rows * rank, n_rows * rank)
 
 
 def _structured_gn_operator(factors, w, w_pair):
@@ -996,11 +995,11 @@ def cpd_nls(t, opts):
         w, w_pair = _gramian_products(factors, pairs=mask is None)
         shifted = w + mu * np.eye(rank)
         if mask is not None:
-            build = _explicit_masked_gn_operator if explicit else _masked_gn_operator
-            matvec = build(factors, mask, mu)
+            matvec = (_explicit_masked_gn_operator(factors, mask, mu).dot if explicit
+                      else _masked_gn_operator(factors, mask, mu))
         else:
-            build = _explicit_gn_operator if explicit else _structured_gn_operator
-            matvec = build(factors, shifted, w_pair)
+            matvec = (_explicit_gn_operator(factors, shifted, w_pair).dot if explicit
+                      else _structured_gn_operator(factors, shifted, w_pair))
         prec = _block_jacobi(shifted, shape)
         # Below the cutoff, the damped Newton step; where its CG meets
         # non-positive curvature, the damped Gauss-Newton step from the same
@@ -1008,7 +1007,8 @@ def cpd_nls(t, opts):
         # made the noiseless swamp solves of the parity tool slower: 441
         # iterations instead of 299 cold, 579 instead of 453 warm.
         if explicit:
-            step, cg_residual, curved = _pcg(_newton_operator(matvec, factors, r), -g, prec,
+            k = _residual_term(factors, r)
+            step, cg_residual, curved = _pcg(lambda v: matvec(v) + np.conj(k.dot(v)), -g, prec,
                                              CG_MAX_ITER, CG_RTOL)
         if not explicit or curved:
             step, cg_residual, _ = _pcg(matvec, -g, prec, CG_MAX_ITER, CG_RTOL)

@@ -9,6 +9,7 @@ from cpdhr import cli, formats
 from cpdhr.cli import _parse_seed_range
 from cpdhr.core import IncompleteTensor
 from cpdhr.pipeline import INIT_SEED_OFFSET
+from cpdhr.solvers import CpdOptions
 
 
 CONFIG = {
@@ -185,6 +186,22 @@ def test_pipeline_single_and_sweep(tmp_path):
     summary = formats.load_report(sweep / "summary.json")
     assert summary["seeds"] == [0, 1, 2]
     assert summary["n_converged"] == 3
+
+
+def test_decompose_defaults_to_the_solver_default_algorithm():
+    args = cli.build_parser().parse_args(["decompose", "t.tns", "out", "--rank", "2", "--seed", "0"])
+    assert args.algorithm == CpdOptions(rank=2).algorithm
+
+
+def test_pipeline_on_a_one_row_array_exits_0_with_every_source_unread(tmp_path):
+    # no shift invariance along a one-row axis: each source's DOA block entry
+    # says why instead of the run failing
+    cfg = write_config(tmp_path / "config.json", grid_m1=1)
+    assert cli.main(["pipeline", cfg, str(tmp_path / "run")]) == 0
+    doa = formats.load_report(tmp_path / "run" / "report.json")["doa"]
+    assert doa["reason"] == ["steering modes need at least 2 rows for shift invariance"] * 2
+    assert all(np.isnan(doa["azimuth_deg"] + doa["elevation_deg"]))
+    assert doa["azimuth_rel_err"] + doa["elevation_rel_err"] == [float("inf")] * 4
 
 
 def test_decompose_nonconvergence_exits_2(tmp_path):

@@ -221,15 +221,30 @@ def test_seed_sweep_summary(tmp_path):
     assert on_disk["median_cpderr"] == summary["median_cpderr"]
 
 
-def test_sweep_counts_a_failed_doa_as_infinite_error(tmp_path, monkeypatch):
-    def no_doa(model, scene):
-        raise ValueError("generator phases outside (0, pi)")
+def test_sweep_medians_count_an_unreadable_source_alone(tmp_path, monkeypatch):
+    # source 1 cannot be read at any seed, source 2 at seed 0 only: source
+    # 1's median errors are infinite, source 2's that of the two readable seeds
+    real, estimates = pipeline.scene_mod.estimate_doa, []
 
-    monkeypatch.setattr(pipeline.scene_mod, "estimate_doa", no_doa)
-    cfg_path = write_config(tmp_path / "config.json")
-    summary, _ = pipeline.run_pipeline(cfg_path, tmp_path / "sweep", seeds=[0])
-    assert summary["median_azimuth_rel_err"] == [math.inf, math.inf]
-    assert summary["median_elevation_rel_err"] == [math.inf, math.inf]
+    def doa(model, scene):
+        est = real(model, scene)
+        for r in [0] if estimates else [0, 1]:
+            est.azimuth_deg[r] = est.elevation_deg[r] = math.nan
+            est.azimuth_rel_err[r] = est.elevation_rel_err[r] = math.inf
+            est.reason[r] = "generator phases (-0.5000, 0.7000) outside (0, pi)"
+        estimates.append(est)
+        return est
+
+    monkeypatch.setattr(pipeline.scene_mod, "estimate_doa", doa)
+    cfg_path = write_config(tmp_path / "config.json", snr_db=0.0)
+    summary, _ = pipeline.run_pipeline(cfg_path, tmp_path / "sweep", seeds=[0, 1, 2])
+    for key in ("azimuth_rel_err", "elevation_rel_err"):
+        readable = [getattr(est, key)[1] for est in estimates[1:]]
+        assert summary[f"median_{key}"] == [math.inf, max(readable)], key
+        assert all(0.0 < e < math.inf for e in readable), key
+    on_disk = formats.load_report(tmp_path / "sweep" / "seed_0" / "report.json")["doa"]
+    assert on_disk["reason"] == ["generator phases (-0.5000, 0.7000) outside (0, pi)"] * 2
+    assert all(math.isnan(a) for a in on_disk["azimuth_deg"])
 
 
 def test_empty_sweep_rejected_before_writing(tmp_path):

@@ -306,6 +306,37 @@ class TestEstimateDoa:
             fitted.append(estimate_doa(model, scene).azimuth_rel_err[0])
         assert np.median(fitted) < np.median(ratio)
 
+    def test_unmappable_source_loses_its_angles_alone(self):
+        # source 2's steering columns at phases (-0.5, 0.7): an exact
+        # Vandermonde pair, so the fit keeps them, but outside (0, pi)
+        scene = default_scene()
+        _, truth = build_scene_tensor(scene, synthetic_sources(15, 3, seed=3))
+        a, b, c = (f.copy() for f in truth.factors)
+        a[:, 1] = np.exp(-0.5j * np.arange(10))
+        b[:, 1] = np.exp(0.7j * np.arange(10))
+        est = estimate_doa(CpdModel([a, b, c]), scene)
+        assert est.reason == [None, "generator phases (-0.5000, 0.7000) outside (0, pi)", None]
+        assert math.isnan(est.azimuth_deg[1]) and math.isnan(est.elevation_deg[1])
+        assert est.azimuth_rel_err[1] == est.elevation_rel_err[1] == math.inf
+        assert np.allclose(np.delete(est.azimuth_deg, 1), [10.0, 70.0], atol=1e-9)
+        assert np.allclose(np.delete(est.elevation_deg, 1), [20.0, 40.0], atol=1e-9)
+
+    def test_unmatched_source_gets_a_reason(self):
+        scene = default_scene()
+        _, truth = build_scene_tensor(scene, synthetic_sources(15, 3, seed=3))
+        est = estimate_doa(CpdModel([f[:, :2] for f in truth.factors]), scene)
+        assert est.reason == [None, None, "no estimate column matched the source"]
+        assert math.isnan(est.azimuth_deg[2]) and est.azimuth_rel_err[2] == math.inf
+        assert max(est.azimuth_rel_err[:2] + est.elevation_rel_err[:2]) < 1e-12
+
+    def test_one_row_array_reads_no_source(self):
+        scene = DoaScene(sources=default_scene().sources, grid_m1=1)
+        _, truth = build_scene_tensor(scene, synthetic_sources(15, 3, seed=3))
+        est = estimate_doa(truth, scene)
+        assert est.reason == ["steering modes need at least 2 rows for shift invariance"] * 3
+        assert all(math.isnan(v) for v in est.azimuth_deg + est.elevation_deg)
+        assert est.azimuth_rel_err + est.elevation_rel_err == [math.inf] * 6
+
     def test_grid_mismatch_rejected(self):
         scene = default_scene()
         bad = CpdModel([np.ones((4, 2), dtype=complex)] * 2 + [np.ones((15, 2), dtype=complex)])

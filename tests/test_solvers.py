@@ -533,6 +533,17 @@ DENSE_BUILDERS = [solvers._explicit_gn_operator, solvers._structured_gn_operator
 MUS = (0.0, 0.7)
 
 
+def as_matvec(operator):
+    """The explicit builders return their matrix, the others a matvec."""
+    return operator.dot if isinstance(operator, np.ndarray) else operator
+
+
+def newton_operator(gn_matvec, factors, r):
+    """v -> gn_matvec(v) + conj(K v), as cpd_nls applies the Newton model."""
+    k = solvers._residual_term(factors, r)
+    return lambda v: gn_matvec(v) + np.conj(k.dot(v))
+
+
 def flat_factors(rng, shape, rank):
     x = crandn(rng, sum(shape) * rank)
     return x, solvers._factor_views(x, shape, rank)
@@ -541,6 +552,10 @@ def flat_factors(rng, shape, rank):
 def dense_operator(build, factors, mu=0.0):
     w, w_pair = solvers._gramian_products(factors)
     return build(factors, w + mu * np.eye(w.shape[-1]), w_pair)
+
+
+def dense_matvec(build, factors, mu=0.0):
+    return as_matvec(dense_operator(build, factors, mu))
 
 
 def test_dense_matvec_agrees_with_tangent_form():
@@ -554,7 +569,7 @@ def test_dense_matvec_agrees_with_tangent_form():
                 delta = crandn(rng, sum(shape) * rank)
                 tangent = solvers._masked_gn_operator(factors, np.ones(shape, dtype=bool), 0.0)
                 for mu in MUS:
-                    a, b = dense_operator(build, factors, mu)(delta), tangent(delta) + mu * delta
+                    a, b = dense_matvec(build, factors, mu)(delta), tangent(delta) + mu * delta
                     scale = np.abs(a).max()
                     assert np.abs(a - b).max() < 1e-11 * max(scale, 1.0), (build.__name__, shape, mu)
 
@@ -620,7 +635,7 @@ def test_explicit_masked_matvec_matches_tangent_forms():
                 oracles = [solvers._masked_gn_operator(factors, mask, 0.0),
                            loop_masked_operator(factors, mask)]
                 for mu in MUS:
-                    explicit = solvers._explicit_masked_gn_operator(factors, mask, mu)
+                    explicit = solvers._explicit_masked_gn_operator(factors, mask, mu).dot
                     for _ in range(2):
                         delta = crandn(rng, sum(shape) * rank)
                         a = explicit(delta)
@@ -637,13 +652,31 @@ def test_explicit_masked_matrix_with_nothing_missing_is_the_dense_one():
             rank = int(rng.integers(1, 4))
             _, factors = flat_factors(rng, shape, rank)
             everything = np.ones(shape, dtype=bool)
-            dense = dense_operator(solvers._explicit_gn_operator, factors).__self__
+            dense = dense_operator(solvers._explicit_gn_operator, factors)
             for mu in MUS:
-                masked = solvers._explicit_masked_gn_operator(factors, everything, mu).__self__
-                damped_dense = dense_operator(solvers._explicit_gn_operator, factors, mu).__self__
+                masked = solvers._explicit_masked_gn_operator(factors, everything, mu)
+                damped_dense = dense_operator(solvers._explicit_gn_operator, factors, mu)
                 expected = dense + mu * np.eye(dense.shape[0])
                 for damped in (masked, damped_dense):
                     assert np.abs(damped - expected).max() < 1e-12 * np.abs(dense).max(), (shape, mu)
+
+
+def test_explicit_matrices_are_hermitian_and_the_residual_term_complex_symmetric():
+    # CG needs a self-adjoint operator: J^H J + mu I, dense or masked, is
+    # Hermitian, and v -> conj(K v) is self-adjoint for Re(vdot) when K = K^T
+    rng = np.random.default_rng(69)
+    for order in (2, 3, 4):
+        for _ in range(3):
+            shape = tuple(int(x) for x in rng.integers(2, 5, size=order))
+            rank = int(rng.integers(1, 4))
+            _, factors = flat_factors(rng, shape, rank)
+            mask = rng.random(shape) < 0.6
+            k = solvers._residual_term(factors, crandn(rng, *shape))
+            assert np.abs(k - k.T).max() <= 1e-13 * np.abs(k).max(), shape
+            for mu in MUS:
+                for jtj in (dense_operator(solvers._explicit_gn_operator, factors, mu),
+                            solvers._explicit_masked_gn_operator(factors, mask, mu)):
+                    assert np.abs(jtj - jtj.conj().T).max() <= 1e-13 * np.abs(jtj).max(), (shape, mu)
 
 
 def test_dense_matvec_matches_fd_gauss_newton_operator():
@@ -672,7 +705,7 @@ def test_dense_matvec_matches_fd_gauss_newton_operator():
         ref = jac_real.T @ jac_real @ delta_real
         for build in DENSE_BUILDERS:
             for mu in MUS:
-                got = dense_operator(build, factors, mu)(delta)
+                got = dense_matvec(build, factors, mu)(delta)
                 got = np.concatenate([got.real, got.imag])
                 err = np.abs(ref + mu * delta_real - got).max()
                 assert err < 1e-6 * max(np.abs(ref).max(), 1.0), (build.__name__, shape, mu)
@@ -683,7 +716,7 @@ def test_dense_matvec_matches_fd_gauss_newton_operator():
         ref = jac_obs.T @ jac_obs @ delta_real
         for build in MASKED_BUILDERS:
             for mu in MUS:
-                got = build(factors, mask, mu)(delta)
+                got = as_matvec(build(factors, mask, mu))(delta)
                 got = np.concatenate([got.real, got.imag])
                 err = np.abs(ref + mu * delta_real - got).max()
                 assert err < 1e-6 * max(np.abs(ref).max(), 1.0), (build.__name__, shape, mu)
@@ -711,10 +744,10 @@ def test_newton_operator_is_mu_plus_the_fd_hessian():
 
             def newton(mu):
                 if masked:
-                    gn = solvers._explicit_masked_gn_operator(factors, mask, mu)
+                    gn = solvers._explicit_masked_gn_operator(factors, mask, mu).dot
                 else:
-                    gn = dense_operator(solvers._explicit_gn_operator, factors, mu)
-                return solvers._newton_operator(gn, factors, residual(x))
+                    gn = dense_matvec(solvers._explicit_gn_operator, factors, mu)
+                return newton_operator(gn, factors, residual(x))
 
             v = crandn(rng, x.size)
             h = 1e-6
@@ -786,8 +819,8 @@ def test_predicted_decrease_from_the_cg_residual_matches_the_undamped_model():
     scale = w.diagonal(axis1=1, axis2=2).real.max()
     for mu in (0.0, 1e-3 * scale, scale):
         shifted = w + mu * np.eye(rank)
-        gauss_newton = [solvers._explicit_gn_operator(factors, weights, w_pair) for weights in (w, shifted)]
-        newton = [solvers._newton_operator(op, factors, residual) for op in gauss_newton]
+        gauss_newton = [solvers._explicit_gn_operator(factors, weights, w_pair).dot for weights in (w, shifted)]
+        newton = [newton_operator(op, factors, residual) for op in gauss_newton]
         for undamped, damped in (gauss_newton, newton):
             p, r, _ = solvers._pcg(damped, -g, solvers._block_jacobi(shifted, shape),
                                    solvers.CG_MAX_ITER, solvers.CG_RTOL)
