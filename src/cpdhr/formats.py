@@ -194,6 +194,8 @@ class SceneConfig:
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         CpdOptions(rank=self.rank, algorithm=self.algorithm)
+        if self.rank < self.scene.rank:
+            raise ValueError(f"rank {self.rank} is below the {self.scene.rank} sources: each needs a column")
         if not isinstance(self.signals, str) or not self.signals:
             raise ValueError("signals must be 'synthetic' or a CSV path")
 

@@ -22,18 +22,16 @@ INIT_SEED_OFFSET = 2_000_003
 
 
 def simulate(config_path, out_dir):
-    """Build the scene tensor and its noisy / masked variants on disk."""
+    """Build the scene tensor and its noisy / masked variants on disk, once its inputs are checked."""
     cfg = formats.load_config(config_path)
-    os.makedirs(out_dir, exist_ok=True)
-    shutil.copyfile(config_path, os.path.join(out_dir, "config.json"))
-
     if cfg.signals == "synthetic":
         sources = scene_mod.synthetic_sources(cfg.scene.time_len, cfg.scene.rank, seed=cfg.seed)
     else:
         sources = formats.load_signals(cfg.signals)
-    formats.save_signals(sources, os.path.join(out_dir, "sources.csv"))
-
     clean, truth = scene_mod.build_scene_tensor(cfg.scene, sources)
+    os.makedirs(out_dir, exist_ok=True)
+    shutil.copyfile(config_path, os.path.join(out_dir, "config.json"))
+    formats.save_signals(sources, os.path.join(out_dir, "sources.csv"))
     formats.save_tensor(clean, os.path.join(out_dir, "clean.tns"))
     for n, factor in enumerate(truth.factors, start=1):
         formats.save_tensor(factor, os.path.join(out_dir, f"truth_mode{n}.tns"))
@@ -97,6 +95,8 @@ def evaluate(truth_dir, estimate_dir, out_path):
     truth = _load_model(truth_dir, "truth_mode")
     sources = formats.load_signals(os.path.join(truth_dir, "sources.csv"))
     estimate = _load_model(estimate_dir, "factor_mode")
+    if estimate.rank < truth.rank:
+        raise ValueError(f"estimate rank {estimate.rank} is below the {truth.rank} sources: each needs a column")
     diagnostics = formats.load_report(os.path.join(estimate_dir, "diagnostics.json"))
 
     rep = metrics.cpderr(truth, estimate)
@@ -154,7 +154,6 @@ def plot_overlay(csv_paths, out_svg):
 
 
 def _run_single(config_path, out_dir):
-    os.makedirs(out_dir, exist_ok=True)
     truth_dir = os.path.join(out_dir, "truth")
     cfg = simulate(config_path, truth_dir)
     solver_seed = cfg.seed + INIT_SEED_OFFSET
@@ -192,9 +191,9 @@ def run_pipeline(config_path, out_dir, seeds=None):
     """Full run for one seed, or a sweep over an iterable of seeds.
 
     Returns (reports, all_converged). A sweep writes per-seed directories
-    seed_<s>/ plus a summary.json of medians across seeds; an empty sweep,
-    or one with a seed that is not a non-negative integer, is refused
-    before anything is written.
+    seed_<s>/ plus a summary.json of medians across seeds. A config that
+    does not parse, an empty sweep, or one with a seed that is not a
+    non-negative integer, is refused before anything is written.
     """
     if seeds is None:
         return _run_single(config_path, out_dir)
@@ -205,6 +204,8 @@ def run_pipeline(config_path, out_dir, seeds=None):
         if type(s) is not int or s < 0:
             raise ValueError(f"sweep seed {s!r} must be a non-negative integer")
 
+    # the derived configs differ from this one only by a validated seed
+    formats.load_config(config_path)
     with open(config_path, "r", encoding="utf-8") as fh:
         base_doc = json.load(fh)
     os.makedirs(out_dir, exist_ok=True)

@@ -690,13 +690,12 @@ def cpd_als(t, opts):
 # from its explicit form to its tangent form at the same count: the tangent
 # form's memory and matvec grow with the masked tensor, never with the
 # square of the unknowns, which a long mode makes large. Up to this count,
-# dense or masked, the step is on the damped Newton model: the residual
-# term K is built as one more matrix, and the Gauss-Newton model takes over
-# for an iteration whose CG meets non-positive curvature on the Newton one.
-# At 0 dB the relative residual is near 0.7, so that term is large and
-# Gauss-Newton alone converges only linearly: on the 0 dB demo scene, from
-# the data-scaled seeded start, the Newton step took a warm-started solve
-# from about 50 to about 20 iterations, each costing about twice as much.
+# dense or masked, the step is on the damped Newton model, the residual
+# term K built as one more matrix; above it, on the damped Gauss-Newton
+# model. Either way one CG solve per iteration, which keeps its iterate
+# where it meets non-positive curvature. At 0 dB the relative residual is
+# near 0.7, so that term is large and Gauss-Newton alone converges only
+# linearly.
 EXPLICIT_GN_MAX_PARAMS = 160
 
 
@@ -892,13 +891,13 @@ def _block_jacobi(w, shape):
 
 
 def _pcg(matvec, b, prec, max_iter, rtol):
-    """(x, r, curved) with r = b - A x, A applied by matvec, at every exit;
-    curved is True when the exit is on non-positive curvature p^H A p."""
+    """(x, r) with r = b - A x, A applied by matvec, at every exit; on
+    non-positive curvature p^H A p, x is the iterate reached before it."""
     x = np.zeros_like(b)
     r = b.copy()
     b_norm2 = np.vdot(b, b).real
     if b_norm2 == 0.0:
-        return x, r, False
+        return x, r
     stop = (rtol * rtol) * b_norm2
     p = prec(r)
     rz = np.vdot(r, p).real
@@ -906,7 +905,7 @@ def _pcg(matvec, b, prec, max_iter, rtol):
         ap = matvec(p)
         pap = np.vdot(p, ap).real
         if pap <= 0.0:
-            return x, r, True
+            break
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
@@ -918,7 +917,7 @@ def _pcg(matvec, b, prec, max_iter, rtol):
             break
         p = z + (rz_next / rz) * p
         rz = rz_next
-    return x, r, False
+    return x, r
 
 
 def cpd_nls(t, opts):
@@ -936,14 +935,15 @@ def cpd_nls(t, opts):
     mask against the Khatri-Rao product of the pair columns the masked ALS
     sweep uses.
 
-    Each step solves (H + mu I) p = -g by CG on an operator built damped
-    (the dense builders take w shifted by mu I, whose block Jacobi inverse
-    preconditions CG). Up to the cutoff H is the Hessian J^H J + conj(K .),
-    K the residual term built from the masked residual the solver holds,
-    with either operator; where CG meets non-positive
-    curvature on it (Steihaug's exit), the iteration solves again with
-    H = J^H J and takes that step. Above the cutoff H is J^H J. The
-    predicted decrease of the undamped model the step was solved on,
+    Each step is one CG solve of (H + mu I) p = -g on an operator built
+    damped (the dense builders take w shifted by mu I, whose block Jacobi
+    inverse preconditions CG). Up to the cutoff H is the Hessian
+    J^H J + conj(K .), K the residual term built from the masked residual
+    the solver holds, with either operator: a Newton step. Above the cutoff
+    H is J^H J: a Gauss-Newton step. Where CG meets non-positive curvature,
+    the step is the iterate it reached (Steihaug's exit); an exit on the
+    first direction gives a zero step, which is rejected while mu rises.
+    The predicted decrease of the undamped model the step was solved on,
     Newton or Gauss-Newton, is read off the CG residual. mu starts at 0, so
     the solver takes the plain Newton or Gauss-Newton point until a step
     does poorly. A step whose gain ratio rho (actual over predicted
@@ -994,32 +994,27 @@ def cpd_nls(t, opts):
         # the preconditioner reads the dense w whatever the operator
         w, w_pair = _gramian_products(factors, pairs=mask is None)
         shifted = w + mu * np.eye(rank)
-        if mask is not None:
-            matvec = (_explicit_masked_gn_operator(factors, mask, mu).dot if explicit
-                      else _masked_gn_operator(factors, mask, mu))
-        else:
-            matvec = (_explicit_gn_operator(factors, shifted, w_pair).dot if explicit
-                      else _structured_gn_operator(factors, shifted, w_pair))
-        prec = _block_jacobi(shifted, shape)
-        # Below the cutoff, the damped Newton step; where its CG meets
-        # non-positive curvature, the damped Gauss-Newton step from the same
-        # matrix. Taking the truncated CG iterate there instead (Steihaug)
-        # made the noiseless swamp solves of the parity tool slower: 441
-        # iterations instead of 299 cold, 579 instead of 453 warm.
         if explicit:
+            # the damped Newton operator: J^H J + mu I and the residual term K
+            jhj = (_explicit_masked_gn_operator(factors, mask, mu) if mask is not None
+                   else _explicit_gn_operator(factors, shifted, w_pair))
             k = _residual_term(factors, r)
-            step, cg_residual, curved = _pcg(lambda v: matvec(v) + np.conj(k.dot(v)), -g, prec,
-                                             CG_MAX_ITER, CG_RTOL)
-        if not explicit or curved:
-            step, cg_residual, _ = _pcg(matvec, -g, prec, CG_MAX_ITER, CG_RTOL)
+            matvec = lambda v: jhj.dot(v) + np.conj(k.dot(v))  # noqa: E731
+        elif mask is not None:
+            matvec = _masked_gn_operator(factors, mask, mu)
+        else:
+            matvec = _structured_gn_operator(factors, shifted, w_pair)
+        step, cg_residual = _pcg(matvec, -g, _block_jacobi(shifted, shape), CG_MAX_ITER, CG_RTOL)
         step_norm = np.linalg.norm(step)
         # the undamped model's decrease -(g^H p + p^H H p / 2), H p = -g - mu p - cg_residual,
         # H the Hessian of the model the step was solved on (Newton or Gauss-Newton).
         # Second witness: the step promises almost no further decrease. A
         # negative computed decrease means the inner solve failed, which
-        # certifies nothing, hence the absolute value.
+        # certifies nothing, hence the absolute value; nor does the zero step
+        # of a curvature exit on CG's first direction.
         predicted = 0.5 * (np.vdot(cg_residual, step).real + mu * step_norm ** 2 - np.vdot(g, step).real)
-        certified = g_norm <= GRAD_CERTIFICATE * g_scale and abs(predicted) <= REL_OBJECTIVE_TOL * f_val
+        certified = (step_norm > 0.0 and g_norm <= GRAD_CERTIFICATE * g_scale
+                     and abs(predicted) <= REL_OBJECTIVE_TOL * f_val)
 
         trial = x + step
         r_trial = _residual(tvals, mask, core.reconstruct(_factor_views(trial, shape, rank)))

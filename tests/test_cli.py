@@ -188,6 +188,43 @@ def test_pipeline_single_and_sweep(tmp_path):
     assert summary["n_converged"] == 3
 
 
+def test_rank_below_the_source_count_exits_1_and_writes_nothing(tmp_path, capsys):
+    cfg = write_config(tmp_path / "config.json", rank=1)
+    for argv in (["simulate"], ["pipeline"], ["pipeline", "--seeds", "0..1"]):
+        out = tmp_path / "out"
+        assert cli.main([argv[0], cfg, str(out), *argv[1:]]) == 1, argv
+        assert "rank 1 is below the 2 sources" in capsys.readouterr().err, argv
+        assert not out.exists(), argv
+
+
+def test_evaluate_refuses_an_estimate_with_fewer_columns_than_sources(tmp_path, capsys):
+    truth, est, report = tmp_path / "truth", tmp_path / "estimate", tmp_path / "report.json"
+    assert cli.main(["simulate", write_config(tmp_path / "config.json"), str(truth)]) == 0
+    assert cli.main(["decompose", str(truth / "clean.tns"), str(est), "--rank", "1", "--seed", "0"]) == 0
+    written = files_under(tmp_path)
+    assert cli.main(["evaluate", str(truth), str(est), str(report)]) == 1
+    assert "estimate rank 1 is below the 2 sources" in capsys.readouterr().err
+    assert files_under(tmp_path) == written
+
+
+def test_invalid_config_refused_before_anything_is_written(tmp_path, capsys):
+    cfg = write_config(tmp_path / "bad.json", grid_m1=0)
+    for seeds in ([], ["--seeds", "0..1"]):
+        out = tmp_path / "out"
+        assert cli.main(["pipeline", cfg, str(out), *seeds]) == 1, seeds
+        assert "grid extents must be >= 1" in capsys.readouterr().err, seeds
+        assert not out.exists(), seeds
+    # a signals file with one column for the two sources
+    signals = tmp_path / "signals.csv"
+    signals.write_text("a\n" + "".join(f"{k}.0\n" for k in range(CONFIG["time_len"])), encoding="utf-8")
+    cfg = write_config(tmp_path / "one_column.json", signals=str(signals))
+    for command in ("simulate", "pipeline"):
+        out = tmp_path / "out"
+        assert cli.main([command, cfg, str(out)]) == 1, command
+        assert "does not match scene" in capsys.readouterr().err, command
+        assert not out.exists(), command
+
+
 def test_decompose_defaults_to_the_solver_default_algorithm():
     args = cli.build_parser().parse_args(["decompose", "t.tns", "out", "--rank", "2", "--seed", "0"])
     assert args.algorithm == CpdOptions(rank=2).algorithm

@@ -269,6 +269,13 @@ class TestSceneConfig:
         with pytest.raises(ValueError, match="grid"):
             parse_config(json.dumps(doc))
 
+    def test_rank_below_the_source_count_refused(self):
+        # the evaluation pairs every source with a column of the estimate;
+        # a rank above the source count stays allowed (criterion 7 pads)
+        with pytest.raises(ValueError, match="rank 2 is below the 3 sources"):
+            parse_config(json.dumps(dict(BASE_CONFIG, rank=2)))
+        assert parse_config(json.dumps(dict(BASE_CONFIG, rank=4))).rank == 4
+
     def test_invalid_fields(self):
         with pytest.raises(ValueError):
             parse_config(json.dumps(dict(BASE_CONFIG, algorithm="nope")))

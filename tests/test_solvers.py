@@ -768,8 +768,7 @@ def test_newton_operator_is_mu_plus_the_fd_hessian():
 
 def test_pcg_returns_the_residual_of_its_iterate_at_every_exit():
     # r = b - A x at the zero right-hand side, the tolerance, non-positive
-    # curvature (an indefinite A) and the iteration limit, and only the
-    # curvature exit is reported as one
+    # curvature (an indefinite A) and the iteration limit
     rng = np.random.default_rng(70)
     n = 12
     q, _ = np.linalg.qr(crandn(rng, n, n))
@@ -788,9 +787,8 @@ def test_pcg_returns_the_residual_of_its_iterate_at_every_exit():
             curvatures.append(np.vdot(v, av).real)
             return av
 
-        x, r, curved = solvers._pcg(matvec, rhs, lambda v: v / scales, max_iter, rtol)
+        x, r = solvers._pcg(matvec, rhs, lambda v: v / scales, max_iter, rtol)
         assert np.linalg.norm(r - (rhs - a @ x)) <= 1e-12 * max(np.linalg.norm(rhs), 1.0), exit_
-        assert curved is (exit_ == "curvature"), exit_
         # the exit taken is the one named
         reached = np.linalg.norm(r) <= rtol * np.linalg.norm(rhs)
         if exit_ == "zero":
@@ -822,8 +820,8 @@ def test_predicted_decrease_from_the_cg_residual_matches_the_undamped_model():
         gauss_newton = [solvers._explicit_gn_operator(factors, weights, w_pair).dot for weights in (w, shifted)]
         newton = [newton_operator(op, factors, residual) for op in gauss_newton]
         for undamped, damped in (gauss_newton, newton):
-            p, r, _ = solvers._pcg(damped, -g, solvers._block_jacobi(shifted, shape),
-                                   solvers.CG_MAX_ITER, solvers.CG_RTOL)
+            p, r = solvers._pcg(damped, -g, solvers._block_jacobi(shifted, shape),
+                                solvers.CG_MAX_ITER, solvers.CG_RTOL)
             predicted = 0.5 * (np.vdot(r, p).real + mu * np.vdot(p, p).real - np.vdot(g, p).real)
             direct = -(np.vdot(g, p).real + 0.5 * np.vdot(p, undamped(p)).real)
             assert abs(predicted - direct) <= 1e-12 * abs(direct), mu
@@ -832,9 +830,8 @@ def test_predicted_decrease_from_the_cg_residual_matches_the_undamped_model():
 def test_damping_follows_the_gain_ratio_on_the_undamped_model(monkeypatch):
     # each mu update must follow from rho = actual / predicted, with the
     # predicted decrease -(g^H p + p^H H p / 2) of the undamped Newton model
-    # (H = J^H J + conj(K .); the Gauss-Newton one, H = J^H J, where CG met
-    # non-positive curvature), recomputed here from the iterate, the step
-    # and the operator of the last solve of each iteration
+    # (H = J^H J + conj(K .)), recomputed here from the iterate, the step
+    # and the operator of the one solve of each iteration
     rng = np.random.default_rng(72)
     shape, rank = (6, 7, 8), 3
     truth = core.reconstruct(init_model(shape, rank, 2))
@@ -852,9 +849,9 @@ def test_damping_follows_the_gain_ratio_on_the_undamped_model(monkeypatch):
         return real_jacobi(shifted, shape)
 
     def pcg(matvec, b, prec, max_iter, rtol):
-        p, r, curved = real_pcg(matvec, b, prec, max_iter, rtol)
+        p, r = real_pcg(matvec, b, prec, max_iter, rtol)
         steps[-1].update(g=-b, p=p, hessian_p=matvec(p) - steps[-1]["mu"] * p)
-        return p, r, curved
+        return p, r
 
     monkeypatch.setattr(solvers, "_gramian_products", products)
     monkeypatch.setattr(solvers, "_block_jacobi", jacobi)
@@ -904,6 +901,48 @@ def test_solver_picks_the_operator_form_by_parameter_count(monkeypatch):
             t = IncompleteTensor(t, np.random.default_rng(0).random(shape) < 0.9)
         cpd_nls(t, CpdOptions(rank=rank, init=seeded_start(t, rank, 1), max_iterations=2))
         assert used and set(used) == {form}, form
+
+
+def test_gauss_newton_makes_one_cg_solve_per_iteration(monkeypatch):
+    # one CG solve for each outer iteration (each builds its Gramian
+    # products first), on the Newton model below the cutoff (one residual
+    # term per solve) and on the Gauss-Newton model above it: the dense and
+    # the masked 0 dB demo tensor (105 unknowns) and a noisy 12x12x20
+    # rank-4 tensor (176 unknowns)
+    counts = {}
+    for name in ("_pcg", "_gramian_products", "_residual_term"):
+        def spy(*args, real=getattr(solvers, name), name=name, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(solvers, name, spy)
+    rng = np.random.default_rng(74)
+    large = core.reconstruct(init_model((12, 12, 20), 4, 5))
+    large = large + 0.5 * np.linalg.norm(large) / np.sqrt(large.size) * crandn(rng, *large.shape)
+    dense, masked = demo_tensors(0)
+    for t, rank, explicit in [(dense, 3, True), (masked, 3, True), (large, 4, False)]:
+        assert (sum(t.shape) * rank <= solvers.EXPLICIT_GN_MAX_PARAMS) == explicit
+        counts.update(dict.fromkeys(("_pcg", "_gramian_products", "_residual_term"), 0))
+        _, diag = cpd_nls(t, CpdOptions(rank=rank, algorithm="gauss_newton", init=3))
+        assert diag.converged and diag.iterations > 1, t.shape
+        assert counts["_pcg"] == counts["_gramian_products"] == diag.iterations, (t.shape, counts)
+        assert counts["_residual_term"] == (diag.iterations if explicit else 0), (t.shape, counts)
+
+
+def test_a_zero_step_certifies_nothing(monkeypatch):
+    # CG's curvature exit on its first direction returns a zero step, whose
+    # predicted decrease reads 0 where the model has no minimum. From a
+    # converged solve's estimate the real step certifies convergence; a
+    # zero step every iteration must not, and mu rises until it collapses.
+    t = demo_tensors(0)[0]
+    model, diag = cpd_nls(t, CpdOptions(rank=3, algorithm="gauss_newton", init=3))
+    assert diag.converged
+    _, again = cpd_nls(t, CpdOptions(rank=3, algorithm="gauss_newton", init=model))
+    assert again.converged and again.iterations <= 3
+
+    monkeypatch.setattr(solvers, "_pcg", lambda matvec, b, *_: (np.zeros_like(b), b.copy()))
+    _, stuck = cpd_nls(t, CpdOptions(rank=3, algorithm="gauss_newton", init=model))
+    assert not stuck.converged and stuck.iterations < CpdOptions(rank=3).max_iterations
+    assert len(set(stuck.objective_trace)) == 1
 
 
 @pytest.mark.parametrize("algorithm", solvers.ALGORITHMS)
