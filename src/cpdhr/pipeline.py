@@ -21,29 +21,35 @@ NOISE_SEED_OFFSET = 1_000_003
 INIT_SEED_OFFSET = 2_000_003
 
 
-def simulate(config_path, out_dir):
-    """Build the scene tensor and its noisy / masked variants on disk, once its inputs are checked."""
-    cfg = formats.load_config(config_path)
+def _scene(cfg):
+    """(sources, clean, truth, noisy, masked) of a parsed config, masked
+    None without masks: every value the config's simulation refuses is
+    refused here, before anything is written."""
     if cfg.signals == "synthetic":
         sources = scene_mod.synthetic_sources(cfg.scene.time_len, cfg.scene.rank, seed=cfg.seed)
     else:
         sources = formats.load_signals(cfg.signals)
     clean, truth = scene_mod.build_scene_tensor(cfg.scene, sources)
+    if cfg.snr_db is None:
+        noisy = clean
+    else:
+        noisy = scene_mod.add_noise(clean, cfg.snr_db, seed=cfg.seed + NOISE_SEED_OFFSET)
+    masked = scene_mod.apply_mask(noisy, cfg.masks) if cfg.masks else None
+    return sources, clean, truth, noisy, masked
+
+
+def simulate(config_path, out_dir):
+    """Build the scene tensor and its noisy / masked variants, then write them to disk."""
+    cfg = formats.load_config(config_path)
+    sources, clean, truth, noisy, masked = _scene(cfg)
     os.makedirs(out_dir, exist_ok=True)
     shutil.copyfile(config_path, os.path.join(out_dir, "config.json"))
     formats.save_signals(sources, os.path.join(out_dir, "sources.csv"))
     formats.save_tensor(clean, os.path.join(out_dir, "clean.tns"))
     for n, factor in enumerate(truth.factors, start=1):
         formats.save_tensor(factor, os.path.join(out_dir, f"truth_mode{n}.tns"))
-
-    if cfg.snr_db is None:
-        noisy = clean
-    else:
-        noisy = scene_mod.add_noise(clean, cfg.snr_db, seed=cfg.seed + NOISE_SEED_OFFSET)
     formats.save_tensor(noisy, os.path.join(out_dir, "noisy.tns"))
-
-    if cfg.masks:
-        masked = scene_mod.apply_mask(noisy, cfg.masks)
+    if masked is not None:
         formats.save_tensor(masked, os.path.join(out_dir, "masked.tns"))
     return cfg
 
@@ -192,8 +198,9 @@ def run_pipeline(config_path, out_dir, seeds=None):
 
     Returns (reports, all_converged). A sweep writes per-seed directories
     seed_<s>/ plus a summary.json of medians across seeds. A config that
-    does not parse, an empty sweep, or one with a seed that is not a
-    non-negative integer, is refused before anything is written.
+    does not parse or whose first seed's scene is refused, an empty sweep,
+    or one with a seed that is not a non-negative integer, is refused
+    before anything is written.
     """
     if seeds is None:
         return _run_single(config_path, out_dir)
@@ -204,8 +211,11 @@ def run_pipeline(config_path, out_dir, seeds=None):
         if type(s) is not int or s < 0:
             raise ValueError(f"sweep seed {s!r} must be a non-negative integer")
 
-    # the derived configs differ from this one only by a validated seed
-    formats.load_config(config_path)
+    # the derived configs differ from this one only by a validated seed, so
+    # the first seed's scene shows a refusal of the others' values
+    cfg = formats.load_config(config_path)
+    cfg.seed = seeds[0]
+    _scene(cfg)
     with open(config_path, "r", encoding="utf-8") as fh:
         base_doc = json.load(fh)
     os.makedirs(out_dir, exist_ok=True)

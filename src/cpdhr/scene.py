@@ -174,18 +174,28 @@ def build_scene_tensor(scene, sources):
 
 def add_noise(t, snr_db, seed):
     """t plus seeded circular complex Gaussian noise, scaled so that
-    20*log10(||t|| / ||noise||) equals snr_db exactly."""
+    20*log10(||t|| / ||noise||) equals snr_db exactly. An snr_db whose
+    noise norm ||t|| / 10^(snr_db / 20) is not a positive finite float is
+    refused before the noise is drawn."""
     if not math.isfinite(snr_db):
         raise ValueError(f"snr_db must be finite, got {snr_db}")
     t = np.asarray(t, dtype=np.complex128)
     t_norm = float(np.linalg.norm(t.ravel()))
     if t_norm == 0.0:
         raise ValueError("cannot calibrate noise against a zero tensor")
+    try:
+        target = t_norm / 10.0 ** (snr_db / 20.0)
+    except OverflowError:  # 10^(snr_db / 20) past the float range
+        target = 0.0
+    except ZeroDivisionError:  # 10^(snr_db / 20) rounded to zero
+        target = math.inf
+    if not (math.isfinite(target) and target > 0.0):
+        raise ValueError(f"snr_db {snr_db} is out of range: the noise norm {target} it gives "
+                         f"for this tensor is not a positive finite number")
     rng = np.random.default_rng(seed)
     re = rng.standard_normal(t.shape)
     im = rng.standard_normal(t.shape)
     noise = (re + 1j * im) / np.sqrt(2.0)
-    target = t_norm / 10.0 ** (snr_db / 20.0)
     noise *= target / float(np.linalg.norm(noise.ravel()))
     return t + noise
 

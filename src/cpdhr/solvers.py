@@ -676,7 +676,7 @@ def cpd_als(t, opts):
 # J^H J is complex-linear on the flat parameter vector, and Re(vdot(a, b))
 # is the inner product of the real parameters (Re x, Im x). The Hessian of
 # f adds to it the residual term v -> conj(K v), K complex symmetric (see
-# _residual_term): real-linear only, but self-adjoint for that inner
+# _newton_matrices): real-linear only, but self-adjoint for that inner
 # product, so the same CG solves with it.
 
 # Largest parameter count sum(I_n * R) for which the dense operator is the
@@ -690,8 +690,8 @@ def cpd_als(t, opts):
 # from its explicit form to its tangent form at the same count: the tangent
 # form's memory and matvec grow with the masked tensor, never with the
 # square of the unknowns, which a long mode makes large. Up to this count,
-# dense or masked, the step is on the damped Newton model, the residual
-# term K built as one more matrix; above it, on the damped Gauss-Newton
+# dense or masked, the step is on the damped Newton model, J^H J + mu I
+# and K assembled by _newton_matrices; above it, on the damped Gauss-Newton
 # model. Either way one CG solve per iteration, which keeps its iterate
 # where it meets non-positive curvature. At 0 dB the relative residual is
 # near 0.7, so that term is large and Gauss-Newton alone converges only
@@ -728,109 +728,76 @@ def _gramian_products(factors, pairs=True):
     return w, w_pair
 
 
-def _assembled_gn_operator(factors, diag, off):
-    """J^H J assembled as one Hermitian matrix.
+def _newton_matrices(factors, r, mask, mu, shifted, w_pair):
+    """(J^H J + mu I, K), the damped Newton model
+    v -> (J^H J + mu I) v + conj(K v) at residual r assembled, dense with
+    mask None (shifted = w + mu I, w_pair from _gramian_products) or masked
+    (shifted and w_pair unread).
 
     Row (n, i, s) and column (m, j, t) index entry (i, s) of factor n and
-    entry (j, t) of factor m. Row i of block (n, n) is the (s, t) matrix
-    diag[sum(I_<n) + i]; for m != n the entry is
-    U_n[i, t] * conj(U_m[j, s]) * off[n][m][i, s, j, t], with off[n][m]
-    broadcast to (I_n, R, I_m, R), and block (m, n) is the conjugate
-    transpose of block (n, m).
-    """
-    extents = [f.shape[0] for f in factors]
-    rank = factors[0].shape[1]
-    n_rows = sum(extents)
-    jtj = np.zeros((n_rows, rank, n_rows, rank), dtype=np.complex128)
-    row = np.arange(n_rows)
-    jtj[row, :, row, :] = diag
-    jtj = jtj.reshape(n_rows * rank, n_rows * rank)
-    starts = np.cumsum([0] + extents) * rank
-    for n, fn in enumerate(factors):
-        rows = slice(starts[n], starts[n + 1])
-        for m in range(n + 1, len(factors)):
-            cols = slice(starts[m], starts[m + 1])
-            block = (fn[:, None, None, :] * off[n][m]) * np.conj(factors[m]).T[:, :, None]
-            block = block.reshape(fn.size, factors[m].size)
-            jtj[rows, cols] = block
-            jtj[cols, rows] = block.conj().T
-    return jtj
-
-
-def _explicit_gn_operator(factors, w, w_pair):
-    """The dense J^H J + mu I assembled, w arriving shifted by mu I: block
-    (n, n) is I kron W_n, and block (n, m) weighs every row pair by W_nm."""
-    extents = [f.shape[0] for f in factors]
-    return _assembled_gn_operator(factors, np.repeat(w, extents, axis=0), w_pair[:, :, :, None, :])
-
-
-def _explicit_masked_gn_operator(factors, mask, mu):
-    """The masked J^H J + mu I assembled: the dense weights, row-dependent.
-
-    For m != n, W_nm[i, j] is the mask contracted over every mode but n
-    and m against the Khatri-Rao product of those modes' pair columns: one
-    real GEMM per mode pair, the mask as float64 against the float64 view
-    of the complex product. Row i of block (n, n) is the masked ALS normal
-    matrix a_i of mode n, transposed to (s, t), summed out of a weight
-    that pairs n with another mode m: a_i = sum_j W_nm[i, j] * pairs_m[j].
-    At order 1 there is no pair and a_i is mask[i]. Each a_i gains mu I.
+    entry (j, t) of factor m. One pass over the mode pairs n < m writes
+    block (n, m) of both matrices and its mirror: the conjugate transpose
+    in J^H J, the transpose in the complex-symmetric K.
+    - J^H J: entry (i, s, j, t) is U_n[i, t] * conj(U_m[j, s]) * W_nm, the
+      weight w_pair[n, m][s, t] dense, or masked W_nm[i, j, t, s]: the mask
+      contracted over every mode but n and m against the Khatri-Rao product
+      of those modes' pair columns, one real GEMM of the float64 mask.
+    - K, with Re(p^T K p) / 2 = Re(r^H Q(p)), Q the part of the model
+      quadratic in the step: entry (i, s, j, t) is delta_st times conj(r)
+      contracted against U_k[:, s] over every mode k but n and m, one GEMM
+      of conj(r) moved to (I_n * I_m, rest) against the Khatri-Rao product
+      of the other factors. Block (n, n) is zero, the model being linear in
+      each factor.
+    Row i of block (n, n) of J^H J is the (s, t) matrix shifted[n] dense.
+    Masked, it is the masked ALS normal matrix a_i of mode n, transposed,
+    plus mu I, summed out of a weight that pairs n with another mode m:
+    a_i = sum_j W_nm[i, j] * pairs_m[j]; at order 1, a_i is mask[i].
     """
     n_modes = len(factors)
-    rank = factors[0].shape[1]
-    weights = mask.astype(np.float64)
-    pairs = [_pair_columns(f) for f in factors]
-    w = {}
-    for n in range(n_modes):
-        for m in range(n + 1, n_modes):
-            others = core._kr([pairs[k] for k in range(n_modes) if k not in (n, m)], rank * rank)
-            w_nm = _real_product(np.moveaxis(weights, (n, m), (0, 1)).reshape(mask.shape[n] * mask.shape[m], -1),
-                                 others)
-            w[n, m] = w_nm.reshape(mask.shape[n], mask.shape[m], rank * rank)
-    if n_modes == 1:
-        diag = [np.repeat(weights[:, None], rank * rank, axis=1)]
-    else:
-        # mode 0 sums its diagonal out of its pair with mode 1, every other
-        # mode out of its pair with mode 0
-        diag = [(w[0, 1] * pairs[1][None, :, :]).sum(axis=1)]
-        diag += [(w[0, m] * pairs[0][:, None, :]).sum(axis=0) for m in range(1, n_modes)]
-    diag = np.concatenate(diag).reshape(-1, rank, rank).transpose(0, 2, 1) + mu * np.eye(rank)
-    # entry (i, j, t, s) of W_nm sums U_k[:, t] * conj(U_k[:, s])
-    off = [[None] * n_modes for _ in range(n_modes)]
-    for (n, m), w_nm in w.items():
-        off[n][m] = w_nm.reshape(mask.shape[n], mask.shape[m], rank, rank).transpose(0, 3, 1, 2)
-    return _assembled_gn_operator(factors, diag, off)
-
-
-def _residual_term(factors, r):
-    """K, the residual term of the Hessian at residual r, which adds
-    v -> conj(K v) to J^H J: the complex-symmetric matrix with
-    Re(p^T K p) / 2 = Re(r^H Q(p)), Q the part of the model quadratic in
-    the step.
-
-    In the (sum I_n, R, sum I_n, R) layout of _assembled_gn_operator,
-    block (n, n) is zero, the model being linear in each factor, and for
-    m != n entry (i, s, j, t) of block (n, m) is delta_st times conj(r)
-    contracted against U_k[:, s] over every mode k but n and m: one GEMM
-    per mode pair of conj(r), moved to (I_n * I_m, rest), against the
-    Khatri-Rao product of the other factors.
-    """
     extents = [f.shape[0] for f in factors]
     rank = factors[0].shape[1]
     n_rows = sum(extents)
     starts = np.cumsum([0] + extents)
     conj_r = np.conj(r)
+    jhj = np.zeros((n_rows, rank, n_rows, rank), dtype=np.complex128)
     k = np.zeros((n_rows, rank, n_rows, rank), dtype=np.complex128)
     rank_diagonal = np.einsum("isjs->ijs", k)  # a writable view
-    for n in range(len(factors)):
+    if mask is not None:
+        weights = mask.astype(np.float64)
+        pairs = [_pair_columns(f) for f in factors]
+        diag = [] if n_modes > 1 else [np.repeat(weights[:, None], rank * rank, axis=1)]
+    for n, fn in enumerate(factors):
         rows_n = slice(starts[n], starts[n + 1])
-        for m in range(n + 1, len(factors)):
+        for m in range(n + 1, n_modes):
             rows_m = slice(starts[m], starts[m + 1])
+            if mask is None:
+                off = w_pair[n, m][:, None, :]
+            else:
+                others = core._kr([pairs[q] for q in range(n_modes) if q not in (n, m)], rank * rank)
+                w_nm = _real_product(np.moveaxis(weights, (n, m), (0, 1)).reshape(extents[n] * extents[m], -1),
+                                     others).reshape(extents[n], extents[m], rank * rank)
+                # mode 0 sums its diagonal out of its pair with mode 1,
+                # every other mode out of its pair with mode 0
+                if n == 0:
+                    if m == 1:
+                        diag.append((w_nm * pairs[1][None, :, :]).sum(axis=1))
+                    diag.append((w_nm * pairs[0][:, None, :]).sum(axis=0))
+                # entry (i, j, t, s) of W_nm sums U_q[:, t] * conj(U_q[:, s])
+                off = w_nm.reshape(extents[n], extents[m], rank, rank).transpose(0, 3, 1, 2)
+            block = (fn[:, None, None, :] * off) * np.conj(factors[m]).T[:, :, None]
+            jhj[rows_n, :, rows_m] = block
+            jhj[rows_m, :, rows_n] = block.conj().transpose(2, 3, 0, 1)
             others = core._kr([f for q, f in enumerate(factors) if q not in (n, m)], rank)
             k_nm = (np.moveaxis(conj_r, (n, m), (0, 1)).reshape(extents[n] * extents[m], -1)
                     @ others).reshape(extents[n], extents[m], rank)
             rank_diagonal[rows_n, rows_m] = k_nm
             rank_diagonal[rows_m, rows_n] = k_nm.transpose(1, 0, 2)
-    return k.reshape(n_rows * rank, n_rows * rank)
+    row = np.arange(n_rows)
+    if mask is None:
+        jhj[row, :, row, :] = np.repeat(shifted, extents, axis=0)
+    else:
+        jhj[row, :, row, :] = np.concatenate(diag).reshape(-1, rank, rank).transpose(0, 2, 1) + mu * np.eye(rank)
+    return jhj.reshape(n_rows * rank, n_rows * rank), k.reshape(n_rows * rank, n_rows * rank)
 
 
 def _structured_gn_operator(factors, w, w_pair):
@@ -927,20 +894,18 @@ def cpd_nls(t, opts):
 
     The objective is half the squared Frobenius residual over observed
     entries, and for a masked tensor the Gramian operator excludes the
-    missing entries. The operator is built once per outer iteration: up to
-    EXPLICIT_GN_MAX_PARAMS unknowns as one assembled Hermitian J^H J,
-    dense or masked, and above that in structured form, or for a masked
-    tensor in tangent form. The masked matrix is the dense one
-    with row-dependent weights, taken from one GEMM per mode pair of the
-    mask against the Khatri-Rao product of the pair columns the masked ALS
-    sweep uses.
+    missing entries. The operator is built damped once per outer
+    iteration, from w shifted by mu I, whose block Jacobi inverse
+    preconditions CG. Up to EXPLICIT_GN_MAX_PARAMS unknowns,
+    _newton_matrices assembles the Hermitian J^H J + mu I and the residual
+    term K of the masked residual the solver holds in one pass over the
+    mode pairs, dense or masked; the masked J^H J is the dense one with
+    row-dependent weights. Above the cutoff the operator is J^H J + mu I in
+    structured form, or for a masked tensor in tangent form.
 
-    Each step is one CG solve of (H + mu I) p = -g on an operator built
-    damped (the dense builders take w shifted by mu I, whose block Jacobi
-    inverse preconditions CG). Up to the cutoff H is the Hessian
-    J^H J + conj(K .), K the residual term built from the masked residual
-    the solver holds, with either operator: a Newton step. Above the cutoff
-    H is J^H J: a Gauss-Newton step. Where CG meets non-positive curvature,
+    Each step is one CG solve of (H + mu I) p = -g. Up to the cutoff H is
+    the Hessian J^H J + conj(K .): a Newton step. Above the cutoff H is
+    J^H J: a Gauss-Newton step. Where CG meets non-positive curvature,
     the step is the iterate it reached (Steihaug's exit); an exit on the
     first direction gives a zero step, which is rejected while mu rises.
     The predicted decrease of the undamped model the step was solved on,
@@ -996,9 +961,7 @@ def cpd_nls(t, opts):
         shifted = w + mu * np.eye(rank)
         if explicit:
             # the damped Newton operator: J^H J + mu I and the residual term K
-            jhj = (_explicit_masked_gn_operator(factors, mask, mu) if mask is not None
-                   else _explicit_gn_operator(factors, shifted, w_pair))
-            k = _residual_term(factors, r)
+            jhj, k = _newton_matrices(factors, r, mask, mu, shifted, w_pair)
             matvec = lambda v: jhj.dot(v) + np.conj(k.dot(v))  # noqa: E731
         elif mask is not None:
             matvec = _masked_gn_operator(factors, mask, mu)

@@ -218,11 +218,22 @@ def test_invalid_config_refused_before_anything_is_written(tmp_path, capsys):
     signals = tmp_path / "signals.csv"
     signals.write_text("a\n" + "".join(f"{k}.0\n" for k in range(CONFIG["time_len"])), encoding="utf-8")
     cfg = write_config(tmp_path / "one_column.json", signals=str(signals))
-    for command in ("simulate", "pipeline"):
+    for argv in (["simulate"], ["pipeline"], ["pipeline", "--seeds", "0..1"]):
         out = tmp_path / "out"
-        assert cli.main([command, cfg, str(out)]) == 1, command
-        assert "does not match scene" in capsys.readouterr().err, command
-        assert not out.exists(), command
+        assert cli.main([argv[0], cfg, str(out), *argv[1:]]) == 1, argv
+        assert "does not match scene" in capsys.readouterr().err, argv
+        assert not out.exists(), argv
+
+
+def test_snr_beyond_the_noise_scale_refused_before_anything_is_written(tmp_path, capsys):
+    for snr_db in (7000.0, -7000.0):
+        cfg = write_config(tmp_path / "config.json", snr_db=snr_db)
+        for argv in (["simulate"], ["pipeline"], ["pipeline", "--seeds", "0..1"]):
+            out = tmp_path / "out"
+            assert cli.main([argv[0], cfg, str(out), *argv[1:]]) == 1, (snr_db, argv)
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "snr_db" in err, (snr_db, argv)
+            assert not out.exists(), (snr_db, argv)
 
 
 def test_decompose_defaults_to_the_solver_default_algorithm():

@@ -174,6 +174,13 @@ class TestAddNoise:
             with pytest.raises(ValueError, match="snr_db"):
                 add_noise(np.ones((2, 2, 2)), bad, seed=0)
 
+    def test_snr_beyond_the_noise_scale_rejected(self):
+        # 10^(7000/20) overflows a float and 10^(-7000/20) rounds to zero:
+        # the noise norm would be 0 or infinite
+        for bad in (7000.0, -7000.0):
+            with pytest.raises(ValueError, match="snr_db"):
+                add_noise(np.ones((2, 2, 2)), bad, seed=0)
+
 
 class TestGeneratorEstimate:
     def test_exact_on_clean_vandermonde(self):

@@ -85,7 +85,7 @@ def test_cell_comparisons_count_lower_equal_and_higher_per_cell(parity):
     assert lines == [
         "dense gauss_newton: converged 4/5 -> 5/5, iterations total 150 -> 157, "
         "out of iterations 0 -> 0, residual lower/equal/higher 3/1/1, "
-        "largest residual gap 0.5 over 4 converged on both sides",
+        "largest residual gap nan over 4 converged on both sides",
         "swamp als: converged 1/1 -> 1/1, iterations total 10 -> 10, out of iterations 0 -> 0, "
         "residual lower/equal/higher 0/1/0, largest residual gap 0 over 1 converged on both sides",
     ]
@@ -103,3 +103,15 @@ def test_cell_comparisons_count_solves_out_of_iterations_and_report_times(parity
     untimed = [{k: v for k, v in r.items() if k != "scaled_ms"} for r in reference]
     [line] = parity.cell_comparisons(records, untimed)
     assert "median/p90" not in line and "residual lower/equal/higher 0/2/0" in line
+
+
+def test_largest_residual_gap_is_nan_when_any_gap_is(parity):
+    # a NaN residual among the solves converged on both sides, first or
+    # later in the cell, makes the largest gap nan: never hidden, never
+    # skipped; without one it is the largest of the gaps 0, 0.1 and 0.2
+    reference = [record(seed, 0.5) for seed in range(3)]
+    for nan_seed, largest in [(None, "0.2"), (0, "nan"), (2, "nan")]:
+        records = [record(seed, float("nan") if seed == nan_seed else 0.5 * (1 + 0.1 * seed))
+                   for seed in range(3)]
+        [line] = parity.cell_comparisons(records, reference)
+        assert f"largest residual gap {largest} over 3 converged on both sides" in line, (nan_seed, line)

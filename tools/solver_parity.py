@@ -237,9 +237,9 @@ def cell_comparisons(records, reference):
     """One line per (condition, algorithm) of the records: converged count,
     iteration total and solves out of iterations in the reference and here,
     the solves whose residual is lower, equal and higher here, the largest
-    relative residual gap among the solves converged on both sides, and the
-    median and 90th percentile scaled wall times where the reference has
-    them."""
+    relative residual gap among the solves converged on both sides (nan
+    when any of those gaps is NaN), and the median and 90th percentile
+    scaled wall times where the reference has them."""
     ref = {_key(r): r for r in reference}
     cells = {}
     for rec in records:
@@ -260,7 +260,7 @@ def cell_comparisons(records, reference):
             f"{sum(o['iterations'] for o in olds)} -> {sum(n['iterations'] for n in news)}, "
             f"out of iterations {_stops(olds)} -> {_stops(news)}, residual lower/equal/higher "
             f"{signs.count(-1)}/{signs.count(0)}/{signs.count(1)}, "
-            f"largest residual gap {max(gaps, default=0.0):.2g} over {len(both)} converged on both sides"
+            f"largest residual gap {np.max(gaps, initial=0.0):.2g} over {len(both)} converged on both sides"
             + times)
     return lines
 
