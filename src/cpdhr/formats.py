@@ -126,6 +126,22 @@ def parse_tensor(text):
     return IncompleteTensor(values, observed.reshape(shape, order="F"))
 
 
+def as_loaded(value):
+    """A tensor or SourceSet as its parser returns it from the text its
+    serializer writes, without the text: the values are bitwise equal
+    (%#.17g round-trips every finite float), a tensor is a complex128 copy
+    in first-index-fastest (F) order, an IncompleteTensor with no hidden
+    entry a plain array, and signals a C-ordered float64 copy. The layout
+    matters: the solvers' and metrics' last bits follow it."""
+    if isinstance(value, SourceSet):
+        return SourceSet(np.array(value.signals, dtype=np.float64, order="C"), list(value.labels))
+    if isinstance(value, IncompleteTensor):
+        if value.mask.all():
+            return as_loaded(value.values)
+        return IncompleteTensor(np.asfortranarray(value.values), np.asfortranarray(value.mask))
+    return np.array(value, dtype=np.complex128, order="F")
+
+
 def save_tensor(t, path):
     write_text(path, serialize_tensor(t))
 
@@ -232,6 +248,7 @@ def _field(mapping, key, kind, what, default=None):
         "an integer": type(value) is int,
         "a number": number,
         "a number or null": number or value is None,
+        "a bool": type(value) is bool,
         "a pair of integers": type(value) is list and len(value) == 2 and all(type(v) is int for v in value),
         "a list of objects": type(value) is list and all(type(v) is dict for v in value),
     }[kind]
@@ -289,15 +306,21 @@ def parse_config(text):
     )
 
 
-def load_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
-
-
-def config_digest(path):
-    """sha256 of the config file bytes, for report provenance."""
+def read_config(path):
+    """A config file's bytes, which a truth directory copies and a report's
+    digest hashes, and the config they parse to, from one read."""
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        raw = fh.read()
+    return raw, parse_config(raw.decode("utf-8"))
+
+
+def load_config(path):
+    return read_config(path)[1]
+
+
+def config_digest(data):
+    """sha256 of the config file bytes, for report provenance."""
+    return hashlib.sha256(data).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +339,23 @@ def save_report(doc, path):
 def load_report(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def load_diagnostics(path):
+    """A decompose diagnostics.json, refused unless it is an object that
+    holds every field a report copies, each of its kind."""
+    try:
+        doc = load_report(path)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: diagnostics are not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: diagnostics must be a JSON object")
+    for key, kind in (("iterations", "an integer"), ("converged", "a bool"),
+                      ("final_relative_residual", "a number")):
+        if key not in doc:
+            raise ValueError(f"{path}: missing required key {key!r}")
+        _field(doc, key, kind, str(path))
+    return doc
 
 
 def slice_csv(t, mode, index):

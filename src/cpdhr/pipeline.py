@@ -1,15 +1,20 @@
 """Staged simulation pipeline: simulate, decompose, evaluate, export.
 
-Each stage reads and writes only files, so chaining the stages by hand
-produces exactly the artifacts of run_pipeline. All randomness is seeded
-from the config seed with fixed offsets per purpose, making every file
-byte-reproducible: sources use the seed itself, the noise draw uses
-seed + NOISE_SEED_OFFSET, solver initialization uses seed + INIT_SEED_OFFSET.
+Each stage is a core that takes values and writes files, behind a file
+front that loads the core's inputs from files; the `cpdhr simulate`,
+`decompose`, `evaluate` and `plot` commands run the fronts. run_pipeline
+builds the scene once and hands every later core the values it already
+holds, as formats.as_loaded makes them: bitwise and in layout what reading
+the written files back would give. So it writes every artifact without
+reading one back, and chaining the stages by hand produces exactly the
+artifacts of run_pipeline. All randomness is seeded from the config seed
+with fixed offsets per purpose, making every file byte-reproducible:
+sources use the seed itself, the noise draw uses seed + NOISE_SEED_OFFSET,
+solver initialization uses seed + INIT_SEED_OFFSET.
 """
 
 import json
 import os
-import shutil
 
 import numpy as np
 
@@ -38,12 +43,12 @@ def _scene(cfg):
     return sources, clean, truth, noisy, masked
 
 
-def simulate(config_path, out_dir):
-    """Build the scene tensor and its noisy / masked variants, then write them to disk."""
-    cfg = formats.load_config(config_path)
-    sources, clean, truth, noisy, masked = _scene(cfg)
+def _write_scene(raw_config, scene, out_dir):
+    """Write the config bytes and the _scene values they give into out_dir."""
+    sources, clean, truth, noisy, masked = scene
     os.makedirs(out_dir, exist_ok=True)
-    shutil.copyfile(config_path, os.path.join(out_dir, "config.json"))
+    with open(os.path.join(out_dir, "config.json"), "wb") as fh:
+        fh.write(raw_config)
     formats.save_signals(sources, os.path.join(out_dir, "sources.csv"))
     formats.save_tensor(clean, os.path.join(out_dir, "clean.tns"))
     for n, factor in enumerate(truth.factors, start=1):
@@ -51,19 +56,25 @@ def simulate(config_path, out_dir):
     formats.save_tensor(noisy, os.path.join(out_dir, "noisy.tns"))
     if masked is not None:
         formats.save_tensor(masked, os.path.join(out_dir, "masked.tns"))
+
+
+def simulate(config_path, out_dir):
+    """Build the scene tensor and its noisy / masked variants, then write them to disk."""
+    raw, cfg = formats.read_config(config_path)
+    _write_scene(raw, _scene(cfg), out_dir)
     return cfg
 
 
-def decompose(tensor_path, rank, algorithm, seed, out_dir):
-    """Run the CPD solver on a tensor file and write factors + diagnostics."""
-    t = formats.load_tensor(tensor_path)
+def _decompose(t, tensor_name, rank, algorithm, seed, out_dir):
+    """Run the CPD solver on a tensor and write factors + diagnostics;
+    returns (model, diag, the diagnostics document)."""
     opts = CpdOptions(rank=rank, algorithm=algorithm, init=seed)
     model, diag = cpd(t, opts)
     os.makedirs(out_dir, exist_ok=True)
     for n, factor in enumerate(model.factors, start=1):
         formats.save_tensor(factor, os.path.join(out_dir, f"factor_mode{n}.tns"))
     doc = {
-        "tensor": os.path.basename(str(tensor_path)),
+        "tensor": tensor_name,
         "rank": rank,
         "algorithm": algorithm,
         "seed": seed,
@@ -73,6 +84,13 @@ def decompose(tensor_path, rank, algorithm, seed, out_dir):
         "objective_trace": list(diag.objective_trace),
     }
     formats.save_report(doc, os.path.join(out_dir, "diagnostics.json"))
+    return model, diag, doc
+
+
+def decompose(tensor_path, rank, algorithm, seed, out_dir):
+    """Run the CPD solver on a tensor file and write factors + diagnostics."""
+    t = formats.load_tensor(tensor_path)
+    model, diag, _ = _decompose(t, os.path.basename(str(tensor_path)), rank, algorithm, seed, out_dir)
     return model, diag
 
 
@@ -90,28 +108,24 @@ def _load_model(directory, prefix):
     return CpdModel(factors)
 
 
-def evaluate(truth_dir, estimate_dir, out_path):
-    """Compare an estimate directory against a truth directory.
+def _as_loaded_model(model):
+    return CpdModel([formats.as_loaded(f) for f in model.factors])
 
-    Writes the report to out_path and aligned_sources.csv into the
-    estimate directory it was derived from.
+
+def _evaluate(cfg, digest, truth, sources, estimate, diagnostics, estimate_dir, out_path):
+    """Compare an estimate model against the truth model and sources.
+
+    Computes the report and the aligned sources first, then writes the
+    report to out_path and aligned_sources.csv into estimate_dir, so a
+    refusal or a failure on the way writes no file. Returns (report,
+    aligned SourceSet).
     """
-    cfg = formats.load_config(os.path.join(truth_dir, "config.json"))
-    digest = formats.config_digest(os.path.join(truth_dir, "config.json"))
-    truth = _load_model(truth_dir, "truth_mode")
-    sources = formats.load_signals(os.path.join(truth_dir, "sources.csv"))
-    estimate = _load_model(estimate_dir, "factor_mode")
     if estimate.rank < truth.rank:
         raise ValueError(f"estimate rank {estimate.rank} is below the {truth.rank} sources: each needs a column")
-    diagnostics = formats.load_report(os.path.join(estimate_dir, "diagnostics.json"))
-
     rep = metrics.cpderr(truth, estimate)
     aligned = metrics.align_sources(sources.signals, estimate.factors[-1], rep)
     aligned_set = scene_mod.SourceSet(aligned, [f"recovered {l}" for l in sources.labels])
-    os.makedirs(os.path.dirname(os.path.abspath(out_path)), exist_ok=True)
-    formats.save_signals(aligned_set, os.path.join(estimate_dir, "aligned_sources.csv"))
     corr = metrics.correlate_sources(sources.signals, aligned)
-
     doa = scene_mod.estimate_doa(estimate, cfg.scene)
     report = {
         "provenance": {
@@ -137,55 +151,83 @@ def evaluate(truth_dir, estimate_dir, out_path):
         },
         "doa": vars(doa),
     }
-    formats.save_report(report, out_path)
+    aligned_text = formats.serialize_signals(aligned_set)
+    report_text = formats.canonical_json(report)
+    os.makedirs(os.path.dirname(os.path.abspath(out_path)), exist_ok=True)
+    formats.write_text(os.path.join(estimate_dir, "aligned_sources.csv"), aligned_text)
+    formats.write_text(out_path, report_text)
+    return report, aligned_set
+
+
+def evaluate(truth_dir, estimate_dir, out_path):
+    """Compare an estimate directory against a truth directory.
+
+    Writes the report to out_path and aligned_sources.csv into the
+    estimate directory it was derived from.
+    """
+    raw, cfg = formats.read_config(os.path.join(truth_dir, "config.json"))
+    truth = _load_model(truth_dir, "truth_mode")
+    sources = formats.load_signals(os.path.join(truth_dir, "sources.csv"))
+    estimate = _load_model(estimate_dir, "factor_mode")
+    diagnostics = formats.load_diagnostics(os.path.join(estimate_dir, "diagnostics.json"))
+    report, _ = _evaluate(cfg, formats.config_digest(raw), truth, sources, estimate, diagnostics,
+                          estimate_dir, out_path)
     return report
+
+
+def _plot_overlay(named_sets, out_svg):
+    """One panel per source column, one polyline per (name, SourceSet)."""
+    width = named_sets[0][1].signals.shape[1]
+    for name, ss in named_sets:
+        if ss.signals.shape[1] != width:
+            raise ValueError(f"{name}: expected {width} columns, found {ss.signals.shape[1]}")
+    panels = []
+    for col in range(width):
+        title = named_sets[0][1].labels[col]
+        series = [(name, ss.signals[:, col]) for name, ss in named_sets]
+        panels.append(charts.ChartPanel(title, series))
+    charts.save_chart(panels, out_svg)
 
 
 def plot_overlay(csv_paths, out_svg):
     """One panel per source column, one polyline per input CSV."""
     if not csv_paths:
         raise ValueError("no signal files to plot")
-    sets = [(os.path.splitext(os.path.basename(str(p)))[0], formats.load_signals(p))
-            for p in csv_paths]
-    width = sets[0][1].signals.shape[1]
-    for name, ss in sets:
-        if ss.signals.shape[1] != width:
-            raise ValueError(f"{name}: expected {width} columns, found {ss.signals.shape[1]}")
-    panels = []
-    for col in range(width):
-        title = sets[0][1].labels[col]
-        series = [(name, ss.signals[:, col]) for name, ss in sets]
-        panels.append(charts.ChartPanel(title, series))
-    charts.save_chart(panels, out_svg)
+    _plot_overlay([(os.path.splitext(os.path.basename(str(p)))[0], formats.load_signals(p))
+                   for p in csv_paths], out_svg)
 
 
-def _run_single(config_path, out_dir):
-    truth_dir = os.path.join(out_dir, "truth")
-    cfg = simulate(config_path, truth_dir)
+def _run_single(raw_config, cfg, out_dir):
+    """One run of the parsed cfg, whose file bytes are raw_config, into
+    out_dir: every stage core gets its values as loaded, none read back."""
+    scene = _scene(cfg)
+    _write_scene(raw_config, scene, os.path.join(out_dir, "truth"))
+    sources, _, truth, noisy, masked = scene
+    sources = formats.as_loaded(sources)
+    truth = _as_loaded_model(truth)
+    digest = formats.config_digest(raw_config)
     solver_seed = cfg.seed + INIT_SEED_OFFSET
 
-    jobs = [("noisy.tns", "estimate", "report.json")]
-    if cfg.masks:
-        jobs.append(("masked.tns", "estimate_masked", "report_masked.json"))
+    jobs = [("noisy.tns", formats.as_loaded(noisy), "estimate", "report.json")]
+    if masked is not None:
+        jobs.append(("masked.tns", formats.as_loaded(masked), "estimate_masked", "report_masked.json"))
 
     all_converged = True
     reports = {}
-    for tensor_name, est_name, report_name in jobs:
+    aligned = {}
+    for tensor_name, t, est_name, report_name in jobs:
         est_dir = os.path.join(out_dir, est_name)
-        _, diag = decompose(os.path.join(truth_dir, tensor_name), cfg.rank, cfg.algorithm, solver_seed, est_dir)
+        model, diag, doc = _decompose(t, tensor_name, cfg.rank, cfg.algorithm, solver_seed, est_dir)
         all_converged = all_converged and diag.converged
-        report = evaluate(truth_dir, est_dir, os.path.join(out_dir, report_name))
-        reports[report_name] = report
+        reports[report_name], aligned[est_name] = _evaluate(
+            cfg, digest, truth, sources, _as_loaded_model(model), doc, est_dir,
+            os.path.join(out_dir, report_name))
 
-    slice_source = "masked.tns" if cfg.masks else "noisy.tns"
-    slice_tensor = formats.load_tensor(os.path.join(truth_dir, slice_source))
+    # the last job's tensor: the masked one when masks exist
     formats.write_text(os.path.join(out_dir, "slice_mode3_k1.csv"),
-                       formats.slice_csv(slice_tensor, mode=2, index=0))
-    plot_overlay(
-        [os.path.join(truth_dir, "sources.csv"),
-         os.path.join(out_dir, "estimate", "aligned_sources.csv")],
-        os.path.join(out_dir, "fig_sources.svg"),
-    )
+                       formats.slice_csv(jobs[-1][1], mode=2, index=0))
+    _plot_overlay([("sources", sources), ("aligned_sources", formats.as_loaded(aligned["estimate"]))],
+                  os.path.join(out_dir, "fig_sources.svg"))
     return reports, all_converged
 
 
@@ -203,7 +245,7 @@ def run_pipeline(config_path, out_dir, seeds=None):
     before anything is written.
     """
     if seeds is None:
-        return _run_single(config_path, out_dir)
+        return _run_single(*formats.read_config(config_path), out_dir)
     seeds = list(seeds)
     if not seeds:
         raise ValueError("a seed sweep needs at least one seed")
@@ -213,20 +255,20 @@ def run_pipeline(config_path, out_dir, seeds=None):
 
     # the derived configs differ from this one only by a validated seed, so
     # the first seed's scene shows a refusal of the others' values
-    cfg = formats.load_config(config_path)
+    raw, cfg = formats.read_config(config_path)
     cfg.seed = seeds[0]
     _scene(cfg)
-    with open(config_path, "r", encoding="utf-8") as fh:
-        base_doc = json.load(fh)
+    base_doc = json.loads(raw)
     os.makedirs(out_dir, exist_ok=True)
     rows = []
     all_converged = True
     for s in seeds:
         seed_dir = os.path.join(out_dir, f"seed_{s}")
         os.makedirs(seed_dir, exist_ok=True)
-        derived = os.path.join(seed_dir, "config.json")
-        formats.write_text(derived, formats.canonical_json(dict(base_doc, seed=s)))
-        reports, converged = _run_single(derived, seed_dir)
+        text = formats.canonical_json(dict(base_doc, seed=s))
+        formats.write_text(os.path.join(seed_dir, "config.json"), text)
+        cfg.seed = s
+        reports, converged = _run_single(text.encode("utf-8"), cfg, seed_dir)
         all_converged = all_converged and converged
         row = {"seed": s, "converged": reports["report.json"]["diagnostics"]["converged"]}
         for name, report in reports.items():

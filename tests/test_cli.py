@@ -207,6 +207,25 @@ def test_evaluate_refuses_an_estimate_with_fewer_columns_than_sources(tmp_path, 
     assert files_under(tmp_path) == written
 
 
+@pytest.mark.parametrize("text,message", [
+    ('{"converged": true}', "missing required key 'iterations'"),
+    ("[1, 2]", "diagnostics must be a JSON object"),
+    ('{"iterations": 3, "converged": "yes", "final_relative_residual": 0.1}', 'converged must be a bool, got "yes"'),
+    ('{"iterations": 3.0, "converged": true, "final_relative_residual": 0.1}', "iterations must be an integer, got 3.0"),
+    ('{"iterations": 3,', "diagnostics are not valid JSON: Expecting property name"),
+], ids=["missing key", "array", "mistyped bool", "mistyped integer", "invalid JSON"])
+def test_evaluate_of_a_malformed_diagnostics_file_exits_1(tmp_path, capsys, text, message):
+    truth, est, report = tmp_path / "truth", tmp_path / "estimate", tmp_path / "report.json"
+    assert cli.main(["simulate", write_config(tmp_path / "config.json"), str(truth)]) == 0
+    assert cli.main(["decompose", str(truth / "clean.tns"), str(est), "--rank", "2", "--seed", "0"]) == 0
+    diagnostics = est / "diagnostics.json"
+    diagnostics.write_text(text, encoding="utf-8")
+    written = files_under(tmp_path)
+    assert cli.main(["evaluate", str(truth), str(est), str(report)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {diagnostics}: {message}")
+    assert files_under(tmp_path) == written
+
+
 def test_invalid_config_refused_before_anything_is_written(tmp_path, capsys):
     cfg = write_config(tmp_path / "bad.json", grid_m1=0)
     for seeds in ([], ["--seeds", "0..1"]):

@@ -14,6 +14,7 @@ from cpdhr import cli
 from cpdhr.core import IncompleteTensor
 from cpdhr.formats import (
     SceneConfig,
+    as_loaded,
     canonical_json,
     config_digest,
     load_config,
@@ -223,6 +224,58 @@ class TestSignalCsv:
             parse_signals("a,b\n\n1.0,2.0\n\n3.0,nan\n")
 
 
+def _as_loaded_cases():
+    rng = np.random.default_rng(12)
+    dense = np.ascontiguousarray(rng.normal(size=(3, 4, 5)) + 1j * rng.normal(size=(3, 4, 5)))
+    mask = rng.random(dense.shape) < 0.7
+    zeros = np.full((2, 3, 2), complex(-0.0, -0.0))
+    zeros[0, 1, 1] = complex(1.5, -0.0)
+    factor = np.ascontiguousarray(rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2)))
+    return {
+        "dense": dense,
+        "masked": IncompleteTensor(dense, mask),
+        "all observed": IncompleteTensor(dense, np.ones(dense.shape, dtype=bool)),
+        "negative zeros": zeros,
+        "negative zeros masked": IncompleteTensor(zeros, zeros.real != 0.0),
+        "factor": factor,
+        "factor view": factor[::2].T,
+        "real": rng.normal(size=(4, 3)),
+    }
+
+
+class TestAsLoaded:
+    """as_loaded hands over what the parser returns for the serialized text."""
+
+    @staticmethod
+    def assert_same_array(got, want):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.flags.f_contiguous == want.flags.f_contiguous
+        assert got.flags.c_contiguous == want.flags.c_contiguous
+        assert got.tobytes(order="A") == want.tobytes(order="A")
+
+    @pytest.mark.parametrize("case", list(_as_loaded_cases()))
+    def test_tensor_as_the_parser_returns_it(self, case):
+        t = _as_loaded_cases()[case]
+        got, want = as_loaded(t), parse_tensor(serialize_tensor(t))
+        assert type(got) is type(want)
+        if isinstance(want, IncompleteTensor):
+            self.assert_same_array(got.values, want.values)
+            self.assert_same_array(got.mask, want.mask)
+        else:
+            self.assert_same_array(got, want)
+
+    def test_signals_as_the_parser_returns_them(self):
+        rng = np.random.default_rng(13)
+        signals = np.asfortranarray(rng.normal(size=(7, 3)))
+        signals[2, 1] = -0.0
+        ss = SourceSet(signals, ['a,"b"', " c", "d\ne"])
+        got, want = as_loaded(ss), parse_signals(serialize_signals(ss))
+        assert type(got) is SourceSet
+        assert got.labels == want.labels
+        self.assert_same_array(got.signals, want.signals)
+        assert got.signals.flags.c_contiguous
+
+
 class TestSceneConfig:
     def test_valid_config(self):
         cfg = parse_config(json.dumps(BASE_CONFIG))
@@ -324,7 +377,7 @@ class TestSceneConfig:
     def test_digest_matches_sha256(self, tmp_path):
         p = tmp_path / "c.json"
         p.write_text(json.dumps(BASE_CONFIG), encoding="utf-8")
-        assert config_digest(p) == hashlib.sha256(p.read_bytes()).hexdigest()
+        assert config_digest(p.read_bytes()) == hashlib.sha256(p.read_bytes()).hexdigest()
 
 
 class TestReports:

@@ -3,14 +3,19 @@
 import json
 import math
 import os
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cpdhr import formats, pipeline
+from cpdhr import cli, formats, pipeline
 from cpdhr.core import IncompleteTensor
 from cpdhr.pipeline import INIT_SEED_OFFSET
+from cpdhr.scene import SourceSet
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 BASE_CONFIG = {
@@ -129,30 +134,94 @@ def test_evaluate_against_self_is_exact(tmp_path):
     assert (est / "aligned_sources.csv").exists()
 
 
-def test_pipeline_equals_manual_stage_chain(tmp_path):
-    cfg_path = write_config(tmp_path / "config.json", snr_db=0.0)
-    auto = tmp_path / "auto"
-    pipeline.run_pipeline(cfg_path, auto)
+def tree_bytes(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
-    manual = tmp_path / "manual"
-    truth = manual / "truth"
+
+def assert_same_tree(auto, manual):
+    auto, manual = tree_bytes(auto), tree_bytes(manual)
+    assert sorted(auto) == sorted(manual)
+    for rel, data in auto.items():
+        assert data == manual[rel], rel
+
+
+def run_stage_chain(cfg_path, out):
+    """The file stages one at a time, in the order run_pipeline runs them."""
+    truth = out / "truth"
     cfg = pipeline.simulate(cfg_path, truth)
-    est = manual / "estimate"
-    pipeline.decompose(truth / "noisy.tns", cfg.rank, cfg.algorithm,
-                       cfg.seed + INIT_SEED_OFFSET, est)
-    pipeline.evaluate(truth, est, manual / "report.json")
-    t = formats.load_tensor(truth / "noisy.tns")
-    with open(manual / "slice_mode3_k1.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(formats.slice_csv(t, mode=2, index=0))
-    pipeline.plot_overlay(
-        [truth / "sources.csv", est / "aligned_sources.csv"],
-        manual / "fig_sources.svg",
-    )
+    jobs = [("noisy.tns", "estimate", "report.json")]
+    if cfg.masks:
+        jobs.append(("masked.tns", "estimate_masked", "report_masked.json"))
+    for tensor_name, est_name, report_name in jobs:
+        pipeline.decompose(truth / tensor_name, cfg.rank, cfg.algorithm,
+                           cfg.seed + INIT_SEED_OFFSET, out / est_name)
+        pipeline.evaluate(truth, out / est_name, out / report_name)
+    t = formats.load_tensor(truth / jobs[-1][0])
+    formats.write_text(out / "slice_mode3_k1.csv", formats.slice_csv(t, mode=2, index=0))
+    pipeline.plot_overlay([truth / "sources.csv", out / "estimate" / "aligned_sources.csv"],
+                          out / "fig_sources.svg")
 
-    for rel in ("report.json", "slice_mode3_k1.csv", "fig_sources.svg",
-                "truth/noisy.tns", "estimate/factor_mode1.tns",
-                "estimate/aligned_sources.csv"):
-        assert read_bytes(auto / rel) == read_bytes(manual / rel), rel
+
+def readme_stage_commands():
+    """argv lists of the README's by-hand chain."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```sh\n(cpdhr simulate .*?)```", text, re.S).group(1)
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("cpdhr ")]
+
+
+def test_pipeline_equals_manual_stage_chain(tmp_path):
+    # every file of the tree, for a synthetic unmasked config and for a
+    # masked one whose signals CSV has quoted labels
+    signals = tmp_path / "signals.csv"
+    rng = np.random.default_rng(5)
+    formats.save_signals(SourceSet(rng.standard_normal((12, 2)), ['north, "high"', " south"]), signals)
+    assert signals.read_text(encoding="utf-8").startswith('"north, ""high""", south\n')
+    configs = {
+        "synthetic": write_config(tmp_path / "synthetic.json", snr_db=0.0),
+        "csv": write_config(tmp_path / "csv.json", snr_db=0.0, signals=str(signals),
+                            masks=[{"kind": "deactivated_sensor", "sensor": [2, 3]},
+                                   {"kind": "starts_at_half", "sensor": [5, 1]}]),
+    }
+    for name, cfg_path in configs.items():
+        pipeline.run_pipeline(cfg_path, tmp_path / name / "auto")
+        run_stage_chain(cfg_path, tmp_path / name / "manual")
+        assert_same_tree(tmp_path / name / "auto", tmp_path / name / "manual")
+    labels = formats.load_signals(tmp_path / "csv" / "auto" / "estimate" / "aligned_sources.csv").labels
+    assert labels == ['recovered north, "high"', "recovered  south"]
+
+    # the README's commands recreate the demo pipeline's tree
+    demo = str(ROOT / "configs" / "demo_scene.json")
+    auto, manual = tmp_path / "demo" / "auto", tmp_path / "demo" / "manual"
+    assert cli.main(["pipeline", demo, str(auto)]) == 0
+    commands = readme_stage_commands()
+    assert [argv[0] for argv in commands] == [
+        "simulate", "decompose", "evaluate", "decompose", "evaluate", "slices", "plot"]
+    for argv in commands:
+        argv = [demo if a == "configs/demo_scene.json" else
+                str(manual / a[len("out/"):]) if a.startswith("out/") else a for a in argv]
+        assert cli.main(argv) == 0, argv
+    assert_same_tree(auto, manual)
+
+
+@pytest.mark.parametrize("module,name", [
+    (pipeline.metrics, "correlate_sources"),
+    (pipeline.scene_mod, "estimate_doa"),
+    (pipeline.formats, "canonical_json"),
+])
+def test_evaluate_that_fails_late_writes_no_file(tmp_path, monkeypatch, module, name):
+    cfg_path = write_config(tmp_path / "config.json")
+    truth, est = tmp_path / "truth", tmp_path / "estimate"
+    pipeline.simulate(cfg_path, truth)
+    pipeline.decompose(truth / "clean.tns", 2, "gauss_newton", 3 + INIT_SEED_OFFSET, est)
+    before = sorted(tmp_path.rglob("*"))
+
+    def fail(*args, **kwargs):
+        raise RuntimeError(f"{name} failed")
+
+    monkeypatch.setattr(module, name, fail)
+    with pytest.raises(RuntimeError, match=f"{name} failed"):
+        pipeline.evaluate(truth, est, tmp_path / "reports" / "report.json")
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_pipeline_reruns_byte_identical(tmp_path):
@@ -190,7 +259,7 @@ def test_demo_pipeline_converges_both_estimates_where_imputation_crawled(tmp_pat
     # start ran out of iterations (500) under imputation and converges on
     # the masked objective
     seed = int(np.random.SeedSequence([1, 0, 207]).generate_state(1)[0] >> 1)
-    demo = Path(__file__).resolve().parents[1] / "configs" / "demo_scene.json"
+    demo = ROOT / "configs" / "demo_scene.json"
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(formats.canonical_json(dict(json.loads(demo.read_text(encoding="utf-8")), seed=seed)),
                         encoding="utf-8")
@@ -273,8 +342,6 @@ def test_sweep_derived_config_is_canonical(tmp_path):
 
 def test_plot_overlay_rejects_mismatched_columns(tmp_path):
     rng = np.random.default_rng(0)
-    from cpdhr.scene import SourceSet
-
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
     formats.save_signals(SourceSet(rng.standard_normal((8, 2))), a)
