@@ -35,8 +35,28 @@ STEP_ACCEPT = 1e-4
 MU_FLOOR = 0.1
 MU_COLLAPSE = 1e15
 CG_MAX_ITER = 60
-CG_RTOL = 1e-2
 WARMSTART_SWEEPS = 3
+
+# Each Gauss-Newton iteration's CG solve stops once its residual is at most
+# CG_RTOL times ||g||: an inexact Newton step with a constant forcing term,
+# which keeps the outer iteration locally convergent for any constant
+# below 1 (Dembo, Eisenstat & Steihaug 1982). Totals over the 100
+# Gauss-Newton solves of perfbench's masked_residuals_demo workload (seed
+# 1, cases 0-149) and 20 warm starts of its large_array_dense workload,
+# all converged at every value, to final residuals that sum to the same 9
+# digits:
+#
+#   CG_RTOL                        0.01    0.03    0.05     0.1     0.2     0.3
+#   outer iterations (masked)     1,725   1,515   1,516   1,571   1,886   2,168
+#   matvecs (masked)             36,530  23,552  20,426  16,999  16,431  16,331
+#   outer iterations (large)        173     174     174     182     189     213
+#   matvecs (large)               1,149     888     783     708     602     581
+#
+# Below 0.1 the matvecs grow faster than the iterations fall; above it the
+# iterations grow and the matvecs hardly fall. Two adaptive rules took more
+# outer iterations on the masked solves than the fixed 0.1: Eisenstat and
+# Walker's choice 2 took 2,189 and min(0.5, sqrt(||g|| / ||g_0||)) 2,087.
+CG_RTOL = 0.1
 
 # ALS sweeps from this one on (counting from 0), dense or masked,
 # end with an exact line search (see _line_search), which costs about one
@@ -686,7 +706,10 @@ def cpd_als(t, opts):
 # Intel Xeon core with single-threaded OpenBLAS and numpy 2.4, the two cost
 # the same per Gauss-Newton iteration between 150 and 190 unknowns; the
 # explicit form is 1.4x cheaper on the 105-unknown demo scene and the
-# structured one 1.3x cheaper at 240 unknowns. The masked operator switches
+# structured one 1.3x cheaper at 240 unknowns. That crossover was timed
+# with CG solved to 1e-2 ||g|| and has not been re-timed at CG_RTOL: fewer
+# applies per solve leave the explicit form's build a larger share of its
+# cost. The masked operator switches
 # from its explicit form to its tangent form at the same count: the tangent
 # form's memory and matvec grow with the masked tensor, never with the
 # square of the unknowns, which a long mode makes large. Up to this count,
@@ -905,9 +928,11 @@ def cpd_nls(t, opts):
 
     Each step is one CG solve of (H + mu I) p = -g. Up to the cutoff H is
     the Hessian J^H J + conj(K .): a Newton step. Above the cutoff H is
-    J^H J: a Gauss-Newton step. Where CG meets non-positive curvature,
-    the step is the iterate it reached (Steihaug's exit); an exit on the
-    first direction gives a zero step, which is rejected while mu rises.
+    J^H J: a Gauss-Newton step. The solve stops once its residual is at
+    most CG_RTOL ||g||, at non-positive curvature, or after CG_MAX_ITER
+    applies, and the step is the iterate it reached; at a curvature exit
+    that is Steihaug's exit, and an exit on the first direction gives a
+    zero step, which is rejected while mu rises.
     The predicted decrease of the undamped model the step was solved on,
     Newton or Gauss-Newton, is read off the CG residual. mu starts at 0, so
     the solver takes the plain Newton or Gauss-Newton point until a step

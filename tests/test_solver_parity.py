@@ -115,3 +115,33 @@ def test_largest_residual_gap_is_nan_when_any_gap_is(parity):
                    for seed in range(3)]
         [line] = parity.cell_comparisons(records, reference)
         assert f"largest residual gap {largest} over 3 converged on both sides" in line, (nan_seed, line)
+
+
+def test_matvec_totals_are_shown_where_the_reference_has_them_and_gate_nothing(parity):
+    reference = [record(0, 0.5, matvecs=40), record(1, 0.5, matvecs=60)]
+    records = [record(0, 0.5, matvecs=15), record(1, 0.5, matvecs=25)]
+    [line] = parity.cell_comparisons(records, reference)
+    assert line.endswith("matvecs total 100 -> 40")
+    [summary] = parity.cell_summaries([dict(r, scaled_ms=1.0) for r in records])
+    assert "matvecs total 40, median/p90" in summary
+    # a reference without the field is compared on everything else
+    untimed = [{k: v for k, v in r.items() if k != "matvecs"} for r in reference]
+    [line] = parity.cell_comparisons(records, untimed)
+    assert "matvecs" not in line and "residual lower/equal/higher 0/2/0" in line
+    # the counts are information: a solve that moved only in them is no difference
+    assert parity.differences(records, reference) == []
+
+
+def test_counted_matvecs_counts_cg_applies_only_within_the_block(parity):
+    solvers = parity.solvers
+    real = solvers._pcg
+    t = solvers.core.reconstruct(solvers.init_model((4, 5, 6), 2, 0))
+    opts = parity.CpdOptions(rank=2, algorithm="gauss_newton", init=solvers.init_model((4, 5, 6), 2, 1))
+    with parity.counted_matvecs() as count:
+        _, counted = solvers.cpd(t, opts)
+    assert count[0] > 0 and solvers._pcg is real
+    # the count leaves the solve as it was, and ALS makes no CG solve
+    assert solvers.cpd(t, opts)[1] == counted
+    with parity.counted_matvecs() as count:
+        solvers.cpd(t, parity.CpdOptions(rank=2, algorithm="als", init=1))
+    assert count[0] == 0 and solvers._pcg is real

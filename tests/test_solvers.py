@@ -1048,6 +1048,20 @@ def test_default_options_converge_on_30_percent_observed_demo_tensors():
             assert diag.converged, (seed, algorithm, diag.iterations)
 
 
+@pytest.mark.parametrize("seed, kept, bound", [(0, 0.9, 150), (12, None, 130)])
+def test_gauss_newton_does_not_crawl_on_masked_demo_tensors(seed, kept, bound):
+    # two solves that crawled to their minimum while every CG solve ran to
+    # a residual of 1e-2 ||g||: cold Gauss-Newton on the 90%-observed draw
+    # of seed 0 (tools/solver_parity.py's heavy_mask_90 cell) took 334
+    # iterations, and on the demo tensor of seed 12 under the config's masks
+    # it took 152. With CG stopped at CG_RTOL = 0.1 they take 61 and 97.
+    noisy, t = demo_tensors(seed)
+    if kept is not None:
+        t = IncompleteTensor(noisy, np.random.default_rng(seed + HEAVY_MASK_SEED_OFFSET).random(noisy.shape) < kept)
+    _, diag = cpd(t, CpdOptions(rank=3, algorithm="gauss_newton", init=seed + INIT_SEED_OFFSET))
+    assert diag.converged and diag.iterations <= bound, diag.iterations
+
+
 def test_als_converges_on_the_30_percent_observed_demo_tensor_of_seed_8():
     # from the seeded start this solve crept along a swamp and stopped
     # unconverged at 500 iterations (residual 0.60620); the algebraic start

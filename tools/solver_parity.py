@@ -29,15 +29,17 @@ SWAMP_SCENE, two noiseless sources on a 6x6 array with 12 samples, under
 the three algorithms: the configuration where last-bit
 rounding decides whether a solve is certified as converged. Every solve
 prints one JSON line: seed, condition, algorithm, iterations, converged,
-final residual and wall time in milliseconds ("scaled_ms": the best of
+final residual, the number of operator applies its CG solves made
+("matvecs": counted by wrapping the matvec that solvers._pcg receives; 0
+for ALS) and wall time in milliseconds ("scaled_ms": the best of
 TIMING_REPEATS runs of the solve, scaled to nominal machine speed by the
 perfbench reference clock timed between consecutive solves, as perfbench
-scales its times; informational: no gate reads it, and files without it
-are still read); the converged count, the median and
+scales its times). Both are informational: no gate reads them, and files
+without them are still read. The converged count, the median and
 total iterations, the count of solves that ran out of iterations (500,
-unconverged) and the median and 90th percentile wall time of every
-condition and algorithm follow on standard error, and then, for each
-unit condition and algorithm, how many seeds match the unscaled
+unconverged), the matvec total and the median and 90th percentile wall
+time of every condition and algorithm follow on standard error, and then,
+for each unit condition and algorithm, how many seeds match the unscaled
 "masked_residuals" solve of the same seed in iterations and converged.
 
 With --against FILE, the solves are compared with those recorded in FILE.
@@ -49,11 +51,11 @@ and the solves out of iterations in FILE and here follow, with how many
 solves end at a lower residual than in FILE, at an equal one (within
 RESIDUAL_RTOL relative) and at a higher one, and the largest relative
 residual gap among the solves converged on both sides: the gate for a
-change that moves iteration counts or minima on purpose. The median and
-90th percentile scaled wall times in FILE and here follow where FILE has
-them. The cpdhr package and perfbench's bench_clock module are imported
-from the src/ and perfbench/ directories of the checkout that holds this
-script.
+change that moves iteration counts or minima on purpose. The matvec
+totals and the median and 90th percentile scaled wall times in FILE and
+here follow where FILE has them. The cpdhr package and perfbench's
+bench_clock module are imported from the src/ and perfbench/ directories
+of the checkout that holds this script.
 """
 
 import os
@@ -64,6 +66,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
@@ -102,6 +105,28 @@ RESIDUAL_RTOL = 1e-12
 TIMING_REPEATS = 3
 
 
+@contextlib.contextmanager
+def counted_matvecs():
+    """Within the block, every CG solve of the solvers applies its operator
+    through a counting wrapper; yields the count as a one-element list.
+    solvers._pcg is replaced for the block only, so nothing outside it
+    sees the wrapper."""
+    real = solvers._pcg
+    count = [0]
+
+    def pcg(matvec, *args):
+        def counted(v):
+            count[0] += 1
+            return matvec(v)
+        return real(counted, *args)
+
+    solvers._pcg = pcg
+    try:
+        yield count
+    finally:
+        solvers._pcg = real
+
+
 class _ScaledTimer:
     """Best-of-TIMING_REPEATS wall times of solves, scaled to nominal
     machine speed: the speed of a shared core drifts by more than the
@@ -113,26 +138,29 @@ class _ScaledTimer:
         self._before = self._clock.reference_ms()
 
     def solve(self, tensor, opts):
-        """solvers.cpd(tensor, opts)'s diagnostics and scaled time in ms."""
+        """solvers.cpd(tensor, opts)'s diagnostics, the CG matvecs of one
+        run of it and its scaled time in ms."""
         times = []
         for _ in range(TIMING_REPEATS):
-            start = time.perf_counter()
-            _, diag = solvers.cpd(tensor, opts)
-            times.append(time.perf_counter() - start)
+            with counted_matvecs() as matvecs:
+                start = time.perf_counter()
+                _, diag = solvers.cpd(tensor, opts)
+                times.append(time.perf_counter() - start)
         after = self._clock.reference_ms()
         ms = 1e3 * min(times) * self._clock.scale(self._before, after)
         self._before = after
-        return diag, ms
+        return diag, matvecs[0], ms
 
 
 def _solve_all(timer, tensor, seed, condition, rank):
     """One record per algorithm for one tensor."""
     for algorithm in solvers.ALGORITHMS:
         opts = CpdOptions(rank=rank, algorithm=algorithm, init=seed + INIT_SEED_OFFSET)
-        diag, ms = timer.solve(tensor, opts)
+        diag, matvecs, ms = timer.solve(tensor, opts)
         yield {"seed": seed, "condition": condition, "algorithm": algorithm,
                "iterations": diag.iterations, "converged": diag.converged,
-               "residual": diag.final_relative_residual, "scaled_ms": round(ms, 3)}
+               "residual": diag.final_relative_residual, "matvecs": matvecs,
+               "scaled_ms": round(ms, 3)}
 
 
 def solves():
@@ -193,17 +221,22 @@ def _times(recs):
     return f"{np.median(ms):.2f}/{np.percentile(ms, 90):.2f} ms"
 
 
+def _matvecs(recs):
+    """The CG matvec total of the solves."""
+    return sum(r["matvecs"] for r in recs)
+
+
 def cell_summaries(records):
     """One line per (condition, algorithm): converged solves of all, the
-    median and total iterations, the solves that ran out of iterations, and
-    the median and 90th percentile scaled wall time."""
+    median and total iterations, the solves that ran out of iterations, the
+    CG matvec total, and the median and 90th percentile scaled wall time."""
     cells = {}
     for rec in records:
         cells.setdefault((rec["condition"], rec["algorithm"]), []).append(rec)
     return [f"{condition} {algorithm}: {sum(r['converged'] for r in recs)}/{len(recs)} converged, "
             f"iterations median {np.median([r['iterations'] for r in recs]):g} "
             f"total {sum(r['iterations'] for r in recs)}, {_stops(recs)} out of iterations, "
-            f"median/p90 {_times(recs)}"
+            f"matvecs total {_matvecs(recs)}, median/p90 {_times(recs)}"
             for (condition, algorithm), recs in cells.items()]
 
 
@@ -238,8 +271,8 @@ def cell_comparisons(records, reference):
     iteration total and solves out of iterations in the reference and here,
     the solves whose residual is lower, equal and higher here, the largest
     relative residual gap among the solves converged on both sides (nan
-    when any of those gaps is NaN), and the median and 90th percentile
-    scaled wall times where the reference has them."""
+    when any of those gaps is NaN), and the CG matvec totals and the median
+    and 90th percentile scaled wall times where the reference has them."""
     ref = {_key(r): r for r in reference}
     cells = {}
     for rec in records:
@@ -251,9 +284,11 @@ def cell_comparisons(records, reference):
         gaps = [abs(new["residual"] - old["residual"]) / abs(old["residual"]) for old, new in both]
         olds, news = [o for o, _ in pairs], [n for _, n in pairs]
         signs = [_residual_sign(old, new) for old, new in pairs]
-        times = ""
+        extra = ""
+        if pairs and all("matvecs" in old for old in olds):
+            extra += f", matvecs total {_matvecs(olds)} -> {_matvecs(news)}"
         if pairs and all("scaled_ms" in old for old in olds):
-            times = f", median/p90 {_times(olds)} -> {_times(news)}"
+            extra += f", median/p90 {_times(olds)} -> {_times(news)}"
         lines.append(
             f"{condition} {algorithm}: converged {sum(o['converged'] for o in olds)}/{len(pairs)} -> "
             f"{sum(n['converged'] for n in news)}/{len(pairs)}, iterations total "
@@ -261,7 +296,7 @@ def cell_comparisons(records, reference):
             f"out of iterations {_stops(olds)} -> {_stops(news)}, residual lower/equal/higher "
             f"{signs.count(-1)}/{signs.count(0)}/{signs.count(1)}, "
             f"largest residual gap {np.max(gaps, initial=0.0):.2g} over {len(both)} converged on both sides"
-            + times)
+            + extra)
     return lines
 
 
