@@ -6,6 +6,7 @@ the command line. Exit codes: 0 on success, 1 for validation problems,
 """
 
 import argparse
+import os
 import sys
 
 from . import formats, pipeline
@@ -76,23 +77,33 @@ def build_parser():
 
 
 def run(argv):
+    """Run one command: load its inputs from files, call its stage."""
     args = build_parser().parse_args(argv)
     if args.command == "simulate":
-        pipeline.simulate(args.config, args.out_dir)
+        pipeline.simulate(*formats.read_config(args.config), args.out_dir)
         return 0
     if args.command == "decompose":
-        _, diag = pipeline.decompose(args.tensor, args.rank, args.algorithm, args.seed, args.out_dir)
+        t = formats.load_tensor(args.tensor)
+        _, diag, _ = pipeline.decompose(t, os.path.basename(args.tensor), args.rank, args.algorithm,
+                                        args.seed, args.out_dir)
         return 0 if diag.converged else 2
     if args.command == "evaluate":
-        pipeline.evaluate(args.truth_dir, args.estimate_dir, args.out_report)
+        truth_dir, est_dir = args.truth_dir, args.estimate_dir
+        raw, cfg = formats.read_config(os.path.join(truth_dir, "config.json"))
+        truth = formats.load_model(truth_dir, "truth_mode")
+        sources = formats.load_signals(os.path.join(truth_dir, "sources.csv"))
+        estimate = formats.load_model(est_dir, "factor_mode")
+        diagnostics = formats.load_diagnostics(os.path.join(est_dir, "diagnostics.json"))
+        pipeline.evaluate(cfg, formats.config_digest(raw), truth, sources, estimate, diagnostics,
+                          est_dir, args.out_report)
         return 0
     if args.command == "slices":
-        t = formats.load_tensor(args.tensor)
-        text = formats.slice_csv(t, mode=args.mode - 1, index=args.index - 1)
+        text = formats.slice_csv(formats.load_tensor(args.tensor), mode=args.mode, index=args.index)
         formats.write_text(args.out_csv, text)
         return 0
     if args.command == "plot":
-        pipeline.plot_overlay(args.signals, args.out_svg)
+        pipeline.plot_overlay([(os.path.splitext(os.path.basename(p))[0], formats.load_signals(p))
+                               for p in args.signals], args.out_svg)
         return 0
     if args.command == "pipeline":
         seeds = _parse_seed_range(args.seeds) if args.seeds else None

@@ -12,12 +12,13 @@ import hashlib
 import io
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from itertools import chain, compress
 
 import numpy as np
 
-from .core import IncompleteTensor, element_count
+from .core import CpdModel, IncompleteTensor, element_count
 from .scene import DoaScene, MaskPattern, SourceSet, SourceSpec
 from .solvers import CpdOptions
 
@@ -97,7 +98,8 @@ def serialize_tensor(t):
 
 
 def parse_tensor(text):
-    """Inverse of serialize_tensor. Any `* *` line makes the result an
+    """Inverse of serialize_tensor, as C-contiguous arrays: the layout the
+    program computes in. Any `* *` line makes the result an
     IncompleteTensor with that entry masked."""
     lines = text.splitlines()
     if not lines or not lines[0].startswith("tns "):
@@ -120,26 +122,10 @@ def parse_tensor(text):
         raise ValueError(f"expected {count} entry lines, found {len(counts)}")
     tokens = " ".join(body).split()
     values, observed = _parse_grid(tokens, counts, 2, line_numbers, "entry", missing=_MISSING)
-    values = values.view(np.complex128).reshape(shape, order="F")
+    values = np.ascontiguousarray(values.view(np.complex128).reshape(shape, order="F"))
     if observed.all():
         return values
-    return IncompleteTensor(values, observed.reshape(shape, order="F"))
-
-
-def as_loaded(value):
-    """A tensor or SourceSet as its parser returns it from the text its
-    serializer writes, without the text: the values are bitwise equal
-    (%#.17g round-trips every finite float), a tensor is a complex128 copy
-    in first-index-fastest (F) order, an IncompleteTensor with no hidden
-    entry a plain array, and signals a C-ordered float64 copy. The layout
-    matters: the solvers' and metrics' last bits follow it."""
-    if isinstance(value, SourceSet):
-        return SourceSet(np.array(value.signals, dtype=np.float64, order="C"), list(value.labels))
-    if isinstance(value, IncompleteTensor):
-        if value.mask.all():
-            return as_loaded(value.values)
-        return IncompleteTensor(np.asfortranarray(value.values), np.asfortranarray(value.mask))
-    return np.array(value, dtype=np.complex128, order="F")
+    return IncompleteTensor(values, np.ascontiguousarray(observed.reshape(shape, order="F")))
 
 
 def save_tensor(t, path):
@@ -149,6 +135,21 @@ def save_tensor(t, path):
 def load_tensor(path):
     with open(path, "r", encoding="utf-8") as fh:
         return parse_tensor(fh.read())
+
+
+def load_model(directory, prefix):
+    """The CpdModel of the files <prefix>1.tns, <prefix>2.tns, ... in
+    directory, up to the first one missing; a factor file with a masked
+    entry is refused."""
+    factors = []
+    while os.path.exists(path := os.path.join(directory, f"{prefix}{len(factors) + 1}.tns")):
+        factor = load_tensor(path)
+        if isinstance(factor, IncompleteTensor):
+            raise ValueError(f"{path}: a factor file cannot have masked entries")
+        factors.append(factor)
+    if not factors:
+        raise ValueError(f"no {prefix}*.tns files in {directory}")
+    return CpdModel(factors)
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +362,9 @@ def load_diagnostics(path):
 def slice_csv(t, mode, index):
     """One tensor slice as a CSV of entry magnitudes.
 
-    mode and index are 0-based here; masked entries become empty cells.
-    The two remaining modes keep their original relative order.
+    mode and index are 1-based, as on the command line; masked entries
+    become empty cells. The two remaining modes keep their original
+    relative order.
     """
     if isinstance(t, IncompleteTensor):
         values, mask = t.values, t.mask
@@ -370,13 +372,13 @@ def slice_csv(t, mode, index):
         values, mask = np.asarray(t, dtype=np.complex128), None
     if values.ndim < 2:
         raise ValueError(f"a slice needs a tensor of order 2 or more, got order {values.ndim}")
-    if not 0 <= mode < values.ndim:
+    if not 1 <= mode <= values.ndim:
         raise ValueError(f"mode {mode} out of range for order-{values.ndim} tensor")
-    if not 0 <= index < values.shape[mode]:
-        raise ValueError(f"index {index} out of range for extent {values.shape[mode]}")
-    plane = np.abs(np.take(values, index, axis=mode))
+    if not 1 <= index <= values.shape[mode - 1]:
+        raise ValueError(f"index {index} out of range for extent {values.shape[mode - 1]}")
+    plane = np.abs(np.take(values, index - 1, axis=mode - 1))
     plane = plane.reshape(plane.shape[0], -1)
-    observed = None if mask is None else np.take(mask, index, axis=mode).reshape(plane.shape)
+    observed = None if mask is None else np.take(mask, index - 1, axis=mode - 1).reshape(plane.shape)
     # CSV spells a row whose only cell is empty as "", since a blank line is no row
     missing = '""' if plane.shape[1] == 1 else ""
     return _format_grid(plane, ",", observed, missing)

@@ -1,16 +1,16 @@
-"""Staged simulation pipeline: simulate, decompose, evaluate, export.
+"""Staged simulation pipeline: simulate, decompose, evaluate, plot.
 
-Each stage is a core that takes values and writes files, behind a file
-front that loads the core's inputs from files; the `cpdhr simulate`,
-`decompose`, `evaluate` and `plot` commands run the fronts. run_pipeline
-builds the scene once and hands every later core the values it already
-holds, as formats.as_loaded makes them: bitwise and in layout what reading
-the written files back would give. So it writes every artifact without
-reading one back, and chaining the stages by hand produces exactly the
-artifacts of run_pipeline. All randomness is seeded from the config seed
-with fixed offsets per purpose, making every file byte-reproducible:
-sources use the seed itself, the noise draw uses seed + NOISE_SEED_OFFSET,
-solver initialization uses seed + INIT_SEED_OFFSET.
+Each stage is one function that takes values, writes its files and
+returns its values; the `cpdhr simulate`, `decompose`, `evaluate` and
+`plot` commands load a stage's inputs from files and call it.
+run_pipeline builds the scene once and hands every later stage the values
+the stages before it returned. Those are what reading the written files
+back gives, bitwise and in their C layout, so run_pipeline reads no
+artifact back, and chaining the commands by hand produces exactly its
+artifacts. All randomness is seeded from the config seed with fixed
+offsets per purpose, making every file byte-reproducible: sources use the
+seed itself, the noise draw uses seed + NOISE_SEED_OFFSET, solver
+initialization uses seed + INIT_SEED_OFFSET.
 """
 
 import json
@@ -19,7 +19,6 @@ import os
 import numpy as np
 
 from . import charts, formats, metrics, scene as scene_mod
-from .core import CpdModel
 from .solvers import CpdOptions, cpd
 
 NOISE_SEED_OFFSET = 1_000_003
@@ -43,8 +42,11 @@ def _scene(cfg):
     return sources, clean, truth, noisy, masked
 
 
-def _write_scene(raw_config, scene, out_dir):
-    """Write the config bytes and the _scene values they give into out_dir."""
+def simulate(raw_config, cfg, out_dir):
+    """Build the scene of the parsed cfg, whose file bytes are raw_config,
+    write the config bytes and the scene into out_dir, and return the
+    scene's values as _scene gives them."""
+    scene = _scene(cfg)
     sources, clean, truth, noisy, masked = scene
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config.json"), "wb") as fh:
@@ -56,16 +58,10 @@ def _write_scene(raw_config, scene, out_dir):
     formats.save_tensor(noisy, os.path.join(out_dir, "noisy.tns"))
     if masked is not None:
         formats.save_tensor(masked, os.path.join(out_dir, "masked.tns"))
+    return scene
 
 
-def simulate(config_path, out_dir):
-    """Build the scene tensor and its noisy / masked variants, then write them to disk."""
-    raw, cfg = formats.read_config(config_path)
-    _write_scene(raw, _scene(cfg), out_dir)
-    return cfg
-
-
-def _decompose(t, tensor_name, rank, algorithm, seed, out_dir):
+def decompose(t, tensor_name, rank, algorithm, seed, out_dir):
     """Run the CPD solver on a tensor and write factors + diagnostics;
     returns (model, diag, the diagnostics document)."""
     opts = CpdOptions(rank=rank, algorithm=algorithm, init=seed)
@@ -87,32 +83,7 @@ def _decompose(t, tensor_name, rank, algorithm, seed, out_dir):
     return model, diag, doc
 
 
-def decompose(tensor_path, rank, algorithm, seed, out_dir):
-    """Run the CPD solver on a tensor file and write factors + diagnostics."""
-    t = formats.load_tensor(tensor_path)
-    model, diag, _ = _decompose(t, os.path.basename(str(tensor_path)), rank, algorithm, seed, out_dir)
-    return model, diag
-
-
-def _load_model(directory, prefix):
-    factors = []
-    n = 1
-    while True:
-        path = os.path.join(directory, f"{prefix}{n}.tns")
-        if not os.path.exists(path):
-            break
-        factors.append(np.asarray(formats.load_tensor(path)))
-        n += 1
-    if not factors:
-        raise ValueError(f"no {prefix}*.tns files in {directory}")
-    return CpdModel(factors)
-
-
-def _as_loaded_model(model):
-    return CpdModel([formats.as_loaded(f) for f in model.factors])
-
-
-def _evaluate(cfg, digest, truth, sources, estimate, diagnostics, estimate_dir, out_path):
+def evaluate(cfg, digest, truth, sources, estimate, diagnostics, estimate_dir, out_path):
     """Compare an estimate model against the truth model and sources.
 
     Computes the report and the aligned sources first, then writes the
@@ -159,24 +130,10 @@ def _evaluate(cfg, digest, truth, sources, estimate, diagnostics, estimate_dir, 
     return report, aligned_set
 
 
-def evaluate(truth_dir, estimate_dir, out_path):
-    """Compare an estimate directory against a truth directory.
-
-    Writes the report to out_path and aligned_sources.csv into the
-    estimate directory it was derived from.
-    """
-    raw, cfg = formats.read_config(os.path.join(truth_dir, "config.json"))
-    truth = _load_model(truth_dir, "truth_mode")
-    sources = formats.load_signals(os.path.join(truth_dir, "sources.csv"))
-    estimate = _load_model(estimate_dir, "factor_mode")
-    diagnostics = formats.load_diagnostics(os.path.join(estimate_dir, "diagnostics.json"))
-    report, _ = _evaluate(cfg, formats.config_digest(raw), truth, sources, estimate, diagnostics,
-                          estimate_dir, out_path)
-    return report
-
-
-def _plot_overlay(named_sets, out_svg):
+def plot_overlay(named_sets, out_svg):
     """One panel per source column, one polyline per (name, SourceSet)."""
+    if not named_sets:
+        raise ValueError("no signals to plot")
     width = named_sets[0][1].signals.shape[1]
     for name, ss in named_sets:
         if ss.signals.shape[1] != width:
@@ -189,45 +146,32 @@ def _plot_overlay(named_sets, out_svg):
     charts.save_chart(panels, out_svg)
 
 
-def plot_overlay(csv_paths, out_svg):
-    """One panel per source column, one polyline per input CSV."""
-    if not csv_paths:
-        raise ValueError("no signal files to plot")
-    _plot_overlay([(os.path.splitext(os.path.basename(str(p)))[0], formats.load_signals(p))
-                   for p in csv_paths], out_svg)
-
-
 def _run_single(raw_config, cfg, out_dir):
     """One run of the parsed cfg, whose file bytes are raw_config, into
-    out_dir: every stage core gets its values as loaded, none read back."""
-    scene = _scene(cfg)
-    _write_scene(raw_config, scene, os.path.join(out_dir, "truth"))
-    sources, _, truth, noisy, masked = scene
-    sources = formats.as_loaded(sources)
-    truth = _as_loaded_model(truth)
+    out_dir: every stage gets the values the stages before it returned."""
+    sources, _, truth, noisy, masked = simulate(raw_config, cfg, os.path.join(out_dir, "truth"))
     digest = formats.config_digest(raw_config)
     solver_seed = cfg.seed + INIT_SEED_OFFSET
 
-    jobs = [("noisy.tns", formats.as_loaded(noisy), "estimate", "report.json")]
+    jobs = [("noisy.tns", noisy, "estimate", "report.json")]
     if masked is not None:
-        jobs.append(("masked.tns", formats.as_loaded(masked), "estimate_masked", "report_masked.json"))
+        jobs.append(("masked.tns", masked, "estimate_masked", "report_masked.json"))
 
     all_converged = True
     reports = {}
     aligned = {}
     for tensor_name, t, est_name, report_name in jobs:
         est_dir = os.path.join(out_dir, est_name)
-        model, diag, doc = _decompose(t, tensor_name, cfg.rank, cfg.algorithm, solver_seed, est_dir)
+        model, diag, doc = decompose(t, tensor_name, cfg.rank, cfg.algorithm, solver_seed, est_dir)
         all_converged = all_converged and diag.converged
-        reports[report_name], aligned[est_name] = _evaluate(
-            cfg, digest, truth, sources, _as_loaded_model(model), doc, est_dir,
-            os.path.join(out_dir, report_name))
+        reports[report_name], aligned[est_name] = evaluate(
+            cfg, digest, truth, sources, model, doc, est_dir, os.path.join(out_dir, report_name))
 
     # the last job's tensor: the masked one when masks exist
     formats.write_text(os.path.join(out_dir, "slice_mode3_k1.csv"),
-                       formats.slice_csv(jobs[-1][1], mode=2, index=0))
-    _plot_overlay([("sources", sources), ("aligned_sources", formats.as_loaded(aligned["estimate"]))],
-                  os.path.join(out_dir, "fig_sources.svg"))
+                       formats.slice_csv(jobs[-1][1], mode=3, index=1))
+    plot_overlay([("sources", sources), ("aligned_sources", aligned["estimate"])],
+                 os.path.join(out_dir, "fig_sources.svg"))
     return reports, all_converged
 
 

@@ -192,8 +192,8 @@ def normalize_model(model):
 
 def _observed(t):
     """(values, mask-or-None, norm of observed part), values and mask
-    C-contiguous so that the kernels' C-order reshapes are views: a parsed
-    tensor is F-ordered and would otherwise be copied on every call."""
+    C-contiguous so that the kernels' C-order reshapes are views: a tensor
+    in any other layout would otherwise be copied on every call."""
     if isinstance(t, IncompleteTensor):
         vals = np.ascontiguousarray(t.values)
         mask = np.ascontiguousarray(t.mask)

@@ -148,6 +148,36 @@ def test_rejected_slices_exit_1_and_write_nothing(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--mode", "0", "--index", "1"], "mode 0 out of range for order-3 tensor"),
+    (["--mode", "4", "--index", "1"], "mode 4 out of range for order-3 tensor"),
+    (["--mode", "3", "--index", "0"], "index 0 out of range for extent 12"),
+    (["--mode", "3", "--index", "13"], "index 13 out of range for extent 12"),
+], ids=["mode 0", "mode past the order", "index 0", "index past the extent"])
+def test_rejected_slices_name_the_1_based_values_typed(tmp_path, capsys, argv, message):
+    truth = tmp_path / "truth"
+    assert cli.main(["simulate", write_config(tmp_path / "config.json"), str(truth)]) == 0
+    out = tmp_path / "s.csv"
+    assert cli.main(["slices", str(truth / "clean.tns"), str(out), *argv]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("directory,name", [("truth", "truth_mode2.tns"), ("estimate", "factor_mode1.tns")])
+def test_evaluate_of_a_masked_factor_file_exits_1(tmp_path, capsys, directory, name):
+    truth, est, report = tmp_path / "truth", tmp_path / "estimate", tmp_path / "report.json"
+    assert cli.main(["simulate", write_config(tmp_path / "config.json"), str(truth)]) == 0
+    assert cli.main(["decompose", str(truth / "clean.tns"), str(est), "--rank", "2", "--seed", "0"]) == 0
+    path = tmp_path / directory / name
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[1] = "* *\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    written = files_under(tmp_path)
+    assert cli.main(["evaluate", str(truth), str(est), str(report)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: a factor file cannot have masked entries\n"
+    assert files_under(tmp_path) == written
+
+
 def test_usage_errors_exit_1_not_2(tmp_path, capsys):
     # argparse would exit 2 on its own; 2 is reserved for non-convergence
     assert cli.main(["decompose", "x.tns", "out"]) == 1

@@ -14,6 +14,7 @@ from cpdhr import cli, formats, pipeline
 from cpdhr.core import IncompleteTensor
 from cpdhr.pipeline import INIT_SEED_OFFSET
 from cpdhr.scene import SourceSet
+from cpdhr.solvers import CpdOptions
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -48,10 +49,21 @@ def read_bytes(path):
         return fh.read()
 
 
+def simulate(cfg_path, out):
+    """The simulate stage on a config file, as `cpdhr simulate` calls it."""
+    return pipeline.simulate(*formats.read_config(cfg_path), out)
+
+
+def decompose_clean(truth, est):
+    """`cpdhr decompose` of the truth's clean tensor by cold Gauss-Newton."""
+    assert cli.run(["decompose", str(truth / "clean.tns"), str(est), "--rank", "2",
+                    "--algorithm", "gauss_newton", "--seed", str(3 + INIT_SEED_OFFSET)]) == 0
+
+
 def test_simulate_writes_expected_artifacts(tmp_path):
     cfg_path = write_config(tmp_path / "config.json", snr_db=0.0)
     out = tmp_path / "truth"
-    pipeline.simulate(cfg_path, out)
+    simulate(cfg_path, out)
     for name in ("config.json", "sources.csv", "clean.tns",
                  "truth_mode1.tns", "truth_mode2.tns", "truth_mode3.tns", "noisy.tns"):
         assert (out / name).exists(), name
@@ -66,7 +78,7 @@ def test_simulate_writes_expected_artifacts(tmp_path):
 def test_simulate_noiseless_skips_noise_draw(tmp_path):
     cfg_path = write_config(tmp_path / "config.json")
     out = tmp_path / "truth"
-    pipeline.simulate(cfg_path, out)
+    simulate(cfg_path, out)
     assert read_bytes(out / "noisy.tns") == read_bytes(out / "clean.tns")
 
 
@@ -80,7 +92,7 @@ def test_simulate_masked_artifact_has_missing_fibers(tmp_path):
         ],
     )
     out = tmp_path / "truth"
-    pipeline.simulate(cfg_path, out)
+    simulate(cfg_path, out)
     masked = formats.load_tensor(out / "masked.tns")
     assert isinstance(masked, IncompleteTensor)
     # time_len 12: a dead sensor hides 12 entries, the half patterns 6 each
@@ -92,17 +104,13 @@ def test_simulate_masked_artifact_has_missing_fibers(tmp_path):
 def test_decompose_writes_factors_and_diagnostics(tmp_path):
     cfg_path = write_config(tmp_path / "config.json")
     truth = tmp_path / "truth"
-    pipeline.simulate(cfg_path, truth)
+    simulate(cfg_path, truth)
     est = tmp_path / "estimate"
-    model, diag = pipeline.decompose(
-        truth / "clean.tns", rank=2, algorithm="gauss_newton",
-        seed=3 + INIT_SEED_OFFSET, out_dir=est,
-    )
-    assert diag.converged
-    assert diag.final_relative_residual < 1e-8
+    decompose_clean(truth, est)
     for n in (1, 2, 3):
         assert (est / f"factor_mode{n}.tns").exists()
     doc = formats.load_report(est / "diagnostics.json")
+    assert doc["final_relative_residual"] < 1e-8
     assert doc["tensor"] == "clean.tns"
     assert doc["rank"] == 2
     assert doc["algorithm"] == "gauss_newton"
@@ -113,7 +121,7 @@ def test_decompose_writes_factors_and_diagnostics(tmp_path):
 def test_evaluate_against_self_is_exact(tmp_path):
     cfg_path = write_config(tmp_path / "config.json")
     truth = tmp_path / "truth"
-    pipeline.simulate(cfg_path, truth)
+    simulate(cfg_path, truth)
     est = tmp_path / "estimate"
     os.makedirs(est)
     for n in (1, 2, 3):
@@ -124,7 +132,8 @@ def test_evaluate_against_self_is_exact(tmp_path):
          "final_relative_residual": 0.0},
         est / "diagnostics.json",
     )
-    report = pipeline.evaluate(truth, est, tmp_path / "report.json")
+    assert cli.run(["evaluate", str(truth), str(est), str(tmp_path / "report.json")]) == 0
+    report = formats.load_report(tmp_path / "report.json")
     assert max(report["cpderr"]["per_mode_relative_error"]) < 1e-12
     assert report["cpderr"]["permutation"] == [1, 2]
     assert min(report["correlation"]["per_source_r"]) > 1.0 - 1e-12
@@ -145,21 +154,24 @@ def assert_same_tree(auto, manual):
         assert data == manual[rel], rel
 
 
-def run_stage_chain(cfg_path, out):
-    """The file stages one at a time, in the order run_pipeline runs them."""
-    truth = out / "truth"
-    cfg = pipeline.simulate(cfg_path, truth)
+def stage_commands(cfg_path, out):
+    """argv lists of the commands that, run in order, recreate the tree
+    run_pipeline writes into out."""
+    cfg = formats.load_config(cfg_path)
+    algorithm = [] if cfg.algorithm == CpdOptions.algorithm else ["--algorithm", cfg.algorithm]
     jobs = [("noisy.tns", "estimate", "report.json")]
     if cfg.masks:
         jobs.append(("masked.tns", "estimate_masked", "report_masked.json"))
+    commands = [["simulate", str(cfg_path), f"{out}/truth"]]
     for tensor_name, est_name, report_name in jobs:
-        pipeline.decompose(truth / tensor_name, cfg.rank, cfg.algorithm,
-                           cfg.seed + INIT_SEED_OFFSET, out / est_name)
-        pipeline.evaluate(truth, out / est_name, out / report_name)
-    t = formats.load_tensor(truth / jobs[-1][0])
-    formats.write_text(out / "slice_mode3_k1.csv", formats.slice_csv(t, mode=2, index=0))
-    pipeline.plot_overlay([truth / "sources.csv", out / "estimate" / "aligned_sources.csv"],
-                          out / "fig_sources.svg")
+        commands.append(["decompose", f"{out}/truth/{tensor_name}", f"{out}/{est_name}",
+                         "--rank", str(cfg.rank), *algorithm, "--seed", str(cfg.seed + INIT_SEED_OFFSET)])
+        commands.append(["evaluate", f"{out}/truth", f"{out}/{est_name}", f"{out}/{report_name}"])
+    commands.append(["slices", f"{out}/truth/{jobs[-1][0]}", f"{out}/slice_mode3_k1.csv",
+                     "--mode", "3", "--index", "1"])
+    commands.append(["plot", f"{out}/truth/sources.csv", f"{out}/estimate/aligned_sources.csv",
+                     f"{out}/fig_sources.svg"])
+    return commands
 
 
 def readme_stage_commands():
@@ -170,37 +182,46 @@ def readme_stage_commands():
 
 
 def test_pipeline_equals_manual_stage_chain(tmp_path):
-    # every file of the tree, for a synthetic unmasked config and for a
-    # masked one whose signals CSV has quoted labels
+    # every file of the tree, for a synthetic unmasked config, for a
+    # masked one whose signals CSV has quoted labels, and for the demo,
+    # whose commands are the README's
     signals = tmp_path / "signals.csv"
     rng = np.random.default_rng(5)
     formats.save_signals(SourceSet(rng.standard_normal((12, 2)), ['north, "high"', " south"]), signals)
     assert signals.read_text(encoding="utf-8").startswith('"north, ""high""", south\n')
+    demo = ROOT / "configs" / "demo_scene.json"
+    readme = stage_commands(demo, "out")
+    readme[0][1] = "configs/demo_scene.json"
+    assert readme_stage_commands() == readme
     configs = {
         "synthetic": write_config(tmp_path / "synthetic.json", snr_db=0.0),
         "csv": write_config(tmp_path / "csv.json", snr_db=0.0, signals=str(signals),
                             masks=[{"kind": "deactivated_sensor", "sensor": [2, 3]},
                                    {"kind": "starts_at_half", "sensor": [5, 1]}]),
+        "demo": demo,
     }
     for name, cfg_path in configs.items():
-        pipeline.run_pipeline(cfg_path, tmp_path / name / "auto")
-        run_stage_chain(cfg_path, tmp_path / name / "manual")
-        assert_same_tree(tmp_path / name / "auto", tmp_path / name / "manual")
+        auto, manual = tmp_path / name / "auto", tmp_path / name / "manual"
+        assert cli.main(["pipeline", str(cfg_path), str(auto)]) == 0, name
+        for argv in stage_commands(cfg_path, manual):
+            assert cli.main(argv) == 0, argv
+        assert_same_tree(auto, manual)
     labels = formats.load_signals(tmp_path / "csv" / "auto" / "estimate" / "aligned_sources.csv").labels
     assert labels == ['recovered north, "high"', "recovered  south"]
 
-    # the README's commands recreate the demo pipeline's tree
-    demo = str(ROOT / "configs" / "demo_scene.json")
-    auto, manual = tmp_path / "demo" / "auto", tmp_path / "demo" / "manual"
-    assert cli.main(["pipeline", demo, str(auto)]) == 0
-    commands = readme_stage_commands()
-    assert [argv[0] for argv in commands] == [
-        "simulate", "decompose", "evaluate", "decompose", "evaluate", "slices", "plot"]
-    for argv in commands:
-        argv = [demo if a == "configs/demo_scene.json" else
-                str(manual / a[len("out/"):]) if a.startswith("out/") else a for a in argv]
-        assert cli.main(argv) == 0, argv
-    assert_same_tree(auto, manual)
+
+def test_run_pipeline_calls_each_stage_through_the_module(tmp_path, monkeypatch):
+    # a caller that replaces a stage on the module, as perfbench's tracer
+    # does, sees every call of a run: one scene, and per tensor one
+    # decompose and one evaluate, then one plot
+    calls = {}
+    for name in ("simulate", "decompose", "evaluate", "plot_overlay"):
+        def counted(*args, _stage=getattr(pipeline, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _stage(*args, **kwargs)
+        monkeypatch.setattr(pipeline, name, counted)
+    pipeline.run_pipeline(ROOT / "configs" / "demo_scene.json", tmp_path / "run")
+    assert calls == {"simulate": 1, "decompose": 2, "evaluate": 2, "plot_overlay": 1}
 
 
 @pytest.mark.parametrize("module,name", [
@@ -211,8 +232,8 @@ def test_pipeline_equals_manual_stage_chain(tmp_path):
 def test_evaluate_that_fails_late_writes_no_file(tmp_path, monkeypatch, module, name):
     cfg_path = write_config(tmp_path / "config.json")
     truth, est = tmp_path / "truth", tmp_path / "estimate"
-    pipeline.simulate(cfg_path, truth)
-    pipeline.decompose(truth / "clean.tns", 2, "gauss_newton", 3 + INIT_SEED_OFFSET, est)
+    simulate(cfg_path, truth)
+    decompose_clean(truth, est)
     before = sorted(tmp_path.rglob("*"))
 
     def fail(*args, **kwargs):
@@ -220,7 +241,7 @@ def test_evaluate_that_fails_late_writes_no_file(tmp_path, monkeypatch, module, 
 
     monkeypatch.setattr(module, name, fail)
     with pytest.raises(RuntimeError, match=f"{name} failed"):
-        pipeline.evaluate(truth, est, tmp_path / "reports" / "report.json")
+        cli.run(["evaluate", str(truth), str(est), str(tmp_path / "reports" / "report.json")])
     assert sorted(tmp_path.rglob("*")) == before
 
 
@@ -340,13 +361,19 @@ def test_sweep_derived_config_is_canonical(tmp_path):
     assert derived == formats.canonical_json(json.loads(derived))
 
 
-def test_plot_overlay_rejects_mismatched_columns(tmp_path):
+def test_plot_overlay_rejects_mismatched_columns(tmp_path, capsys):
     rng = np.random.default_rng(0)
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    formats.save_signals(SourceSet(rng.standard_normal((8, 2))), a)
-    formats.save_signals(SourceSet(rng.standard_normal((8, 3))), b)
-    with pytest.raises(ValueError, match="columns"):
-        pipeline.plot_overlay([a, b], tmp_path / "fig.svg")
-    with pytest.raises(ValueError, match="no signal files"):
+    a = SourceSet(rng.standard_normal((8, 2)))
+    b = SourceSet(rng.standard_normal((8, 3)))
+    with pytest.raises(ValueError, match="b: expected 2 columns, found 3"):
+        pipeline.plot_overlay([("a", a), ("b", b)], tmp_path / "fig.svg")
+    with pytest.raises(ValueError, match="no signals"):
         pipeline.plot_overlay([], tmp_path / "fig.svg")
+    formats.save_signals(a, tmp_path / "a.csv")
+    formats.save_signals(b, tmp_path / "b.csv")
+    assert cli.main(["plot", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"), str(tmp_path / "fig.svg")]) == 1
+    assert "error: b: expected 2 columns, found 3" in capsys.readouterr().err
+    # `cpdhr plot` with no signal file is a usage error
+    assert cli.main(["plot", str(tmp_path / "fig.svg")]) == 1
+    capsys.readouterr()
+    assert not (tmp_path / "fig.svg").exists()
