@@ -93,8 +93,24 @@ def serialize_tensor(t):
     else:
         values, observed = np.asarray(t, dtype=np.complex128), True
     grid = values.ravel(order="F").view(np.float64).reshape(-1, 2)
-    header = "tns " + " ".join(str(d) for d in (values.ndim, *values.shape)) + "\n"
-    return header + _format_grid(grid, " ", np.broadcast_to(observed, grid.shape), _MISSING)
+    return _tensor_header(values.shape) + _format_grid(grid, " ", np.broadcast_to(observed, grid.shape), _MISSING)
+
+
+def _tensor_header(shape):
+    return "tns " + " ".join(str(d) for d in (len(shape), *shape)) + "\n"
+
+
+def serialize_masked(dense_text, mask):
+    """serialize_tensor(IncompleteTensor(t, mask)) from dense_text, the
+    serialize_tensor text of the dense t: its lines with `* *` for every
+    unobserved entry, so no number is formatted again."""
+    mask = np.asarray(mask, dtype=bool)
+    if not dense_text.startswith(_tensor_header(mask.shape)):
+        raise ValueError(f"mask shape {mask.shape} does not match the tensor text's header")
+    lines = dense_text.split("\n")
+    for k in np.flatnonzero(~mask.ravel(order="F")).tolist():
+        lines[k + 1] = f"{_MISSING} {_MISSING}"
+    return "\n".join(lines)
 
 
 def parse_tensor(text):

@@ -55,9 +55,11 @@ def simulate(raw_config, cfg, out_dir):
     formats.save_tensor(clean, os.path.join(out_dir, "clean.tns"))
     for n, factor in enumerate(truth.factors, start=1):
         formats.save_tensor(factor, os.path.join(out_dir, f"truth_mode{n}.tns"))
-    formats.save_tensor(noisy, os.path.join(out_dir, "noisy.tns"))
+    noisy_text = formats.serialize_tensor(noisy)
+    formats.write_text(os.path.join(out_dir, "noisy.tns"), noisy_text)
     if masked is not None:
-        formats.save_tensor(masked, os.path.join(out_dir, "masked.tns"))
+        # the masked tensor is the noisy one with entries masked out
+        formats.write_text(os.path.join(out_dir, "masked.tns"), formats.serialize_masked(noisy_text, masked.mask))
     return scene
 
 
@@ -76,6 +78,7 @@ def decompose(t, tensor_name, rank, algorithm, seed, out_dir):
         "seed": seed,
         "iterations": diag.iterations,
         "converged": diag.converged,
+        "stop_reason": diag.stop_reason,
         "final_relative_residual": diag.final_relative_residual,
         "objective_trace": list(diag.objective_trace),
     }

@@ -85,6 +85,43 @@ GRAD_CERTIFICATE = 1e-6
 # data's unit
 REL_OBJECTIVE_TOL = 1e-10
 
+# The noise-floor stop of the Newton steps below EXPLICIT_GN_MAX_PARAMS (see
+# cpd_nls). sigma^2 = ||r||^2 / (N_obs - R (sum I_n - N + 1)) estimates the
+# noise variance per observed entry, and near a minimum 2 Delta f / sigma^2
+# is the squared Fisher distance of the iterate from it, so a step that
+# promises a decrease of at most NOISE_FLOOR sigma^2 leaves the iterate
+# within 0.01 standard deviations of where the solver would end (Dennis &
+# Schnabel 1983, ch. 10). Two witnesses guard it; on the 0 dB demo tensors
+# each was needed.
+# - CONTRACTION: the promise is at most this fraction of the last accepted
+#   step's, the quadratic contraction of a Newton iteration near its
+#   minimum. Without it the stop ended dense seed 98's warm start inside a
+#   crawl at 0.689198, 0.4 sigma^2 above its minimum 0.689003.
+# - DEGENERACY_BOUND: the fit is not degenerate, its term-norm ratio
+#   kappa / sqrt(R) (see _term_norm_ratio) below this bound. It measured at
+#   most 1.37 at every minimum of tools/solver_parity.py and of demo seeds
+#   0-199. On diverging fits it grows: 3.0, 3.6 and 6.5 after 50, 100 and
+#   500 Gauss-Newton iterations on the border-rank tensor of
+#   tests/test_cli.py, 7.1 at the unconverged warm start of dense seed 58.
+#   Without it the stop ended the diverging fits of dense warm starts 80 and
+#   159 (near 5), of masked seed 161 and of seed 58's warm start.
+# Over the census of dense and masked demo seeds 0-199, cold gauss_newton
+# and the warm start, the stop ends 798 of the 800 solves (the others: dense
+# seed 58's warm start runs out of iterations, as before, and masked seed
+# 150's stalls), every one at the minimum it reached before, within 8.8e-6
+# sigma^2. Iterations fall 17-20%: dense cold 3,571 -> 2,921, dense warm
+# 3,486 -> 2,894, masked cold 3,789 -> 3,119, masked warm 3,067 -> 2,463.
+# Above the cutoff the Gauss-Newton steps converge linearly and the stop
+# does not apply.
+NOISE_FLOOR = 5e-5
+CONTRACTION = 0.01
+DEGENERACY_BOUND = 1.8
+
+# the stop reasons that count as converged: a vanishing gradient, the
+# noise-floor stop and a stall (with its witnesses, for Gauss-Newton); the
+# others are max_iterations, damping_collapse and nonfinite
+CONVERGED_STOPS = ("exact_fit", "noise_floor", "stall")
+
 
 def _integer(value, name):
     """value as a Python int. A bool, a float or any other value that is
@@ -137,9 +174,14 @@ class CpdOptions:
 
 @dataclass
 class CpdDiagnostics:
+    """How a solve ended. stop_reason is one of CONVERGED_STOPS, then
+    converged is True, or max_iterations, damping_collapse (Gauss-Newton)
+    or nonfinite (ALS)."""
+
     iterations: int
     converged: bool
     final_relative_residual: float
+    stop_reason: str
     objective_trace: list = field(default_factory=list)
 
 
@@ -305,12 +347,13 @@ def _rebalance(x, shape, rank):
     return scale
 
 
-def _finish(x, shape, rank, trace, converged):
+def _finish(x, shape, rank, trace, stop_reason):
     """The normalized model and the diagnostics of a finished solve."""
     diag = CpdDiagnostics(
         iterations=len(trace),
-        converged=converged,
+        converged=stop_reason in CONVERGED_STOPS,
         final_relative_residual=trace[-1],
+        stop_reason=stop_reason,
         objective_trace=trace,
     )
     model = CpdModel(_factor_views(x, shape, rank))
@@ -324,6 +367,19 @@ def _finish(x, shape, rank, trace, converged):
 
 def _gramians(factors):
     return [f.conj().T @ f for f in factors]
+
+
+def _term_norm_ratio(grams):
+    """kappa = sum_r prod_n ||u_{n,r}|| / ||M||, read off the factors'
+    Gramians: ||M||^2 is the sum of their Hadamard product. kappa / sqrt(R)
+    is 1 for orthogonal terms of equal norm and grows without bound when
+    terms diverge and cancel, as in a degenerate fit (Paatero,
+    J. Chemometrics 2000); a zero model gives inf."""
+    products = np.prod(np.stack(grams), axis=0)
+    model_sq = products.sum().real
+    if not model_sq > 0.0:
+        return math.inf
+    return float(np.sqrt(products.diagonal().real).sum() / math.sqrt(model_sq))
 
 
 def _hadamard_except(grams, *skip):
@@ -587,8 +643,9 @@ def _relative_residual(tvals, mask, norm, model):
 
 def _als_iterate(tvals, mask, norm, x, opts, n_sweeps):
     """Run up to n_sweeps ALS sweeps on the factor views of x, in place;
-    returns (trace, converged, exact), exact telling whether the last trace
-    entry is the computed residual of the factors left in x.
+    returns (trace, stop_reason, exact): stall, nonfinite or
+    max_iterations, and whether the last trace entry is the computed
+    residual of the factors left in x.
 
     A sweep reads its fit off its last mode's normal equations
     u_k a_k = b_k, row k of U_{N-1} (a dense sweep has one a for every
@@ -644,10 +701,10 @@ def _als_iterate(tvals, mask, norm, x, opts, n_sweeps):
             rel = _relative_residual(tvals, mask, norm, core.reconstruct(factors))
         trace.append(rel)
         if len(trace) >= 2 and trace[-2] - trace[-1] < REL_OBJECTIVE_TOL:
-            return trace, True, exact
+            return trace, "stall", exact
         if not math.isfinite(rel):
-            break
-    return trace, False, exact
+            return trace, "nonfinite", exact
+    return trace, "max_iterations", exact
 
 
 def cpd_als(t, opts):
@@ -683,10 +740,10 @@ def cpd_als(t, opts):
     """
     tvals, mask, norm = _observed(t)
     x = _start(tvals, opts, norm)
-    trace, converged, exact = _als_iterate(tvals, mask, norm, x, opts, opts.max_iterations)
+    trace, stop_reason, exact = _als_iterate(tvals, mask, norm, x, opts, opts.max_iterations)
     if not exact:
         trace[-1] = _relative_residual(tvals, mask, norm, core.reconstruct(_factor_views(x, tvals.shape, opts.rank)))
-    return _finish(x, tvals.shape, opts.rank, trace, converged)
+    return _finish(x, tvals.shape, opts.rank, trace, stop_reason)
 
 
 # ---------------------------------------------------------------------------
@@ -934,20 +991,30 @@ def cpd_nls(t, opts):
     that is Steihaug's exit, and an exit on the first direction gives a
     zero step, which is rejected while mu rises.
     The predicted decrease of the undamped model the step was solved on,
-    Newton or Gauss-Newton, is read off the CG residual. mu starts at 0, so
-    the solver takes the plain Newton or Gauss-Newton point until a step
-    does poorly. A step whose gain ratio rho (actual over predicted
-    decrease) is below 0.25 raises mu to max(4 mu, MU_FLOOR s), s the
-    largest diagonal entry of w; any other step scales mu by
-    max(1/3, 1 - (2 rho - 1)^3) (Nielsen's rule). mu above MU_COLLAPSE s is
-    reported as non-convergence, never as an exception.
+    Newton or Gauss-Newton, is read off the CG residual. Up to the cutoff mu
+    starts at MU_FLOOR s, s the largest diagonal entry of w: the Newton
+    model is indefinite away from a minimum, and its undamped first step
+    mostly overshoots. Above it mu starts at 0, the Gauss-Newton model being
+    positive semi-definite. A step whose gain ratio rho (actual over
+    predicted decrease) is below 0.25 raises mu to max(4 mu, MU_FLOOR s);
+    any other step scales mu by max(1/3, 1 - (2 rho - 1)^3) (Nielsen's
+    rule). mu above MU_COLLAPSE s is reported as non-convergence
+    (damping_collapse), never as an exception.
 
-    A stall of the relative residual by less than REL_OBJECTIVE_TOL counts
-    as converged only with two witnesses: the gradient certificate, and a
-    step whose predicted decrease on the undamped model is at most
-    REL_OBJECTIVE_TOL times the objective in magnitude; a swamp stall, where
-    the model still promises a large decrease, fails the second. Both
-    gradient tests use one data scale, so no stop depends on the data's unit.
+    Up to the cutoff a Newton step ends the solve as converged at the noise
+    floor (noise_floor) when its predicted decrease is positive and at most
+    NOISE_FLOOR sigma^2, sigma^2 = ||r||^2 / (N_obs - R (sum I_n - N + 1)),
+    with two witnesses: that decrease is at most CONTRACTION times the last
+    accepted step's (none before the first), and the term-norm ratio of the
+    iterate is below DEGENERACY_BOUND sqrt(R); the step is taken first when
+    accepted. A stall of the relative residual by less than
+    REL_OBJECTIVE_TOL counts as converged (stall) only with two witnesses:
+    the gradient certificate, and a step whose predicted decrease on the
+    undamped model is at most REL_OBJECTIVE_TOL times the objective in
+    magnitude; a swamp stall, where the model still promises a large
+    decrease, fails the second. A gradient below 1e-13 g_scale is an exact
+    fit (exact_fit). Both gradient tests use one data scale and sigma^2
+    scales with the objective, so no stop depends on the data's unit.
     """
     tvals, mask, norm = _observed(t)
     shape, rank, n_modes = tvals.shape, opts.rank, tvals.ndim
@@ -956,6 +1023,9 @@ def cpd_nls(t, opts):
     # factors) and g_scale both scale as s^((2N-1)/N).
     n_observed = tvals.size if mask is None else np.count_nonzero(mask)
     g_scale = norm * (norm / math.sqrt(n_observed)) ** ((n_modes - 1) / n_modes)
+    # the residual's degrees of freedom: the observed entries less the
+    # model's R (sum I_n - N + 1) free parameters
+    dof = n_observed - rank * (sum(shape) - n_modes + 1)
     x = _start(tvals, opts, norm)
     factors = _factor_views(x, shape, rank)
     explicit = x.size <= EXPLICIT_GN_MAX_PARAMS
@@ -964,9 +1034,10 @@ def cpd_nls(t, opts):
     f_val = 0.5 * float(np.vdot(r, r).real)
     rel = math.sqrt(2.0 * f_val) / norm
 
-    mu = 0.0
+    mu = None
+    last_predicted = math.inf
     trace = []
-    converged = False
+    stop_reason = "max_iterations"
     conj_factors = _factor_views(np.conj(x), shape, rank)
 
     for _ in range(opts.max_iterations):
@@ -978,11 +1049,17 @@ def cpd_nls(t, opts):
         # 6x6x12 two-source swamp scene takes 579 iterations, not 311)
         if g_norm <= 1e-13 * g_scale:
             trace.append(rel)
-            converged = True
+            stop_reason = "exact_fit"
             break
 
         # the preconditioner reads the dense w whatever the operator
         w, w_pair = _gramian_products(factors, pairs=mask is None)
+        scale = w.diagonal(axis1=1, axis2=2).real.max()
+        if mu is None:
+            # the Newton model is indefinite away from a minimum, and its
+            # undamped first step mostly overshoots: start where that
+            # step's rejection would put mu
+            mu = MU_FLOOR * scale if explicit else 0.0
         shifted = w + mu * np.eye(rank)
         if explicit:
             # the damped Newton operator: J^H J + mu I and the residual term K
@@ -1003,6 +1080,12 @@ def cpd_nls(t, opts):
         predicted = 0.5 * (np.vdot(cg_residual, step).real + mu * step_norm ** 2 - np.vdot(g, step).real)
         certified = (step_norm > 0.0 and g_norm <= GRAD_CERTIFICATE * g_scale
                      and abs(predicted) <= REL_OBJECTIVE_TOL * f_val)
+        # the noise-floor stop, with its two witnesses: quadratic contraction
+        # and a fit that is not degenerate (kappa is only formed when the
+        # others hold)
+        noise_floor = (explicit and dof > 0 and 0.0 < predicted <= NOISE_FLOOR * 2.0 * f_val / dof
+                       and predicted <= CONTRACTION * last_predicted
+                       and _term_norm_ratio(_gramians(factors)) < DEGENERACY_BOUND * math.sqrt(rank))
 
         trial = x + step
         r_trial = _residual(tvals, mask, core.reconstruct(_factor_views(trial, shape, rank)))
@@ -1013,6 +1096,7 @@ def cpd_nls(t, opts):
         accepted = rho > STEP_ACCEPT
         prev_rel = rel
         if accepted:
+            last_predicted = predicted
             x[...] = trial
             _rebalance(x, shape, rank)
             conj_factors = _factor_views(np.conj(x), shape, rank)
@@ -1021,22 +1105,25 @@ def cpd_nls(t, opts):
             rel = math.sqrt(2.0 * f_val) / norm
         trace.append(rel)
 
-        scale = w.diagonal(axis1=1, axis2=2).real.max()
         if rho < 0.25:
             mu = max(4.0 * mu, MU_FLOOR * scale)
         else:
             mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
         if mu > MU_COLLAPSE * scale:
+            stop_reason = "damping_collapse"
             break
 
+        if noise_floor:
+            stop_reason = "noise_floor"
+            break
         # At a noisy minimum the quadratic model is rounding noise and trial
         # steps get rejected, so the stall test must not require acceptance;
         # the two witnesses are what make stopping here sound.
         if certified and prev_rel - rel < REL_OBJECTIVE_TOL:
-            converged = True
+            stop_reason = "stall"
             break
 
-    return _finish(x, shape, rank, trace, converged)
+    return _finish(x, shape, rank, trace, stop_reason)
 
 
 def cpd(t, opts):

@@ -26,6 +26,7 @@ from cpdhr.formats import (
     save_report,
     save_signals,
     save_tensor,
+    serialize_masked,
     serialize_signals,
     serialize_tensor,
     slice_csv,
@@ -145,6 +146,21 @@ class TestTensorFile:
         )
         back = parse_tensor(text)
         assert back.values.tobytes() == IncompleteTensor(vals, mask).values.tobytes()
+
+    def test_masked_text_from_the_dense_text_is_byte_identical(self):
+        # every mask, none to all entries masked, at orders 1 to 4, signed
+        # zeros included: the masked text built from the dense one is the
+        # text serialize_tensor formats anew
+        rng = np.random.default_rng(13)
+        for shape in ((1,), (7,), (3, 4), (3, 4, 5), (2, 3, 2, 2)):
+            t = crandn(rng, *shape)
+            t.flat[0] = complex(-0.0, 0.0)
+            dense = serialize_tensor(t)
+            for fraction in (0.0, 0.3, 1.0):
+                mask = rng.random(shape) >= fraction
+                assert serialize_masked(dense, mask) == serialize_tensor(IncompleteTensor(t, mask)), (shape, fraction)
+        with pytest.raises(ValueError, match="does not match"):
+            serialize_masked(serialize_tensor(crandn(rng, 3, 4)), np.ones((4, 3), dtype=bool))
 
     def test_blank_lines_keep_physical_line_numbers(self):
         with pytest.raises(ValueError, match="non-finite entry on line 4"):

@@ -115,6 +115,7 @@ def test_decompose_writes_factors_and_diagnostics(tmp_path):
     assert doc["rank"] == 2
     assert doc["algorithm"] == "gauss_newton"
     assert doc["converged"] is True
+    assert doc["stop_reason"] == "exact_fit"
     assert doc["iterations"] == len(doc["objective_trace"])
 
 

@@ -145,3 +145,18 @@ def test_counted_matvecs_counts_cg_applies_only_within_the_block(parity):
     with parity.counted_matvecs() as count:
         solvers.cpd(t, parity.CpdOptions(rank=2, algorithm="als", init=1))
     assert count[0] == 0 and solvers._pcg is real
+
+
+def test_cell_summaries_count_stop_reasons_where_the_records_have_them(parity):
+    records = [record(0, 0.5, stop_reason="noise_floor", matvecs=1, scaled_ms=1.0),
+               record(1, 0.5, stop_reason="stall", matvecs=1, scaled_ms=1.0),
+               record(2, 0.5, stop_reason="noise_floor", matvecs=1, scaled_ms=1.0)]
+    [summary] = parity.cell_summaries(records)
+    assert summary.endswith(", stops noise_floor 2, stall 1")
+    # records from before the field are summarized without the count
+    [summary] = parity.cell_summaries([{k: v for k, v in r.items() if k != "stop_reason"} for r in records])
+    assert "stops" not in summary
+    # every solve records the stop reason of its diagnostics
+    [rec] = [r for r in parity._solve_all(parity._ScaledTimer(), parity.solvers.core.reconstruct(
+        parity.solvers.init_model((4, 5, 6), 2, 0)), 0, "noiseless", 2) if r["algorithm"] == "als"]
+    assert rec["stop_reason"] == "stall" and rec["converged"]

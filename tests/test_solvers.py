@@ -1062,6 +1062,64 @@ def test_gauss_newton_does_not_crawl_on_masked_demo_tensors(seed, kept, bound):
     assert diag.converged and diag.iterations <= bound, diag.iterations
 
 
+@pytest.mark.parametrize("seed, algorithm, residual", [
+    (98, "gauss_newton_als_warmstart", 0.689003479271),
+    (58, "gauss_newton", 0.691626874087),
+    (80, "gauss_newton_als_warmstart", 0.680072648270),
+    (159, "gauss_newton_als_warmstart", 0.673802804951),
+])
+def test_noise_floor_stop_never_fires_in_a_crawl_or_a_degenerate_fit(seed, algorithm, residual):
+    # Dense 0 dB demo solves that a noise-floor stop with one witness fewer
+    # ends early. Without the contraction witness, seed 98's warm start
+    # stops inside a crawl at 0.689198 and seed 58's cold solve at
+    # 0.691633; without the term-norm witness, the warm starts of seeds 80
+    # and 159 stop in diverging fits (kappa / sqrt(R) near 5) at 0.681878
+    # and 0.681151. Each must end at its minimum.
+    _, diag = cpd(demo_tensors(seed)[0], CpdOptions(rank=3, algorithm=algorithm, init=seed + INIT_SEED_OFFSET))
+    assert diag.converged
+    assert diag.final_relative_residual == pytest.approx(residual, rel=1e-8)
+
+
+def test_stop_reasons_name_how_each_solve_ended(monkeypatch):
+    noisy, masked = demo_tensors(0)
+    large = core.reconstruct(init_model((12, 12, 20), 4, 5))
+    large = large + 0.5 * np.linalg.norm(large) / np.sqrt(large.size) * crandn(np.random.default_rng(74), *large.shape)
+    sources = scene.synthetic_sources(SWAMP_SCENE.time_len, SWAMP_SCENE.rank, seed=0)
+    clean, _ = scene.build_scene_tensor(SWAMP_SCENE, sources)
+    cases = [
+        (noisy, CpdOptions(rank=3, init=1), "noise_floor"),
+        (masked, CpdOptions(rank=3, algorithm="gauss_newton", init=1), "noise_floor"),
+        (clean, CpdOptions(rank=2, algorithm="gauss_newton", init=1), "exact_fit"),
+        # above EXPLICIT_GN_MAX_PARAMS only the stall test stops a solve
+        (large, CpdOptions(rank=4, algorithm="gauss_newton", init=1), "stall"),
+        (noisy, CpdOptions(rank=3, init=1, max_iterations=2), "max_iterations"),
+        (noisy, CpdOptions(rank=3, algorithm="als", init=1), "stall"),
+        (masked, CpdOptions(rank=3, algorithm="als", init=1, max_iterations=3), "max_iterations"),
+    ]
+    for t, opts, reason in cases:
+        _, diag = cpd(t, opts)
+        assert diag.stop_reason == reason, (opts, diag.stop_reason)
+        assert diag.converged == (reason in solvers.CONVERGED_STOPS)
+
+    # a zero step every iteration drives mu up until the damping collapses
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "_pcg", lambda matvec, b, *_: (np.zeros_like(b), b.copy()))
+        _, diag = cpd(noisy, CpdOptions(rank=3, algorithm="gauss_newton", init=1))
+    assert (diag.stop_reason, diag.converged) == ("damping_collapse", False)
+
+    # an ALS sweep that leaves a non-finite factor ends the solve
+    real_sweep = solvers._als_sweep_dense
+
+    def poisoned(tvals, factors, p=None):
+        out = real_sweep(tvals, factors, p)
+        factors[-1][0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(solvers, "_als_sweep_dense", poisoned)
+    _, diag = cpd(noisy, CpdOptions(rank=3, algorithm="als", init=1))
+    assert (diag.stop_reason, diag.converged, diag.iterations) == ("nonfinite", False, 1)
+
+
 def test_als_converges_on_the_30_percent_observed_demo_tensor_of_seed_8():
     # from the seeded start this solve crept along a swamp and stopped
     # unconverged at 500 iterations (residual 0.60620); the algebraic start
@@ -1254,6 +1312,40 @@ def test_rebalance_equalizes_column_norms_and_keeps_the_model():
         rebalance_per_mode(looped)
         for f, fl in zip(factors, looped):
             assert np.linalg.norm(f - fl) <= 1e-14 * np.linalg.norm(fl), shape
+
+
+def term_norm_ratio(factors):
+    return solvers._term_norm_ratio(solvers._gramians(factors))
+
+
+def test_term_norm_ratio_is_the_term_norms_over_the_model_norm():
+    rng = np.random.default_rng(81)
+    for shape in ((7,), (5, 6), (4, 5, 6), (3, 4, 2, 5)):
+        factors = [crandn(rng, i, 3) for i in shape]
+        terms = np.prod([np.linalg.norm(f, axis=0) for f in factors], axis=0).sum()
+        expected = terms / np.linalg.norm(core.reconstruct(factors))
+        assert term_norm_ratio(factors) == pytest.approx(expected, rel=1e-12), shape
+    assert term_norm_ratio([np.zeros((4, 2), dtype=complex), crandn(rng, 5, 2)]) == np.inf
+
+
+def test_term_norm_ratio_is_sqrt_rank_for_orthogonal_unit_norm_terms():
+    # orthonormal columns in one mode make the terms orthogonal, unit
+    # columns in the others give each term unit norm
+    rng = np.random.default_rng(82)
+    for shape, rank in (((6,), 4), ((5, 6), 3), ((4, 5, 6), 4), ((3, 4, 2, 5), 2)):
+        factors = [f / np.linalg.norm(f, axis=0) for f in (crandn(rng, i, rank) for i in shape)]
+        factors[-1] = np.linalg.qr(crandn(rng, shape[-1], rank))[0]
+        assert term_norm_ratio(factors) == pytest.approx(np.sqrt(rank), rel=1e-12), shape
+
+
+def test_term_norm_ratio_does_not_change_under_rebalance():
+    rng = np.random.default_rng(83)
+    rank = 3
+    for shape in ((7,), (5, 6), (4, 5, 6), (3, 4, 2, 5)):
+        x = np.concatenate([(crandn(rng, i, rank) * rng.uniform(0.01, 100.0, rank)).ravel() for i in shape])
+        before = term_norm_ratio(solvers._factor_views(x, shape, rank))
+        solvers._rebalance(x, shape, rank)
+        assert term_norm_ratio(solvers._factor_views(x, shape, rank)) == pytest.approx(before, rel=1e-12), shape
 
 
 def masked_normal_equations(tvals, mask, factors, n):

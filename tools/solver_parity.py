@@ -29,18 +29,20 @@ SWAMP_SCENE, two noiseless sources on a 6x6 array with 12 samples, under
 the three algorithms: the configuration where last-bit
 rounding decides whether a solve is certified as converged. Every solve
 prints one JSON line: seed, condition, algorithm, iterations, converged,
-final residual, the number of operator applies its CG solves made
-("matvecs": counted by wrapping the matvec that solvers._pcg receives; 0
-for ALS) and wall time in milliseconds ("scaled_ms": the best of
-TIMING_REPEATS runs of the solve, scaled to nominal machine speed by the
-perfbench reference clock timed between consecutive solves, as perfbench
-scales its times). Both are informational: no gate reads them, and files
-without them are still read. The converged count, the median and
-total iterations, the count of solves that ran out of iterations (500,
-unconverged), the matvec total and the median and 90th percentile wall
-time of every condition and algorithm follow on standard error, and then,
-for each unit condition and algorithm, how many seeds match the unscaled
-"masked_residuals" solve of the same seed in iterations and converged.
+the solver's stop reason, final residual, the number of operator applies
+its CG solves made ("matvecs": counted by wrapping the matvec that
+solvers._pcg receives; 0 for ALS) and wall time in milliseconds
+("scaled_ms": the best of TIMING_REPEATS runs of the solve, scaled to
+nominal machine speed by the perfbench reference clock timed between
+consecutive solves, as perfbench scales its times). The last three are
+informational: no gate reads them, and files without them are still
+read. The converged count, the median and total iterations, the count of
+solves that ran out of iterations (500, unconverged), the matvec total,
+the median and 90th percentile wall time and the count of each stop
+reason of every condition and algorithm follow on standard error, and
+then, for each unit condition and algorithm, how many seeds match the
+unscaled "masked_residuals" solve of the same seed in iterations and
+converged.
 
 With --against FILE, the solves are compared with those recorded in FILE.
 Each solve whose iteration count or converged flag differs, whose residual
@@ -70,6 +72,7 @@ import contextlib  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
+from collections import Counter  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -159,8 +162,8 @@ def _solve_all(timer, tensor, seed, condition, rank):
         diag, matvecs, ms = timer.solve(tensor, opts)
         yield {"seed": seed, "condition": condition, "algorithm": algorithm,
                "iterations": diag.iterations, "converged": diag.converged,
-               "residual": diag.final_relative_residual, "matvecs": matvecs,
-               "scaled_ms": round(ms, 3)}
+               "stop_reason": diag.stop_reason, "residual": diag.final_relative_residual,
+               "matvecs": matvecs, "scaled_ms": round(ms, 3)}
 
 
 def solves():
@@ -226,10 +229,17 @@ def _matvecs(recs):
     return sum(r["matvecs"] for r in recs)
 
 
+def _stop_reasons(recs):
+    """How many solves ended for each stop reason, by name."""
+    counts = Counter(r["stop_reason"] for r in recs)
+    return ", ".join(f"{reason} {counts[reason]}" for reason in sorted(counts))
+
+
 def cell_summaries(records):
     """One line per (condition, algorithm): converged solves of all, the
     median and total iterations, the solves that ran out of iterations, the
-    CG matvec total, and the median and 90th percentile scaled wall time."""
+    CG matvec total, the median and 90th percentile scaled wall time, and
+    the count of each stop reason where the records have one."""
     cells = {}
     for rec in records:
         cells.setdefault((rec["condition"], rec["algorithm"]), []).append(rec)
@@ -237,6 +247,7 @@ def cell_summaries(records):
             f"iterations median {np.median([r['iterations'] for r in recs]):g} "
             f"total {sum(r['iterations'] for r in recs)}, {_stops(recs)} out of iterations, "
             f"matvecs total {_matvecs(recs)}, median/p90 {_times(recs)}"
+            + (f", stops {_stop_reasons(recs)}" if all("stop_reason" in r for r in recs) else "")
             for (condition, algorithm), recs in cells.items()]
 
 
