@@ -11,7 +11,6 @@ parameter vector (Re U, Im U) is (Re g, Im g), where g is the mttkrp of the
 residual against the conjugated factors.
 """
 
-import dataclasses
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -85,41 +84,60 @@ GRAD_CERTIFICATE = 1e-6
 # data's unit
 REL_OBJECTIVE_TOL = 1e-10
 
-# The noise-floor stop of the Newton steps below EXPLICIT_GN_MAX_PARAMS (see
-# cpd_nls). sigma^2 = ||r||^2 / (N_obs - R (sum I_n - N + 1)) estimates the
-# noise variance per observed entry, and near a minimum 2 Delta f / sigma^2
-# is the squared Fisher distance of the iterate from it, so a step that
-# promises a decrease of at most NOISE_FLOOR sigma^2 leaves the iterate
-# within 0.01 standard deviations of where the solver would end (Dennis &
-# Schnabel 1983, ch. 10). Two witnesses guard it; on the 0 dB demo tensors
-# each was needed.
-# - CONTRACTION: the promise is at most this fraction of the last accepted
-#   step's, the quadratic contraction of a Newton iteration near its
-#   minimum. Without it the stop ended dense seed 98's warm start inside a
-#   crawl at 0.689198, 0.4 sigma^2 above its minimum 0.689003.
-# - DEGENERACY_BOUND: the fit is not degenerate, its term-norm ratio
-#   kappa / sqrt(R) (see _term_norm_ratio) below this bound. It measured at
-#   most 1.37 at every minimum of tools/solver_parity.py and of demo seeds
-#   0-199. On diverging fits it grows: 3.0, 3.6 and 6.5 after 50, 100 and
-#   500 Gauss-Newton iterations on the border-rank tensor of
+# The noise-floor stop (see cpd_nls and _als_iterate). sigma^2 = ||r||^2 /
+# (N_obs - R (sum I_n - N + 1)) estimates the noise variance per observed
+# entry, and near a minimum 2 Delta f / sigma^2 is the squared Fisher
+# distance of the iterate from it, so an iterate whose remaining decrease
+# is at most NOISE_FLOOR sigma^2 lies within 0.01 standard deviations of
+# where the solver would end (Dennis & Schnabel 1983, ch. 10). Below
+# EXPLICIT_GN_MAX_PARAMS the remaining decrease is the one a Newton step
+# promises; ALS and the Gauss-Newton steps above the cutoff converge only
+# linearly, and there it is the geometric tail of the last decreases (see
+# _tail_at_noise_floor). Each rule has its witnesses; on the 0 dB demo
+# tensors each was needed.
+# - CONTRACTION (Newton rule): the promise is at most this fraction of the
+#   last accepted step's, the quadratic contraction of a Newton iteration
+#   near its minimum. Without it the stop ended dense seed 98's warm start
+#   inside a crawl at 0.689198, 0.4 sigma^2 above its minimum 0.689003.
+#   The tail rule does not replace it there: replayed on the traces of the
+#   masked demo Newton solves (bench seed 1) it would have ended one warm
+#   start 13 sigma^2 above its minimum, the damping cycles making the
+#   decreases rise and fall.
+# - shrinking decreases (tail rule): the last four decreases each smaller
+#   than the one before, so that their largest ratio bounds the rate.
+# - DEGENERACY_BOUND (both rules): the fit is not degenerate, its term-norm
+#   ratio kappa / sqrt(R) (see _term_norm_ratio) below this bound. It
+#   measured at most 1.37 at every minimum of tools/solver_parity.py and of
+#   demo seeds 0-199. On diverging fits it grows: 3.0, 3.6 and 6.5 after 50,
+#   100 and 500 Gauss-Newton iterations on the border-rank tensor of
 #   tests/test_cli.py, 7.1 at the unconverged warm start of dense seed 58.
-#   Without it the stop ended the diverging fits of dense warm starts 80 and
-#   159 (near 5), of masked seed 161 and of seed 58's warm start.
-# Over the census of dense and masked demo seeds 0-199, cold gauss_newton
-# and the warm start, the stop ends 798 of the 800 solves (the others: dense
-# seed 58's warm start runs out of iterations, as before, and masked seed
-# 150's stalls), every one at the minimum it reached before, within 8.8e-6
-# sigma^2. Iterations fall 17-20%: dense cold 3,571 -> 2,921, dense warm
-# 3,486 -> 2,894, masked cold 3,789 -> 3,119, masked warm 3,067 -> 2,463.
-# Above the cutoff the Gauss-Newton steps converge linearly and the stop
-# does not apply.
+#   Without it the Newton rule ended the diverging fits of dense warm starts
+#   80 and 159 (near 5), of masked seed 161 and of seed 58's warm start. A
+#   stall above the bound is no convergence either (degenerate).
+# Newton rule, over the census of dense and masked demo seeds 0-199, cold
+# gauss_newton and the warm start: the stop ends 798 of the 800 solves (the
+# others: dense seed 58's warm start runs out of iterations, as before, and
+# masked seed 150's stalls), every one at the minimum it reached before,
+# within 8.8e-6 sigma^2. Iterations fall 17-20%: dense cold 3,571 -> 2,921,
+# dense warm 3,486 -> 2,894, masked cold 3,789 -> 3,119, masked warm
+# 3,067 -> 2,463.
+# Tail rule, against the REL_OBJECTIVE_TOL stall alone: ALS on demo seeds
+# 0-199 takes 9,022 -> 7,762 sweeps dense and 9,566 -> 8,207 masked, 198 of
+# 200 converged either way, every objective within 2.8e-4 sigma^2 of where
+# the stall ended it; on perfbench's large_array_dense scene, seeds 0-11,
+# ALS takes 137 -> 118 sweeps, cold Gauss-Newton 119 -> 63 iterations and
+# the warm start 93 -> 48, all 36 converged, within 5.8e-5 sigma^2. With
+# the rate read off the last two decreases alone, the rule ended dense seed
+# 58's ALS crawl, unconverged after 500 sweeps, and masked seed 94 5.4e-3
+# sigma^2 above its minimum.
 NOISE_FLOOR = 5e-5
 CONTRACTION = 0.01
 DEGENERACY_BOUND = 1.8
 
 # the stop reasons that count as converged: a vanishing gradient, the
 # noise-floor stop and a stall (with its witnesses, for Gauss-Newton); the
-# others are max_iterations, damping_collapse and nonfinite
+# others are max_iterations, damping_collapse, nonfinite and degenerate, a
+# stall whose fit has kappa / sqrt(R) at or above DEGENERACY_BOUND
 CONVERGED_STOPS = ("exact_fit", "noise_floor", "stall")
 
 
@@ -175,8 +193,8 @@ class CpdOptions:
 @dataclass
 class CpdDiagnostics:
     """How a solve ended. stop_reason is one of CONVERGED_STOPS, then
-    converged is True, or max_iterations, damping_collapse (Gauss-Newton)
-    or nonfinite (ALS)."""
+    converged is True, or max_iterations, degenerate (a stall in a
+    degenerate fit), damping_collapse (Gauss-Newton) or nonfinite (ALS)."""
 
     iterations: int
     converged: bool
@@ -248,6 +266,13 @@ def _observed(t):
     if norm == 0.0:
         raise ValueError("cannot decompose a tensor with no observed energy")
     return vals, mask, norm
+
+
+def _degrees_of_freedom(tvals, mask, rank):
+    """(observed entry count, the residual's degrees of freedom): the
+    observed entries less the model's R (sum I_n - N + 1) free parameters."""
+    n_observed = tvals.size if mask is None else np.count_nonzero(mask)
+    return n_observed, n_observed - rank * (sum(tvals.shape) - tvals.ndim + 1)
 
 
 def _factor_views(x, shape, rank):
@@ -380,6 +405,29 @@ def _term_norm_ratio(grams):
     if not model_sq > 0.0:
         return math.inf
     return float(np.sqrt(products.diagonal().real).sum() / math.sqrt(model_sq))
+
+
+def _not_degenerate(factors):
+    """The degeneracy witness: kappa / sqrt(R) below DEGENERACY_BOUND."""
+    return _term_norm_ratio(_gramians(factors)) < DEGENERACY_BOUND * math.sqrt(factors[0].shape[1])
+
+
+def _tail_at_noise_floor(objectives, dof):
+    """The noise-floor test of an iteration that converges linearly, read
+    off the objective at its last five iterates (f or any fixed multiple of
+    it, the last the current one): their four decreases each shrink, and
+    their geometric tail d rho / (1 - rho), d the last decrease and rho the
+    largest of the three ratios of consecutive decreases, is at most
+    NOISE_FLOOR sigma^2, sigma^2 = 2 f / dof at the current iterate. At a
+    linear rate rho the decreases still to come sum to that tail."""
+    if dof <= 0 or len(objectives) < 5:
+        return False
+    f = objectives[-5:]
+    d = [earlier - later for earlier, later in zip(f, f[1:])]
+    if not all(0.0 < later < earlier for earlier, later in zip(d, d[1:])):
+        return False
+    rho = max(later / earlier for earlier, later in zip(d, d[1:]))
+    return d[-1] * rho / (1.0 - rho) <= NOISE_FLOOR * 2.0 * f[-1] / dof
 
 
 def _hadamard_except(grams, *skip):
@@ -643,9 +691,15 @@ def _relative_residual(tvals, mask, norm, model):
 
 def _als_iterate(tvals, mask, norm, x, opts, n_sweeps):
     """Run up to n_sweeps ALS sweeps on the factor views of x, in place;
-    returns (trace, stop_reason, exact): stall, nonfinite or
-    max_iterations, and whether the last trace entry is the computed
-    residual of the factors left in x.
+    returns (trace, stop_reason, exact): noise_floor, stall, degenerate,
+    nonfinite or max_iterations, and whether the last trace entry is the
+    computed residual of the factors left in x.
+
+    A sweep ends the solve at the noise floor when _tail_at_noise_floor
+    holds for the squared relative residuals of its last five sweeps and
+    the fit is not degenerate (_not_degenerate). A sweep whose relative
+    residual falls by less than REL_OBJECTIVE_TOL stalls: stall, or
+    degenerate when the witness fails.
 
     A sweep reads its fit off its last mode's normal equations
     u_k a_k = b_k, row k of U_{N-1} (a dense sweep has one a for every
@@ -661,11 +715,11 @@ def _als_iterate(tvals, mask, norm, x, opts, n_sweeps):
     up to sqrt(n) eps / rel. Below rel = 2 sqrt(n) eps / REL_OBJECTIVE_TOL,
     where that could reach half the tolerance, the sweep computes the
     residual instead. (On a 32x32x64 rank-6 tensor the error in rel^2
-    measured at most 15 eps, against sqrt(n) = 256.) A stall is only
+    measured at most 15 eps, against sqrt(n) = 256.) A stop is only
     decided on a computed residual: when a fit read off the normal
-    equations would end the loop, it is replaced by the computed one and
-    the test is made again, so a converged trace ends on the exact
-    residual.
+    equations would end the loop, as a stall or at the noise floor, it is
+    replaced by the computed one and the tests are made again, so the
+    trace of a solve that stops ends on the exact residual.
 
     From sweep LINE_SEARCH_FROM on, a sweep ends with _line_search along
     its own step, which reads the fit off its polynomial under the same
@@ -677,10 +731,15 @@ def _als_iterate(tvals, mask, norm, x, opts, n_sweeps):
     shape, rank = tvals.shape, opts.rank
     factors = _factor_views(x, shape, rank)
     weights = None if mask is None else mask.astype(np.float64)
+    dof = _degrees_of_freedom(tvals, mask, rank)[1]
     exact_below = 2.0 * math.sqrt(tvals.size) * np.finfo(np.float64).eps / REL_OBJECTIVE_TOL
     p = None
     trace = []
     exact = False
+
+    def at_noise_floor(rels):
+        return _tail_at_noise_floor([v * v for v in rels[-5:]], dof)
+
     for sweep in range(n_sweeps):
         x_prev = x.copy() if sweep >= LINE_SEARCH_FROM else None
         b, a = _als_sweep_dense(tvals, factors, p) if mask is None else _als_sweep_masked(tvals, weights, factors, p)
@@ -696,14 +755,17 @@ def _als_iterate(tvals, mask, norm, x, opts, n_sweeps):
             # the last-mode products follow the last factor's column scales
             p = p * scale if mask is None else (p[0] * scale, p[1] * np.outer(scale, scale).ravel())
         # both comparisons are false for the nan of a non-finite fit
-        exact = not rel >= exact_below or (len(trace) > 0 and trace[-1] - rel < REL_OBJECTIVE_TOL)
+        exact = (not rel >= exact_below or (len(trace) > 0 and trace[-1] - rel < REL_OBJECTIVE_TOL)
+                 or at_noise_floor(trace[-4:] + [rel]))
         if exact:
             rel = _relative_residual(tvals, mask, norm, core.reconstruct(factors))
         trace.append(rel)
         if len(trace) >= 2 and trace[-2] - trace[-1] < REL_OBJECTIVE_TOL:
-            return trace, "stall", exact
+            return trace, "stall" if _not_degenerate(factors) else "degenerate", exact
         if not math.isfinite(rel):
             return trace, "nonfinite", exact
+        if at_noise_floor(trace) and _not_degenerate(factors):
+            return trace, "noise_floor", exact
     return trace, "max_iterations", exact
 
 
@@ -733,10 +795,16 @@ def cpd_als(t, opts):
     Anal. Appl. 2008): the observed squared residual along the line is a
     polynomial of degree 2N, built from the last-mode products the next
     sweep needs anyway, and its minimizer beyond the sweep's point is taken
-    when it is lower (see _line_search). No step raises the objective. A
-    stall ends the solve only if it holds for the sweep's computed
-    residual, and the last trace entry is the computed residual of the
-    returned model.
+    when it is lower (see _line_search). No step raises the objective.
+
+    A sweep ends the solve as converged at the noise floor (noise_floor)
+    when the last four decreases of the objective shrink, their geometric
+    tail is at most NOISE_FLOOR sigma^2 and the fit is not degenerate, or
+    as converged when its relative residual stalls, moving by less than
+    REL_OBJECTIVE_TOL (stall; degenerate, not converged, when the fit's
+    kappa / sqrt(R) is at or above DEGENERACY_BOUND). Either test must hold
+    for the sweep's computed residual, and the last trace entry is the
+    computed residual of the returned model (see _als_iterate).
     """
     tvals, mask, norm = _observed(t)
     x = _start(tvals, opts, norm)
@@ -967,6 +1035,18 @@ def _pcg(matvec, b, prec, max_iter, rtol):
     return x, r
 
 
+@dataclass
+class _WarmStart:
+    """A tensor's values, mask and norm as _observed returned them, with the
+    start vector the ALS warm start left: what cpd hands cpd_nls, so that
+    the tensor is validated once and the iterate is not copied."""
+
+    tvals: np.ndarray
+    mask: "np.ndarray | None"
+    norm: float
+    x: np.ndarray
+
+
 def cpd_nls(t, opts):
     """Gauss-Newton CPD with Levenberg-Marquardt damping on the one flat
     parameter vector that holds every factor, as in all solvers here; up to
@@ -974,14 +1054,18 @@ def cpd_nls(t, opts):
 
     The objective is half the squared Frobenius residual over observed
     entries, and for a masked tensor the Gramian operator excludes the
-    missing entries. The operator is built damped once per outer
-    iteration, from w shifted by mu I, whose block Jacobi inverse
-    preconditions CG. Up to EXPLICIT_GN_MAX_PARAMS unknowns,
-    _newton_matrices assembles the Hermitian J^H J + mu I and the residual
-    term K of the masked residual the solver holds in one pass over the
-    mode pairs, dense or masked; the masked J^H J is the dense one with
-    row-dependent weights. Above the cutoff the operator is J^H J + mu I in
-    structured form, or for a masked tensor in tangent form.
+    missing entries. Every outer iteration damps the operator by mu I and
+    preconditions CG with the block Jacobi inverse of w shifted by mu I.
+    Up to EXPLICIT_GN_MAX_PARAMS unknowns,
+    _newton_matrices assembles the Hermitian J^H J and the residual term K
+    of the masked residual the solver holds in one pass over the mode
+    pairs, dense or masked, and mu I goes onto J^H J's diagonal blocks
+    (_damp); the masked J^H J is the dense one with row-dependent weights.
+    Above the cutoff the operator is J^H J + mu I in structured form, or
+    for a masked tensor in tangent form. A rejected step moves neither the
+    iterate nor its residual, so the next iteration keeps the gradient, the
+    Gramian products, K and the undamped J^H J, and rebuilds only what mu
+    enters: the damped diagonal, the operator and the preconditioner.
 
     Each step is one CG solve of (H + mu I) p = -g. Up to the cutoff H is
     the Hessian J^H J + conj(K .): a Newton step. Above the cutoff H is
@@ -1001,32 +1085,53 @@ def cpd_nls(t, opts):
     rule). mu above MU_COLLAPSE s is reported as non-convergence
     (damping_collapse), never as an exception.
 
-    Up to the cutoff a Newton step ends the solve as converged at the noise
-    floor (noise_floor) when its predicted decrease is positive and at most
-    NOISE_FLOOR sigma^2, sigma^2 = ||r||^2 / (N_obs - R (sum I_n - N + 1)),
-    with two witnesses: that decrease is at most CONTRACTION times the last
-    accepted step's (none before the first), and the term-norm ratio of the
-    iterate is below DEGENERACY_BOUND sqrt(R); the step is taken first when
-    accepted. A stall of the relative residual by less than
-    REL_OBJECTIVE_TOL counts as converged (stall) only with two witnesses:
-    the gradient certificate, and a step whose predicted decrease on the
-    undamped model is at most REL_OBJECTIVE_TOL times the objective in
-    magnitude; a swamp stall, where the model still promises a large
-    decrease, fails the second. A gradient below 1e-13 g_scale is an exact
+    A step ends the solve as converged at the noise floor (noise_floor),
+    sigma^2 = ||r||^2 / (N_obs - R (sum I_n - N + 1)), under one of two
+    rules, each with the witness that the term-norm ratio of the iterate is
+    below DEGENERACY_BOUND sqrt(R). Up to the cutoff, the Newton rule: the
+    step's predicted decrease is positive and at most NOISE_FLOOR sigma^2,
+    and at most CONTRACTION times the last accepted step's (none before the
+    first); the step is taken first when accepted. Above it, where the
+    steps converge linearly, the tail rule: after an accepted step the last
+    four decreases of f over accepted steps shrink and their geometric tail
+    is at most NOISE_FLOOR sigma^2 (_tail_at_noise_floor). A stall of the
+    relative residual by less than REL_OBJECTIVE_TOL counts as converged
+    (stall) only with two witnesses: the gradient certificate, and a step
+    whose predicted decrease on the undamped model is at most
+    REL_OBJECTIVE_TOL times the objective in magnitude; a swamp stall,
+    where the model still promises a large decrease, fails the second. A
+    stall in a fit whose term-norm ratio is at or above the bound is
+    degenerate, not converged. A gradient below 1e-13 g_scale is an exact
     fit (exact_fit). Both gradient tests use one data scale and sigma^2
     scales with the objective, so no stop depends on the data's unit.
+
+    cpd hands its warm start over as a _WarmStart, through this module
+    global, so that a wrapper of cpd_nls times the Gauss-Newton phase.
     """
+    if isinstance(t, _WarmStart):
+        return _gauss_newton(t.tvals, t.mask, t.norm, t.x, opts)
     tvals, mask, norm = _observed(t)
+    return _gauss_newton(tvals, mask, norm, _start(tvals, opts, norm), opts)
+
+
+def _damp(jhj, undamped, mu):
+    """Write undamped + mu I into the (R, R) blocks on the diagonal of the
+    explicit matrix jhj, one per factor row, in place: the damped matrix
+    _newton_matrices builds at mu, bit for bit."""
+    n_rows, rank = undamped.shape[:2]
+    row = np.arange(n_rows)
+    jhj.reshape(n_rows, rank, n_rows, rank)[row, :, row, :] = undamped + mu * np.eye(rank)
+
+
+def _gauss_newton(tvals, mask, norm, x, opts):
+    """cpd_nls on the values, mask and norm that _observed returned, from
+    the start vector x, updated in place."""
     shape, rank, n_modes = tvals.shape, opts.rank, tvals.ndim
     # the gradient scale: ||T|| times the RMS observed entry to the power
     # (N-1)/N. Under T -> sT the gradient (the residual times N-1 rebalanced
     # factors) and g_scale both scale as s^((2N-1)/N).
-    n_observed = tvals.size if mask is None else np.count_nonzero(mask)
+    n_observed, dof = _degrees_of_freedom(tvals, mask, rank)
     g_scale = norm * (norm / math.sqrt(n_observed)) ** ((n_modes - 1) / n_modes)
-    # the residual's degrees of freedom: the observed entries less the
-    # model's R (sum I_n - N + 1) free parameters
-    dof = n_observed - rank * (sum(shape) - n_modes + 1)
-    x = _start(tvals, opts, norm)
     factors = _factor_views(x, shape, rank)
     explicit = x.size <= EXPLICIT_GN_MAX_PARAMS
 
@@ -1036,34 +1141,44 @@ def cpd_nls(t, opts):
 
     mu = None
     last_predicted = math.inf
+    # f at the start and after each accepted step, for the tail rule
+    objectives = [f_val]
     trace = []
     stop_reason = "max_iterations"
     conj_factors = _factor_views(np.conj(x), shape, rank)
+    g = None
 
     for _ in range(opts.max_iterations):
-        g = _mttkrps(r, conj_factors)
-        g_norm = np.linalg.norm(g)
-        # an exact fit: on noiseless data the predicted-decrease witness is
-        # rounding noise near the solution, and without this exit a
-        # noiseless solve crawls on (cold Gauss-Newton on seeds 0-11 of the
-        # 6x6x12 two-source swamp scene takes 579 iterations, not 311)
-        if g_norm <= 1e-13 * g_scale:
-            trace.append(rel)
-            stop_reason = "exact_fit"
-            break
-
-        # the preconditioner reads the dense w whatever the operator
-        w, w_pair = _gramian_products(factors, pairs=mask is None)
-        scale = w.diagonal(axis1=1, axis2=2).real.max()
-        if mu is None:
-            # the Newton model is indefinite away from a minimum, and its
-            # undamped first step mostly overshoots: start where that
-            # step's rejection would put mu
-            mu = MU_FLOOR * scale if explicit else 0.0
+        if g is None:
+            # a new iterate: what depends on x and r alone is built here,
+            # and kept through rejected steps
+            g = _mttkrps(r, conj_factors)
+            g_norm = np.linalg.norm(g)
+            # an exact fit: on noiseless data the predicted-decrease witness is
+            # rounding noise near the solution, and without this exit a
+            # noiseless solve crawls on (cold Gauss-Newton on seeds 0-11 of the
+            # 6x6x12 two-source swamp scene takes 579 iterations, not 311)
+            if g_norm <= 1e-13 * g_scale:
+                trace.append(rel)
+                stop_reason = "exact_fit"
+                break
+            # the preconditioner reads the dense w whatever the operator
+            w, w_pair = _gramian_products(factors, pairs=mask is None)
+            scale = w.diagonal(axis1=1, axis2=2).real.max()
+            if mu is None:
+                # the Newton model is indefinite away from a minimum, and its
+                # undamped first step mostly overshoots: start where that
+                # step's rejection would put mu
+                mu = MU_FLOOR * scale if explicit else 0.0
+            if explicit:
+                # the undamped Newton operator: J^H J and the residual term K
+                jhj, k = _newton_matrices(factors, r, mask, 0.0, w, w_pair)
+                n_rows = sum(shape)
+                row = np.arange(n_rows)
+                undamped = jhj.reshape(n_rows, rank, n_rows, rank)[row, :, row, :]
         shifted = w + mu * np.eye(rank)
         if explicit:
-            # the damped Newton operator: J^H J + mu I and the residual term K
-            jhj, k = _newton_matrices(factors, r, mask, mu, shifted, w_pair)
+            _damp(jhj, undamped, mu)
             matvec = lambda v: jhj.dot(v) + np.conj(k.dot(v))  # noqa: E731
         elif mask is not None:
             matvec = _masked_gn_operator(factors, mask, mu)
@@ -1080,12 +1195,11 @@ def cpd_nls(t, opts):
         predicted = 0.5 * (np.vdot(cg_residual, step).real + mu * step_norm ** 2 - np.vdot(g, step).real)
         certified = (step_norm > 0.0 and g_norm <= GRAD_CERTIFICATE * g_scale
                      and abs(predicted) <= REL_OBJECTIVE_TOL * f_val)
-        # the noise-floor stop, with its two witnesses: quadratic contraction
-        # and a fit that is not degenerate (kappa is only formed when the
-        # others hold)
+        # the Newton rule, with its two witnesses: quadratic contraction and
+        # a fit that is not degenerate (kappa is only formed when the others
+        # hold)
         noise_floor = (explicit and dof > 0 and 0.0 < predicted <= NOISE_FLOOR * 2.0 * f_val / dof
-                       and predicted <= CONTRACTION * last_predicted
-                       and _term_norm_ratio(_gramians(factors)) < DEGENERACY_BOUND * math.sqrt(rank))
+                       and predicted <= CONTRACTION * last_predicted and _not_degenerate(factors))
 
         trial = x + step
         r_trial = _residual(tvals, mask, core.reconstruct(_factor_views(trial, shape, rank)))
@@ -1103,6 +1217,8 @@ def cpd_nls(t, opts):
             r = r_trial
             f_val = f_trial
             rel = math.sqrt(2.0 * f_val) / norm
+            objectives.append(f_val)
+            g = None
         trace.append(rel)
 
         if rho < 0.25:
@@ -1113,14 +1229,16 @@ def cpd_nls(t, opts):
             stop_reason = "damping_collapse"
             break
 
-        if noise_floor:
+        # above the cutoff, the tail rule on the accepted steps' decreases
+        if noise_floor or (accepted and not explicit and _tail_at_noise_floor(objectives, dof)
+                           and _not_degenerate(factors)):
             stop_reason = "noise_floor"
             break
         # At a noisy minimum the quadratic model is rounding noise and trial
         # steps get rejected, so the stall test must not require acceptance;
         # the two witnesses are what make stopping here sound.
         if certified and prev_rel - rel < REL_OBJECTIVE_TOL:
-            stop_reason = "stall"
+            stop_reason = "stall" if _not_degenerate(factors) else "degenerate"
             break
 
     return _finish(x, shape, rank, trace, stop_reason)
@@ -1131,7 +1249,8 @@ def cpd(t, opts):
     WARMSTART_SWEEPS ALS sweeps from the same start as the other solvers
     (see _start: algebraic for an order-3 tensor of rank at most I_0 and
     I_1, masked or not, otherwise seeded and scaled to the data) and hands
-    the rebalanced result to Gauss-Newton as an explicit init."""
+    the rebalanced result to Gauss-Newton, with the validated tensor, as a
+    _WarmStart."""
     if opts.algorithm == "als":
         return cpd_als(t, opts)
     if opts.algorithm == "gauss_newton":
@@ -1140,5 +1259,4 @@ def cpd(t, opts):
     tvals, mask, norm = _observed(t)
     x = _start(tvals, opts, norm)
     _als_iterate(tvals, mask, norm, x, opts, WARMSTART_SWEEPS)
-    warm = CpdModel(_factor_views(x, tvals.shape, opts.rank))
-    return cpd_nls(t, dataclasses.replace(opts, algorithm="gauss_newton", init=warm))
+    return cpd_nls(_WarmStart(tvals, mask, norm, x), opts)

@@ -5,6 +5,7 @@ import importlib.util
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "solver_parity.py"
@@ -160,3 +161,30 @@ def test_cell_summaries_count_stop_reasons_where_the_records_have_them(parity):
     [rec] = [r for r in parity._solve_all(parity._ScaledTimer(), parity.solvers.core.reconstruct(
         parity.solvers.init_model((4, 5, 6), 2, 0)), 0, "noiseless", 2) if r["algorithm"] == "als"]
     assert rec["stop_reason"] == "stall" and rec["converged"]
+
+
+def test_cell_comparisons_report_the_largest_objective_rise_in_noise_units(parity):
+    # sigma^2 = ||r||^2 / dof of the reference solve, so a rise of the
+    # relative residual from 0.5 to sqrt(0.25 (1 + 2e-3 / dof)) is a rise
+    # of f = ||r||^2 / 2 by 1e-3 sigma^2, whatever the data's norm
+    dof = 1000
+    reference = [record(0, 0.5), record(1, 0.5), record(2, 0.5), record(3, 0.5, converged=False)]
+    records = [record(0, 0.5 * np.sqrt(1 + 2e-3 / dof), dof=dof),
+               record(1, 0.5 * np.sqrt(1 + 2e-5 / dof), dof=dof),
+               record(2, 0.4, dof=dof),                        # a fall is no rise
+               record(3, 0.9, dof=dof)]                        # not converged on both sides
+    [line] = parity.cell_comparisons(records, reference)
+    assert line.endswith("largest rise 0.001 sigma^2"), line
+    assert parity._rise(reference[1], records[1]) == pytest.approx(1e-5, rel=1e-9)
+    # only falls read 0; a NaN residual reads nan
+    [line] = parity.cell_comparisons([records[2]], [reference[2]])
+    assert line.endswith("largest rise 0 sigma^2"), line
+    [line] = parity.cell_comparisons([record(0, float("nan"), dof=dof)], [reference[0]])
+    assert line.endswith("largest rise nan sigma^2"), line
+    # records from before the field are compared on everything else
+    [line] = parity.cell_comparisons([{k: v for k, v in r.items() if k != "dof"} for r in records], reference)
+    assert "sigma^2" not in line
+    # every solve records the degrees of freedom of its tensor
+    tensor = parity.solvers.core.reconstruct(parity.solvers.init_model((4, 5, 6), 2, 0))
+    [rec] = [r for r in parity._solve_all(parity._ScaledTimer(), tensor, 0, "noiseless", 2) if r["algorithm"] == "als"]
+    assert rec["dof"] == 4 * 5 * 6 - 2 * (4 + 5 + 6 - 2)

@@ -31,12 +31,14 @@ rounding decides whether a solve is certified as converged. Every solve
 prints one JSON line: seed, condition, algorithm, iterations, converged,
 the solver's stop reason, final residual, the number of operator applies
 its CG solves made ("matvecs": counted by wrapping the matvec that
-solvers._pcg receives; 0 for ALS) and wall time in milliseconds
+solvers._pcg receives; 0 for ALS), the residual's degrees of freedom
+("dof": the observed entries less the model's R (sum I_n - N + 1) free
+parameters) and wall time in milliseconds
 ("scaled_ms": the best of TIMING_REPEATS runs of the solve, scaled to
 nominal machine speed by the perfbench reference clock timed between
 consecutive solves, as perfbench scales its times). The last three are
 informational: no gate reads them, and files without them are still
-read. The converged count, the median and total iterations, the count of
+read (so are files without "dof"). The converged count, the median and total iterations, the count of
 solves that ran out of iterations (500, unconverged), the matvec total,
 the median and 90th percentile wall time and the count of each stop
 reason of every condition and algorithm follow on standard error, and
@@ -52,8 +54,10 @@ each condition and algorithm, the converged count, the iteration total
 and the solves out of iterations in FILE and here follow, with how many
 solves end at a lower residual than in FILE, at an equal one (within
 RESIDUAL_RTOL relative) and at a higher one, and the largest relative
-residual gap among the solves converged on both sides: the gate for a
-change that moves iteration counts or minima on purpose. The matvec
+residual gap among the solves converged on both sides, and among those
+the largest rise of the objective f = ||r||^2 / 2 over FILE's in units
+of FILE's noise estimate sigma^2 = ||r||^2 / dof: the gate for a change
+that moves iteration counts or minima on purpose. The matvec
 totals and the median and 90th percentile scaled wall times in FILE and
 here follow where FILE has them. The cpdhr package and perfbench's
 bench_clock module are imported from the src/ and perfbench/ directories
@@ -157,13 +161,15 @@ class _ScaledTimer:
 
 def _solve_all(timer, tensor, seed, condition, rank):
     """One record per algorithm for one tensor."""
+    values, mask = (tensor.values, tensor.mask) if isinstance(tensor, core.IncompleteTensor) else (tensor, None)
+    dof = int(solvers._degrees_of_freedom(values, mask, rank)[1])
     for algorithm in solvers.ALGORITHMS:
         opts = CpdOptions(rank=rank, algorithm=algorithm, init=seed + INIT_SEED_OFFSET)
         diag, matvecs, ms = timer.solve(tensor, opts)
         yield {"seed": seed, "condition": condition, "algorithm": algorithm,
                "iterations": diag.iterations, "converged": diag.converged,
                "stop_reason": diag.stop_reason, "residual": diag.final_relative_residual,
-               "matvecs": matvecs, "scaled_ms": round(ms, 3)}
+               "matvecs": matvecs, "dof": dof, "scaled_ms": round(ms, 3)}
 
 
 def solves():
@@ -277,13 +283,25 @@ def _residual_sign(old, new):
     return 1 if gap > 0 else -1
 
 
+def _rise(old, new):
+    """The objective's rise from old to new in units of old's sigma^2:
+    (f_new - f_old) / (2 f_old / dof), read off the relative residuals
+    (nan for a reference residual of 0)."""
+    old_sq, new_sq = np.float64(old["residual"]) ** 2, np.float64(new["residual"]) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return 0.5 * (new_sq - old_sq) * new["dof"] / old_sq
+
+
 def cell_comparisons(records, reference):
     """One line per (condition, algorithm) of the records: converged count,
     iteration total and solves out of iterations in the reference and here,
     the solves whose residual is lower, equal and higher here, the largest
     relative residual gap among the solves converged on both sides (nan
-    when any of those gaps is NaN), and the CG matvec totals and the median
-    and 90th percentile scaled wall times where the reference has them."""
+    when any of those gaps is NaN) and, where the records have dof, the
+    largest objective rise among them in the reference's sigma^2 (0 when
+    none rose; nan when any rise is NaN), and the CG matvec totals and the
+    median and 90th percentile scaled wall times where the reference has
+    them."""
     ref = {_key(r): r for r in reference}
     cells = {}
     for rec in records:
@@ -296,6 +314,8 @@ def cell_comparisons(records, reference):
         olds, news = [o for o, _ in pairs], [n for _, n in pairs]
         signs = [_residual_sign(old, new) for old, new in pairs]
         extra = ""
+        if pairs and all("dof" in new for _, new in pairs):
+            extra += f", largest rise {np.max([_rise(old, new) for old, new in both], initial=0.0):.2g} sigma^2"
         if pairs and all("matvecs" in old for old in olds):
             extra += f", matvecs total {_matvecs(olds)} -> {_matvecs(news)}"
         if pairs and all("scaled_ms" in old for old in olds):
