@@ -1,4 +1,4 @@
-"""The order-3 contractions both CPD solvers run on every iteration.
+"""The order-3 contractions of core.mttkrp and core.reconstruct.
 
 Each kernel is the order-3 case of the order-N formula in :mod:`cpdhr.core`,
 computed on C-order reshapes of the tensor:
@@ -14,6 +14,16 @@ computed on C-order reshapes of the tensor:
 Those reshapes are views of a C-contiguous tensor, so the kernels copy
 none and re-validate no shapes; the solvers make their tensor and mask
 C-contiguous once per solve. Any other layout is copied by the reshape.
+
+The solvers call mttkrp3 for the last mode only: every leading mode's
+mttkrp comes from one shared P (core._last_mode_product,
+core._leading_mttkrp), which does not go through this module. They call
+reconstruct3 where they need a model tensor: the residual of Gauss-Newton
+up to solvers.EXPLICIT_GN_MAX_PARAMS unknowns or on a masked tensor, the
+masked tangent operator, and the computed residuals ALS decides its stops
+on. A dense Gauss-Newton solve above that cutoff reads its fit off P, as
+ALS does, and reconstructs only for its last trace entry, or at every step
+once its fit nears rounding level.
 """
 
 from . import core

@@ -59,14 +59,23 @@ CG_RTOL = 0.1
 
 # ALS sweeps from this one on (counting from 0), dense or masked,
 # end with an exact line search (see _line_search), which costs about one
-# more sweep. Solves from the algebraic start of a fully observed tensor
-# mostly stop after ten or eleven sweeps (17 of the first 30 ALS cases of
-# perfbench's large_array_dense workload), where a search would only add
-# cost; slow solves, masked or dense, run on and gain. Over the ALS
-# solves of tools/solver_parity.py, starting at sweep 3 or 5 saved few
-# more sweeps (dense demo cell 922 against 983 at 10) and starting at 15
-# or 20 kept more (masked_residuals 1,002 and 1,031 against 984). The
-# warm start's WARMSTART_SWEEPS never reach it.
+# more sweep (on perfbench's large_array_dense scene 390 us against 391 us
+# for a dense sweep, one Intel Xeon core, one BLAS thread). Solves from the
+# algebraic start of a fully observed tensor mostly stop within eight to
+# ten sweeps (21 of the first 30 ALS cases of that workload, median 9),
+# where a search would only add cost; slow solves, masked or dense, run on
+# and gain. Sweeps
+# over the ALS solves of dense and masked demo seeds 0-199, by the sweep
+# the searches start from:
+#
+#   LINE_SEARCH_FROM       3      5     10     15     20   never
+#   dense              7,214  7,235  7,762  8,114  8,581  17,292
+#   masked             7,707  7,794  8,205  8,680  9,124  18,090
+#
+# An earlier start saves 6-7% of the sweeps but adds a search to nearly
+# every solve; on those 30 large cases it takes 258 sweeps and 168
+# searches at 3, against 341 and 66 at 10. A later one keeps more sweeps
+# on the demo. The warm start's WARMSTART_SWEEPS never reach it.
 LINE_SEARCH_FROM = 10
 
 # Gauss-Newton's tolerance-based stops only count as convergence once the
@@ -439,18 +448,24 @@ def _hadamard_except(grams, *skip):
     return w
 
 
-def _hermitian_solve(a, b):
-    """x with x a = b, a Hermitian: every row of b against one matrix a, or
-    row k of b against a[k] of a stack. A batched Cholesky factorization
-    checks that every matrix is positive definite with every squared pivot
-    above PINV_RCOND times the largest of its matrix; then x is one batched
-    LU solve. Otherwise (an unobserved row, rank overshoot) the whole stack
-    takes b @ _hermitian_pinv(a), bit for bit."""
+def _definite(a):
+    """Whether every matrix of the Hermitian a, one or a stack, is positive
+    definite with every squared pivot of its batched Cholesky factorization
+    above PINV_RCOND times the largest of its matrix: where an LU solve or
+    inverse may stand in for _hermitian_pinv."""
     try:
         pivots = np.linalg.cholesky(a).diagonal(axis1=-2, axis2=-1).real ** 2
-        definite = bool((pivots.min(axis=-1) > PINV_RCOND * pivots.max(axis=-1)).all())
     except np.linalg.LinAlgError:
-        definite = False
+        return False
+    return bool((pivots.min(axis=-1) > PINV_RCOND * pivots.max(axis=-1)).all())
+
+
+def _hermitian_solve(a, b):
+    """x with x a = b, a Hermitian: every row of b against one matrix a, or
+    row k of b against a[k] of a stack. When _definite(a), x is one batched
+    LU solve; otherwise (an unobserved row, rank overshoot) the whole stack
+    takes b @ _hermitian_pinv(a), bit for bit."""
+    definite = _definite(a)
     if a.ndim == 2:
         # x a = b is a^T x^T = b^T
         return np.linalg.solve(a.T, b.T).T if definite else b @ _hermitian_pinv(a)
@@ -613,7 +628,8 @@ def _line_search_polynomial(tvals, weights, norm, x, d, rank):
     leading modes' conjugated U_n + nu D_n. ||M(nu)||^2 sums the
     Khatri-Rao product of every mode's pair columns of U_n + nu D_n, each
     of degree 2, weighted by the mask. Dense, that is the product of their
-    sums over each mode's rows, the Gramians of U_n + nu D_n; masked, it
+    sums over each mode's rows, the Gramians of U_n + nu D_n, each read off
+    the one (2R, 2R) Gramian of [U_n D_n]; masked, it
     contracts p_weights, the real product of the mask over its last mode
     against the last mode's pair columns, (prod of the leading extents,
     3 R^2), with the leading modes' pair columns. Neither the tensor nor
@@ -626,15 +642,18 @@ def _line_search_polynomial(tvals, weights, norm, x, d, rank):
     linear = np.conj(np.stack([xr, dr], axis=-1)).transpose(1, 0, 2)
     inner = _leading_polynomial(_by_column(p_values, 1),
                                 [linear[:, starts[n]:starts[n + 1]] for n in range(len(shape) - 1)])
-    pairs = _pair_polynomial(xr, dr)
     if weights is None:
         p_weights = None
-        grams = np.add.reduceat(pairs, starts[:-1], axis=1)
-        model_sq = grams[:, 0]
-        for n in range(1, len(shape)):
-            model_sq = _convolve(model_sq[:, :, None] * grams[:, n, None, :])
+        model_sq = np.ones((rank * rank, 1))
+        for n in range(len(shape)):
+            # the Gramian of U_n + nu D_n from that of [U_n D_n]
+            both = np.concatenate([xr[starts[n]:starts[n + 1]], dr[starts[n]:starts[n + 1]]], axis=1)
+            z = both.conj().T @ both
+            gram = np.stack([z[:rank, :rank], z[:rank, rank:] + z[rank:, :rank], z[rank:, rank:]], axis=-1)
+            model_sq = _convolve(model_sq[:, :, None] * gram.reshape(rank * rank, 1, 3))
         model_sq = model_sq.sum(axis=0)
     else:
+        pairs = _pair_polynomial(xr, dr)
         last_pairs = pairs[:, last].transpose(1, 2, 0).reshape(shape[-1], -1)
         p_weights = _real_product(weights.reshape(-1, shape[-1]), last_pairs)
         model_sq = _leading_polynomial(_by_column(p_weights, 2),
@@ -689,6 +708,14 @@ def _relative_residual(tvals, mask, norm, model):
     return float(np.linalg.norm(_residual(tvals, mask, model).ravel())) / norm
 
 
+def _exact_below(tvals):
+    """The relative residual below which a fit read off a last-mode
+    product (||T||^2 - 2 Re<T, M> + ||M||^2, three terms of size ||T||^2
+    over the entries of tvals) is no longer trusted to REL_OBJECTIVE_TOL,
+    and the residual is computed instead (see _als_iterate)."""
+    return 2.0 * math.sqrt(tvals.size) * np.finfo(np.float64).eps / REL_OBJECTIVE_TOL
+
+
 def _als_iterate(tvals, mask, norm, x, opts, n_sweeps):
     """Run up to n_sweeps ALS sweeps on the factor views of x, in place;
     returns (trace, stop_reason, exact): noise_floor, stall, degenerate,
@@ -732,7 +759,7 @@ def _als_iterate(tvals, mask, norm, x, opts, n_sweeps):
     factors = _factor_views(x, shape, rank)
     weights = None if mask is None else mask.astype(np.float64)
     dof = _degrees_of_freedom(tvals, mask, rank)[1]
-    exact_below = 2.0 * math.sqrt(tvals.size) * np.finfo(np.float64).eps / REL_OBJECTIVE_TOL
+    exact_below = _exact_below(tvals)
     p = None
     trace = []
     exact = False
@@ -994,8 +1021,10 @@ def _masked_gn_operator(factors, mask, mu):
 
 def _block_jacobi(w, shape):
     """Preconditioner: block n of the result is r_n pinv(conj(W_n)), applied
-    as one batched product over the rows of all factors."""
-    pinvs = _hermitian_pinv(np.conj(w))
+    as one batched product over the rows of all factors; the inverse when
+    every conj(W_n) is _definite, else _hermitian_pinv of them all."""
+    blocks = np.conj(w)
+    pinvs = np.linalg.inv(blocks) if _definite(blocks) else _hermitian_pinv(blocks)
     row_pinvs = np.repeat(pinvs, shape, axis=0)
     rank = row_pinvs.shape[-1]
 
@@ -1067,6 +1096,23 @@ def cpd_nls(t, opts):
     Gramian products, K and the undamped J^H J, and rebuilds only what mu
     enters: the damped diagonal, the operator and the preconditioner.
 
+    Above the cutoff a fully observed tensor gets no residual tensor, as in
+    ALS. f at a point is read off P = T x_{N-1} conj(U_{N-1}), one pass over
+    the tensor: f = (||T||^2 - 2 Re<M, T> + ||M||^2) / 2, <M, T> =
+    vdot(kr(U_0, ..., U_{N-2}), P), ||M||^2 the sum of the Hadamard product
+    of the Gramians (_fit_off_last_mode). At an accepted point the gradient
+    is g_n = U_n w[n]^T - mttkrp(T, conj U, n), w[n] the Hadamard product of
+    the other modes' Gramians: the leading modes' mttkrp is read off P, whose
+    columns follow the rebalance's scales of the last factor, and the last
+    mode's makes one more pass. That is two passes over the tensor per
+    accepted step and one per rejected step. The three terms of f are of
+    size ||T||^2, so once the relative residual falls below _exact_below,
+    where their rounding could reach the stall test's tolerance, the solve
+    computes r = M - T and takes f and g from it for the rest of the solve.
+    Either way the last trace entry is the computed residual of the
+    returned model. Masked tensors and the Newton steps up to the cutoff,
+    whose K reads r, compute r at every point.
+
     Each step is one CG solve of (H + mu I) p = -g. Up to the cutoff H is
     the Hessian J^H J + conj(K .): a Newton step. Above the cutoff H is
     J^H J: a Gauss-Newton step. The solve stops once its residual is at
@@ -1123,6 +1169,18 @@ def _damp(jhj, undamped, mu):
     jhj.reshape(n_rows, rank, n_rows, rank)[row, :, row, :] = undamped + mu * np.eye(rank)
 
 
+def _fit_off_last_mode(tvals, norm, factors):
+    """(f, p) for the dense tensor tvals at factors without a residual
+    tensor: p = T x_{N-1} conj(U_{N-1}), one pass over the tensor, and
+    f = (||T||^2 - 2 Re<M, T> + ||M||^2) / 2 with <M, T> =
+    vdot(kr(U_0, ..., U_{N-2}), p) and ||M||^2 the sum of the Hadamard
+    product of the Gramians."""
+    p = core._last_mode_product(tvals, np.conj(factors[-1]))
+    inner = np.vdot(core._kr(factors[:-1], factors[0].shape[1]), p).real
+    model_sq = np.prod(np.stack(_gramians(factors)), axis=0).sum().real
+    return 0.5 * (norm * norm - 2.0 * inner + model_sq), p
+
+
 def _gauss_newton(tvals, mask, norm, x, opts):
     """cpd_nls on the values, mask and norm that _observed returned, from
     the start vector x, updated in place."""
@@ -1134,9 +1192,26 @@ def _gauss_newton(tvals, mask, norm, x, opts):
     g_scale = norm * (norm / math.sqrt(n_observed)) ** ((n_modes - 1) / n_modes)
     factors = _factor_views(x, shape, rank)
     explicit = x.size <= EXPLICIT_GN_MAX_PARAMS
+    # a dense tensor above the cutoff reads f and g off the last-mode
+    # product until the fit nears rounding level (see _exact_below)
+    read_off = mask is None and not explicit
+    exact_below = _exact_below(tvals)
 
-    r = _residual(tvals, mask, core.reconstruct(factors))
-    f_val = 0.5 * float(np.vdot(r, r).real)
+    def fit(factors):
+        """(f, what the gradient at factors is read off: p, or the residual
+        r once read_off is off)."""
+        nonlocal read_off
+        if read_off:
+            f, p = _fit_off_last_mode(tvals, norm, factors)
+            if not math.sqrt(max(2.0 * f, 0.0)) / norm < exact_below:
+                return f, p
+            read_off = False
+        r = _residual(tvals, mask, core.reconstruct(factors))
+        return 0.5 * float(np.vdot(r, r).real), r
+
+    f_val, at_x = fit(factors)
+    # whether f_val is the computed residual's
+    exact = not read_off
     rel = math.sqrt(2.0 * f_val) / norm
 
     mu = None
@@ -1150,9 +1225,16 @@ def _gauss_newton(tvals, mask, norm, x, opts):
 
     for _ in range(opts.max_iterations):
         if g is None:
-            # a new iterate: what depends on x and r alone is built here,
-            # and kept through rejected steps
-            g = _mttkrps(r, conj_factors)
+            # a new iterate: what depends on x and r (or p) alone is built
+            # here, and kept through rejected steps; the preconditioner reads
+            # the dense w whatever the operator
+            w, w_pair = _gramian_products(factors, pairs=mask is None)
+            if read_off:
+                # mttkrp(M, conj U, n) = U_n w[n]^T
+                g = np.concatenate([(u @ w[n].T - _mode_mttkrp(tvals, at_x, conj_factors, n)).ravel()
+                                    for n, u in enumerate(factors)])
+            else:
+                g = _mttkrps(at_x, conj_factors)
             g_norm = np.linalg.norm(g)
             # an exact fit: on noiseless data the predicted-decrease witness is
             # rounding noise near the solution, and without this exit a
@@ -1162,8 +1244,6 @@ def _gauss_newton(tvals, mask, norm, x, opts):
                 trace.append(rel)
                 stop_reason = "exact_fit"
                 break
-            # the preconditioner reads the dense w whatever the operator
-            w, w_pair = _gramian_products(factors, pairs=mask is None)
             scale = w.diagonal(axis1=1, axis2=2).real.max()
             if mu is None:
                 # the Newton model is indefinite away from a minimum, and its
@@ -1172,7 +1252,7 @@ def _gauss_newton(tvals, mask, norm, x, opts):
                 mu = MU_FLOOR * scale if explicit else 0.0
             if explicit:
                 # the undamped Newton operator: J^H J and the residual term K
-                jhj, k = _newton_matrices(factors, r, mask, 0.0, w, w_pair)
+                jhj, k = _newton_matrices(factors, at_x, mask, 0.0, w, w_pair)
                 n_rows = sum(shape)
                 row = np.arange(n_rows)
                 undamped = jhj.reshape(n_rows, rank, n_rows, rank)[row, :, row, :]
@@ -1202,8 +1282,7 @@ def _gauss_newton(tvals, mask, norm, x, opts):
                        and predicted <= CONTRACTION * last_predicted and _not_degenerate(factors))
 
         trial = x + step
-        r_trial = _residual(tvals, mask, core.reconstruct(_factor_views(trial, shape, rank)))
-        f_trial = 0.5 * float(np.vdot(r_trial, r_trial).real)
+        f_trial, at_trial = fit(_factor_views(trial, shape, rank))
         actual = f_val - f_trial
 
         rho = actual / predicted if predicted > 0.0 else -math.inf
@@ -1212,9 +1291,11 @@ def _gauss_newton(tvals, mask, norm, x, opts):
         if accepted:
             last_predicted = predicted
             x[...] = trial
-            _rebalance(x, shape, rank)
+            # p follows the last factor's column scales, as in _als_iterate
+            last_scale = _rebalance(x, shape, rank)[-1]
             conj_factors = _factor_views(np.conj(x), shape, rank)
-            r = r_trial
+            at_x = at_trial * last_scale if read_off else at_trial
+            exact = not read_off
             f_val = f_trial
             rel = math.sqrt(2.0 * f_val) / norm
             objectives.append(f_val)
@@ -1241,6 +1322,9 @@ def _gauss_newton(tvals, mask, norm, x, opts):
             stop_reason = "stall" if _not_degenerate(factors) else "degenerate"
             break
 
+    if not exact:
+        # the trace ends on the computed residual of the returned model
+        trace[-1] = _relative_residual(tvals, mask, norm, core.reconstruct(factors))
     return _finish(x, shape, rank, trace, stop_reason)
 
 

@@ -972,6 +972,128 @@ def test_gauss_newton_makes_one_cg_solve_per_iteration(monkeypatch):
     assert rejected > 0
 
 
+def large_scene_tensors(seed):
+    """The tensor of perfbench's large_array_dense workload for scene seed
+    `seed` (768 unknowns at rank 6, above EXPLICIT_GN_MAX_PARAMS): (noisy at
+    0 dB, clean, truth)."""
+    sources = scene.synthetic_sources(LARGE_SCENE.time_len, LARGE_SCENE.rank, seed=seed, freqs=LARGE_FREQS)
+    clean, truth = scene.build_scene_tensor(LARGE_SCENE, sources)
+    return scene.add_noise(clean, 0.0, seed=seed + NOISE_SEED_OFFSET), clean, truth
+
+
+def dense_relative_residual(t, x):
+    """The computed relative residual of the flat parameter vector x, as
+    the solvers compute it."""
+    model = core.reconstruct(solvers._factor_views(x, t.shape, x.size // sum(t.shape)))
+    return float(np.linalg.norm((model - t).ravel())) / float(np.linalg.norm(t.ravel()))
+
+
+def test_gauss_newton_above_the_cutoff_traces_the_computed_residual(monkeypatch):
+    # Above the cutoff a dense solve reads f off the last-mode product and
+    # the Gramians, with no residual tensor. Each trace entry is still the
+    # computed residual of the iterate the iteration left, within 1e-12, and
+    # the last entry is the computed one, that of the returned model.
+    events = []
+    real_pcg, real_rebalance = solvers._pcg, solvers._rebalance
+
+    def pcg(*args):
+        events.append(None)
+        return real_pcg(*args)
+
+    def rebalance(x, shape, rank):
+        scale = real_rebalance(x, shape, rank)
+        events.append(x.copy())
+        return scale
+
+    monkeypatch.setattr(solvers, "_pcg", pcg)
+    monkeypatch.setattr(solvers, "_rebalance", rebalance)
+    for seed in range(3):
+        t = large_scene_tensors(seed)[0]
+        for algorithm in ("gauss_newton", "gauss_newton_als_warmstart"):
+            events.clear()
+            model, diag = cpd(t, CpdOptions(rank=LARGE_SCENE.rank, algorithm=algorithm, init=seed + INIT_SEED_OFFSET))
+            # the iterate of an iteration is the last one rebalanced before
+            # the next CG solve (an accepted step rebalances, a rejected one
+            # leaves the iterate)
+            solves = [k for k, e in enumerate(events) if e is None]
+            iterates = [next(e for e in reversed(events[:end]) if e is not None) for end in solves[1:] + [len(events)]]
+            computed = [dense_relative_residual(t, x) for x in iterates]
+            assert len(computed) == diag.iterations, (seed, algorithm)
+            assert np.allclose(diag.objective_trace, computed, rtol=1e-12, atol=0), (seed, algorithm)
+            assert diag.objective_trace[-1] == computed[-1], (seed, algorithm)
+            returned = np.linalg.norm(core.reconstruct(model) - t) / np.linalg.norm(t)
+            assert diag.objective_trace[-1] == pytest.approx(returned, rel=1e-13), (seed, algorithm)
+
+
+def test_gauss_newton_above_the_cutoff_computes_the_residual_near_an_exact_fit(monkeypatch):
+    # Read off the last-mode product, f is the difference of terms of size
+    # ||T||^2, so below _exact_below the solve computes the residual
+    # instead. Noiseless large-scene tensors, started from the truth with
+    # every factor perturbed by 10% of its RMS entry: the first reconstruct
+    # comes at the first trial read off below that bound, and the solve
+    # converges to an exact fit, as the solve that computed every residual
+    # did.
+    read_off, first_computed = [], []
+    real_fit, real_reconstruct = solvers._fit_off_last_mode, core.reconstruct
+
+    def fit(tvals, norm, factors):
+        f, p = real_fit(tvals, norm, factors)
+        read_off.append(np.sqrt(max(2.0 * f, 0.0)) / norm)
+        return f, p
+
+    def reconstruct(model):
+        if not first_computed:
+            first_computed.append(len(read_off))
+        return real_reconstruct(model)
+
+    monkeypatch.setattr(solvers, "_fit_off_last_mode", fit)
+    monkeypatch.setattr(core, "reconstruct", reconstruct)
+    rng = np.random.default_rng(5)
+    for seed in range(3):
+        _, clean, truth = large_scene_tensors(seed)
+        start = CpdModel([f + 0.1 * np.linalg.norm(f) / np.sqrt(f.size) * crandn(rng, *f.shape) / np.sqrt(2.0)
+                          for f in truth.factors])
+        read_off.clear()
+        first_computed.clear()
+        _, diag = cpd_nls(clean, CpdOptions(rank=LARGE_SCENE.rank, init=start))
+        bound = solvers._exact_below(clean)
+        assert first_computed and min(read_off[:-1]) >= bound > read_off[-1] == read_off[first_computed[0] - 1], seed
+        assert len(read_off) == first_computed[0] > 2, seed
+        assert (diag.stop_reason, diag.converged) == ("exact_fit", True), seed
+        assert diag.final_relative_residual < 1e-13, seed
+
+
+def test_gauss_newton_above_the_cutoff_makes_two_tensor_passes_per_accepted_step(monkeypatch):
+    # Above the cutoff a dense solve contracts the tensor once per trial
+    # point (its last-mode product, which f and the leading modes' mttkrp
+    # are read off) and once more per accepted step (the last mode's
+    # mttkrp): 2 full-tensor passes per accepted step and 1 per rejected
+    # one. The only reconstruct is the final trace entry's. A noisy
+    # 12x12x20 rank-4 tensor (176 unknowns) from a seeded start, where some
+    # steps are rejected.
+    rng = np.random.default_rng(74)
+    large = core.reconstruct(init_model((12, 12, 20), 4, 5))
+    t = large + 0.5 * np.linalg.norm(large) / np.sqrt(large.size) * crandn(rng, *large.shape)
+    assert sum(t.shape) * 4 > solvers.EXPLICIT_GN_MAX_PARAMS
+    start = seeded_start(t, 4, 2)
+    events = []
+    for module, name, tag in [(solvers, "_pcg", "p"), (solvers, "_rebalance", "r"),
+                              (core, "_last_mode_product", "L"), (core, "mttkrp", "M"), (core, "reconstruct", "R")]:
+        def spy(*args, real=getattr(module, name), tag=tag, **kwargs):
+            events.append(tag)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, spy)
+    _, diag = cpd_nls(t, CpdOptions(rank=4, init=start))
+    assert diag.converged
+    # split at the CG solves: the start's fit and gradient, then each
+    # iteration's trial fit, and after an accepted step its rebalance and
+    # the new gradient's last mode
+    per_step = "".join(events).split("p")
+    assert len(per_step) == diag.iterations + 1
+    assert per_step[0] == "LM" and per_step[-1] in ("LR", "LrR"), (per_step[0], per_step[-1])
+    assert set(per_step[1:-1]) == {"LrM", "L"}, per_step
+
+
 def test_a_zero_step_certifies_nothing(monkeypatch):
     # CG's curvature exit on its first direction returns a zero step, whose
     # predicted decrease reads 0 where the model has no minimum. From a
@@ -1178,9 +1300,7 @@ def test_tail_rule_never_ends_a_crawl_or_a_degenerate_fit(border_rank_solves):
                                              (94, "masked", "als", 0.6702440346748658),
                                              (4, "large", "gauss_newton", 0.7016593793046595)]:
         if tensor == "large":
-            sources = scene.synthetic_sources(LARGE_SCENE.time_len, LARGE_SCENE.rank, seed=seed, freqs=LARGE_FREQS)
-            clean, _ = scene.build_scene_tensor(LARGE_SCENE, sources)
-            t, rank = scene.add_noise(clean, 0.0, seed=seed + NOISE_SEED_OFFSET), LARGE_SCENE.rank
+            t, rank = large_scene_tensors(seed)[0], LARGE_SCENE.rank
         else:
             t, rank = demo_tensors(seed)[tensor == "masked"], cfg.rank
         _, diag = cpd(t, CpdOptions(rank=rank, algorithm=algorithm, init=seed + INIT_SEED_OFFSET))
