@@ -851,26 +851,27 @@ def cpd_als(t, opts):
 # _newton_matrices): real-linear only, but self-adjoint for that inner
 # product, so the same CG solves with it.
 
-# Largest parameter count sum(I_n * R) for which the dense operator is the
-# explicit Hermitian J^H J: its build and apply grow with the square of the
-# parameter count, the structured form's with sum(I_n) * R^2 plus a fixed
-# per-call overhead. Measured on 0 dB three-source scenes (rank 3) on an
-# Intel Xeon core with single-threaded OpenBLAS and numpy 2.4, the two cost
-# the same per Gauss-Newton iteration between 150 and 190 unknowns; the
-# explicit form is 1.4x cheaper on the 105-unknown demo scene and the
-# structured one 1.3x cheaper at 240 unknowns. That crossover was timed
-# with CG solved to 1e-2 ||g|| and has not been re-timed at CG_RTOL: fewer
-# applies per solve leave the explicit form's build a larger share of its
-# cost. The masked operator switches
-# from its explicit form to its tangent form at the same count: the tangent
-# form's memory and matvec grow with the masked tensor, never with the
-# square of the unknowns, which a long mode makes large. Up to this count,
-# dense or masked, the step is on the damped Newton model, J^H J + mu I
-# and K assembled by _newton_matrices; above it, on the damped Gauss-Newton
-# model. Either way one CG solve per iteration, which keeps its iterate
-# where it meets non-positive curvature. At 0 dB the relative residual is
-# near 0.7, so that term is large and Gauss-Newton alone converges only
-# linearly.
+# Largest parameter count sum(I_n * R) for which the operator is explicit:
+# the build and apply of J^H J and K grow with the square of the parameter
+# count, the structured form's with sum(I_n) * R^2 plus a fixed per-call
+# overhead, and the tangent form's with the masked tensor. Timed at
+# CG_RTOL with K in its compact form, on 0 dB three-source scenes (rank 3,
+# cold gauss_newton from the default start, 12 seeds per size, masked: a
+# random 90 percent mask) on an Intel Xeon core with single-threaded
+# OpenBLAS and numpy 2.4, an explicit iteration costs 1.06 structured
+# (dense) and 0.93 tangent (masked) iterations at 105 unknowns, 1.2 and 1.0
+# at 135, 1.5 and 1.2 at 162 and 3.1 and 1.8 at 300. The Newton steps take
+# fewer iterations (116 against 325 dense and 186 against 405 masked at
+# 105 unknowns, about as many from 250 up), so whole solves cost the same
+# at about 140 unknowns dense and 155 masked. The one cutoff sits at the
+# masked crossover; the masked tangent form's memory and matvec grow with
+# the masked tensor, never with the square of the unknowns, which a long
+# mode makes large. Up to this count, dense or masked, the step is on the
+# damped Newton model, J^H J + mu I and K assembled by _newton_matrices;
+# above it, on the damped Gauss-Newton model. Either way one CG solve per
+# iteration, which keeps its iterate where it meets non-positive
+# curvature. At 0 dB the relative residual is near 0.7, so that term is
+# large and Gauss-Newton alone converges only linearly.
 EXPLICIT_GN_MAX_PARAMS = 160
 
 
@@ -903,11 +904,20 @@ def _gramian_products(factors, pairs=True):
     return w, w_pair
 
 
-def _newton_matrices(factors, r, mask, mu, shifted, w_pair):
-    """(J^H J + mu I, K), the damped Newton model
+def _pair_layouts(mask):
+    """The float64 mask moved to (I_n * I_m, rest) for each mode pair n < m,
+    keyed (n, m): what _newton_matrices contracts for the masked J^H J,
+    formed once per solve."""
+    weights = mask.astype(np.float64)
+    return {(n, m): np.moveaxis(weights, (n, m), (0, 1)).reshape(mask.shape[n] * mask.shape[m], -1)
+            for n in range(mask.ndim) for m in range(n + 1, mask.ndim)}
+
+
+def _newton_matrices(factors, r, mask, mu, shifted, w_pair, layouts):
+    """(J^H J + mu I, k), the damped Newton model
     v -> (J^H J + mu I) v + conj(K v) at residual r assembled, dense with
     mask None (shifted = w + mu I, w_pair from _gramian_products) or masked
-    (shifted and w_pair unread).
+    (layouts = _pair_layouts(mask); shifted and w_pair unread).
 
     Row (n, i, s) and column (m, j, t) index entry (i, s) of factor n and
     entry (j, t) of factor m. One pass over the mode pairs n < m writes
@@ -916,13 +926,16 @@ def _newton_matrices(factors, r, mask, mu, shifted, w_pair):
     - J^H J: entry (i, s, j, t) is U_n[i, t] * conj(U_m[j, s]) * W_nm, the
       weight w_pair[n, m][s, t] dense, or masked W_nm[i, j, t, s]: the mask
       contracted over every mode but n and m against the Khatri-Rao product
-      of those modes' pair columns, one real GEMM of the float64 mask.
+      of those modes' pair columns, one real GEMM of layouts[n, m].
     - K, with Re(p^T K p) / 2 = Re(r^H Q(p)), Q the part of the model
       quadratic in the step: entry (i, s, j, t) is delta_st times conj(r)
       contracted against U_k[:, s] over every mode k but n and m, one GEMM
       of conj(r) moved to (I_n * I_m, rest) against the Khatri-Rao product
       of the other factors. Block (n, n) is zero, the model being linear in
-      each factor.
+      each factor. Only its entries at s = t are kept: k[s, i, j] of shape
+      (R, sum I_n, sum I_n), rows and columns (n, i), applied by _k_dot.
+      Block n of K x, x the flat factors, sums conj(mttkrp(r, conj U, n))
+      once for each other mode, so the gradient is conj(K x) / (N - 1).
     Row i of block (n, n) of J^H J is the (s, t) matrix shifted[n] dense.
     Masked, it is the masked ALS normal matrix a_i of mode n, transposed,
     plus mu I, summed out of a weight that pairs n with another mode m:
@@ -935,12 +948,10 @@ def _newton_matrices(factors, r, mask, mu, shifted, w_pair):
     starts = np.cumsum([0] + extents)
     conj_r = np.conj(r)
     jhj = np.zeros((n_rows, rank, n_rows, rank), dtype=np.complex128)
-    k = np.zeros((n_rows, rank, n_rows, rank), dtype=np.complex128)
-    rank_diagonal = np.einsum("isjs->ijs", k)  # a writable view
+    k = np.zeros((rank, n_rows, n_rows), dtype=np.complex128)
     if mask is not None:
-        weights = mask.astype(np.float64)
         pairs = [_pair_columns(f) for f in factors]
-        diag = [] if n_modes > 1 else [np.repeat(weights[:, None], rank * rank, axis=1)]
+        diag = [] if n_modes > 1 else [np.repeat(mask[:, None], rank * rank, axis=1)]
     for n, fn in enumerate(factors):
         rows_n = slice(starts[n], starts[n + 1])
         for m in range(n + 1, n_modes):
@@ -949,8 +960,7 @@ def _newton_matrices(factors, r, mask, mu, shifted, w_pair):
                 off = w_pair[n, m][:, None, :]
             else:
                 others = core._kr([pairs[q] for q in range(n_modes) if q not in (n, m)], rank * rank)
-                w_nm = _real_product(np.moveaxis(weights, (n, m), (0, 1)).reshape(extents[n] * extents[m], -1),
-                                     others).reshape(extents[n], extents[m], rank * rank)
+                w_nm = _real_product(layouts[n, m], others).reshape(extents[n], extents[m], rank * rank)
                 # mode 0 sums its diagonal out of its pair with mode 1,
                 # every other mode out of its pair with mode 0
                 if n == 0:
@@ -965,14 +975,21 @@ def _newton_matrices(factors, r, mask, mu, shifted, w_pair):
             others = core._kr([f for q, f in enumerate(factors) if q not in (n, m)], rank)
             k_nm = (np.moveaxis(conj_r, (n, m), (0, 1)).reshape(extents[n] * extents[m], -1)
                     @ others).reshape(extents[n], extents[m], rank)
-            rank_diagonal[rows_n, rows_m] = k_nm
-            rank_diagonal[rows_m, rows_n] = k_nm.transpose(1, 0, 2)
+            k[:, rows_n, rows_m] = k_nm.transpose(2, 0, 1)
+            k[:, rows_m, rows_n] = k_nm.transpose(2, 1, 0)
     row = np.arange(n_rows)
     if mask is None:
         jhj[row, :, row, :] = np.repeat(shifted, extents, axis=0)
     else:
         jhj[row, :, row, :] = np.concatenate(diag).reshape(-1, rank, rank).transpose(0, 2, 1) + mu * np.eye(rank)
-    return jhj.reshape(n_rows * rank, n_rows * rank), k.reshape(n_rows * rank, n_rows * rank)
+    return jhj.reshape(n_rows * rank, n_rows * rank), k
+
+
+def _k_dot(k, v):
+    """K v for the compact k of _newton_matrices, one batched product:
+    entry (i, s) sums k[s, i, j] v[j, s] over j."""
+    rank = k.shape[0]
+    return (k @ v.reshape(-1, rank).T[:, :, None])[:, :, 0].T.ravel()
 
 
 def _structured_gn_operator(factors, w, w_pair):
@@ -1089,7 +1106,12 @@ def cpd_nls(t, opts):
     _newton_matrices assembles the Hermitian J^H J and the residual term K
     of the masked residual the solver holds in one pass over the mode
     pairs, dense or masked, and mu I goes onto J^H J's diagonal blocks
-    (_damp); the masked J^H J is the dense one with row-dependent weights.
+    (_damp); the masked J^H J is the dense one with row-dependent weights,
+    from the mask's pair layouts formed once per solve. K, nonzero only
+    between equal columns of different factors, is kept as R blocks of
+    size sum I_n, and the gradient is read off it, g = conj(K x) / (N - 1),
+    so the residual is contracted once per iterate; order 1, with no mode
+    pairs, takes the mttkrp of the residual.
     Above the cutoff the operator is J^H J + mu I in structured form, or
     for a masked tensor in tangent form. A rejected step moves neither the
     iterate nor its residual, so the next iteration keeps the gradient, the
@@ -1195,6 +1217,7 @@ def _gauss_newton(tvals, mask, norm, x, opts):
     # a dense tensor above the cutoff reads f and g off the last-mode
     # product until the fit nears rounding level (see _exact_below)
     read_off = mask is None and not explicit
+    layouts = _pair_layouts(mask) if explicit and mask is not None else None
     exact_below = _exact_below(tvals)
 
     def fit(factors):
@@ -1229,10 +1252,18 @@ def _gauss_newton(tvals, mask, norm, x, opts):
             # here, and kept through rejected steps; the preconditioner reads
             # the dense w whatever the operator
             w, w_pair = _gramian_products(factors, pairs=mask is None)
+            if explicit:
+                # the undamped Newton operator: J^H J and the residual term K
+                jhj, k = _newton_matrices(factors, at_x, mask, 0.0, w, w_pair, layouts)
+                row = np.arange(sum(shape))
+                undamped = jhj.reshape(row.size, rank, row.size, rank)[row, :, row, :]
             if read_off:
                 # mttkrp(M, conj U, n) = U_n w[n]^T
                 g = np.concatenate([(u @ w[n].T - _mode_mttkrp(tvals, at_x, conj_factors, n)).ravel()
                                     for n, u in enumerate(factors)])
+            elif explicit and n_modes > 1:
+                # block row n of K x sums conj(g_n) once for each other mode
+                g = np.conj(_k_dot(k, x)) / (n_modes - 1)
             else:
                 g = _mttkrps(at_x, conj_factors)
             g_norm = np.linalg.norm(g)
@@ -1250,16 +1281,10 @@ def _gauss_newton(tvals, mask, norm, x, opts):
                 # undamped first step mostly overshoots: start where that
                 # step's rejection would put mu
                 mu = MU_FLOOR * scale if explicit else 0.0
-            if explicit:
-                # the undamped Newton operator: J^H J and the residual term K
-                jhj, k = _newton_matrices(factors, at_x, mask, 0.0, w, w_pair)
-                n_rows = sum(shape)
-                row = np.arange(n_rows)
-                undamped = jhj.reshape(n_rows, rank, n_rows, rank)[row, :, row, :]
         shifted = w + mu * np.eye(rank)
         if explicit:
             _damp(jhj, undamped, mu)
-            matvec = lambda v: jhj.dot(v) + np.conj(k.dot(v))  # noqa: E731
+            matvec = lambda v: jhj.dot(v) + np.conj(_k_dot(k, v))  # noqa: E731
         elif mask is not None:
             matvec = _masked_gn_operator(factors, mask, mu)
         else:

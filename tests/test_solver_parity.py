@@ -188,3 +188,25 @@ def test_cell_comparisons_report_the_largest_objective_rise_in_noise_units(parit
     tensor = parity.solvers.core.reconstruct(parity.solvers.init_model((4, 5, 6), 2, 0))
     [rec] = [r for r in parity._solve_all(parity._ScaledTimer(), tensor, 0, "noiseless", 2) if r["algorithm"] == "als"]
     assert rec["dof"] == 4 * 5 * 6 - 2 * (4 + 5 + 6 - 2)
+
+
+def test_seeds_extend_only_the_dense_and_masked_demo_conditions(parity, monkeypatch):
+    # --seeds N runs the two demo conditions on seeds 0..N-1; every other
+    # condition keeps its seeds, and the default keeps the 396 records
+    def solve_all(timer, tensor, seed, condition, rank):
+        yield {"seed": seed, "condition": condition}
+
+    monkeypatch.setattr(parity, "_solve_all", solve_all)
+    monkeypatch.setattr(parity, "_ScaledTimer", lambda: None)
+    demo = ("dense", "masked_residuals")
+    default, wider = list(parity.solves()), list(parity.solves(range(23)))
+    assert [r for r in wider if r["condition"] not in demo] == [r for r in default if r["condition"] not in demo]
+    for condition in demo:
+        assert [r["seed"] for r in default if r["condition"] == condition] == list(range(20))
+        assert [r["seed"] for r in wider if r["condition"] == condition] == list(range(23))
+    seen = []
+    monkeypatch.setattr(parity, "solves", lambda seeds: seen.append(seeds) or iter(()))
+    assert parity.main([]) == 0 and parity.main(["--seeds", "200"]) == 0
+    assert seen == [range(20), range(200)]
+    with pytest.raises(SystemExit):
+        parity.main(["--seeds", "0"])

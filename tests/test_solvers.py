@@ -537,15 +537,28 @@ def test_fully_missing_fiber_tolerated():
 # undamped oracle plus mu v.
 
 
+def newton_matrices(factors, r, mask, mu, shifted, w_pair):
+    """(J^H J + mu I, K) of _newton_matrices as dense matrices of the flat
+    parameter vector, with the mask's layouts formed here: entry
+    (i, s, j, t) of K is delta_st k[s, i, j] of the compact k."""
+    layouts = None if mask is None else solvers._pair_layouts(mask)
+    jhj, k = solvers._newton_matrices(factors, r, mask, mu, shifted, w_pair, layouts)
+    rank, n_rows = k.shape[:2]
+    dense = np.zeros((n_rows, rank, n_rows, rank), dtype=complex)
+    for s in range(rank):
+        dense[:, s, :, s] = k[s]
+    return jhj, dense.reshape(jhj.shape)
+
+
 def explicit_dense(factors, shifted, w_pair):
     """The dense J^H J + mu I of _newton_matrices, shifted = w + mu I."""
     r = np.zeros(tuple(f.shape[0] for f in factors), dtype=complex)
-    return solvers._newton_matrices(factors, r, None, None, shifted, w_pair)[0]
+    return newton_matrices(factors, r, None, None, shifted, w_pair)[0]
 
 
 def explicit_masked(factors, mask, mu):
     """The masked J^H J + mu I of _newton_matrices."""
-    return solvers._newton_matrices(factors, np.zeros(mask.shape, dtype=complex), mask, mu, None, None)[0]
+    return newton_matrices(factors, np.zeros(mask.shape, dtype=complex), mask, mu, None, None)[0]
 
 
 DENSE_BUILDERS = [explicit_dense, solvers._structured_gn_operator]
@@ -561,8 +574,9 @@ def newton_operator(factors, r, mask, mu):
     """v -> (J^H J + mu I) v + conj(K v) from _newton_matrices, as cpd_nls
     builds and applies the Newton model."""
     w, w_pair = solvers._gramian_products(factors, pairs=mask is None)
-    jhj, k = solvers._newton_matrices(factors, r, mask, mu, w + mu * np.eye(w.shape[-1]), w_pair)
-    return lambda v: jhj.dot(v) + np.conj(k.dot(v))
+    layouts = None if mask is None else solvers._pair_layouts(mask)
+    jhj, k = solvers._newton_matrices(factors, r, mask, mu, w + mu * np.eye(w.shape[-1]), w_pair, layouts)
+    return lambda v: jhj.dot(v) + np.conj(solvers._k_dot(k, v))
 
 
 def flat_factors(rng, shape, rank):
@@ -684,7 +698,8 @@ def test_explicit_masked_matrix_with_nothing_missing_is_the_dense_one():
 
 def test_explicit_matrices_are_hermitian_and_the_residual_term_complex_symmetric():
     # CG needs a self-adjoint operator: J^H J + mu I, dense or masked, is
-    # Hermitian, and v -> conj(K v) is self-adjoint for Re(vdot) when K = K^T
+    # Hermitian, and v -> conj(K v) is self-adjoint for Re(vdot) when K = K^T,
+    # that is k[s, i, j] = k[s, j, i] for the compact k
     rng = np.random.default_rng(69)
     for order in (2, 3, 4):
         for _ in range(3):
@@ -696,10 +711,36 @@ def test_explicit_matrices_are_hermitian_and_the_residual_term_complex_symmetric
             w, w_pair = solvers._gramian_products(factors)
             for mu in MUS:
                 shifted = w + mu * np.eye(rank)
-                for jtj, k in (solvers._newton_matrices(factors, r, None, mu, shifted, w_pair),
-                               solvers._newton_matrices(factors, np.where(mask, r, 0.0), mask, mu, None, None)):
+                for jtj, k in (solvers._newton_matrices(factors, r, None, mu, shifted, w_pair, None),
+                               solvers._newton_matrices(factors, np.where(mask, r, 0.0), mask, mu, None, None,
+                                                        solvers._pair_layouts(mask))):
                     assert np.abs(jtj - jtj.conj().T).max() <= 1e-13 * np.abs(jtj).max(), (shape, mu)
-                    assert np.abs(k - k.T).max() <= 1e-13 * np.abs(k).max(), (shape, mu)
+                    assert np.abs(k - k.transpose(0, 2, 1)).max() <= 1e-13 * np.abs(k).max(), (shape, mu)
+
+
+def test_gradient_read_off_the_residual_term_is_cpd_gradient():
+    # block row n of K U sums conj(g_n) once for each of the N - 1 other
+    # modes, so below the cutoff the solver takes g = conj(K x) / (N - 1);
+    # the compact k applied by _k_dot is the dense K of the flat vector
+    rng = np.random.default_rng(75)
+    for order in (2, 3, 4):
+        for _ in range(3):
+            shape = tuple(int(x) for x in rng.integers(2, 6, size=order))
+            rank = int(rng.integers(1, 4))
+            x, factors = flat_factors(rng, shape, rank)
+            values = crandn(rng, *shape)
+            w, w_pair = solvers._gramian_products(factors)
+            for t in (values, IncompleteTensor(values, rng.random(shape) < 0.6)):
+                tvals, mask, _ = solvers._observed(t)
+                r = solvers._residual(tvals, mask, core.reconstruct(factors))
+                layouts = None if mask is None else solvers._pair_layouts(mask)
+                _, k = solvers._newton_matrices(factors, r, mask, 0.0, w, w_pair, layouts)
+                expected = np.concatenate([b.ravel() for b in cpd_gradient(t, factors)])
+                g = np.conj(solvers._k_dot(k, x)) / (order - 1)
+                assert np.abs(g - expected).max() <= 1e-13 * np.abs(expected).max(), (shape, mask is None)
+                v = crandn(rng, x.size)
+                dense_k = newton_matrices(factors, r, mask, 0.0, w, w_pair)[1]
+                assert np.abs(solvers._k_dot(k, v) - dense_k @ v).max() <= 1e-13 * np.abs(dense_k @ v).max()
 
 
 def test_dense_matvec_matches_fd_gauss_newton_operator():
@@ -842,7 +883,7 @@ def test_predicted_decrease_from_the_cg_residual_matches_the_undamped_model():
     scale = w.diagonal(axis1=1, axis2=2).real.max()
     for mu in (0.0, 1e-3 * scale, scale):
         shifted = w + mu * np.eye(rank)
-        (jhj, k), (damped_jhj, _) = [solvers._newton_matrices(factors, residual, None, None, weights, w_pair)
+        (jhj, k), (damped_jhj, _) = [newton_matrices(factors, residual, None, None, weights, w_pair)
                                      for weights in (w, shifted)]
         gauss_newton = [jhj.dot, damped_jhj.dot]
         newton = [lambda v, op=op: op(v) + np.conj(k.dot(v)) for op in gauss_newton]
@@ -970,6 +1011,49 @@ def test_gauss_newton_makes_one_cg_solve_per_iteration(monkeypatch):
         assert set(before_solves[1:-1]) <= {"r" + build, ""}, (t.shape, before_solves)
         rejected += before_solves[1:-1].count("")
     assert rejected > 0
+
+
+def test_explicit_newton_steps_read_the_gradient_off_the_residual_term(monkeypatch):
+    # below the cutoff the Newton matrices are built once for each new
+    # iterate, right after its Gramian products, and the gradient is read
+    # off K: no mttkrp of the residual, except at order 1, which has no
+    # mode pairs and so no K. Every CG solve's right-hand side is -g of
+    # the iterate, g_n the mttkrp of the residual against conj U.
+    events = []
+    for name in ("_gramian_products", "_newton_matrices", "_mttkrps"):
+        def spy(*args, real=getattr(solvers, name), name=name, **kwargs):
+            events.append((name, args[0]))
+            return real(*args, **kwargs)
+        monkeypatch.setattr(solvers, name, spy)
+    real_pcg = solvers._pcg
+    rhs_errors = []
+
+    def pcg(matvec, b, *args):
+        factors = [a for name, a in events if name == "_gramian_products"][-1]
+        tvals, mask, _ = solvers._observed(t)
+        r = solvers._residual(tvals, mask, core.reconstruct(factors))
+        g = np.concatenate([core.mttkrp(r, [np.conj(f) for f in factors], n).ravel() for n in range(t.ndim)])
+        # g shrinks by cancellation as the solve converges: measure the
+        # error against the size of the terms that cancel
+        terms = max(np.abs(core.mttkrp(np.abs(r), [np.abs(f) for f in factors], n)).max() for n in range(t.ndim))
+        rhs_errors.append(np.abs(b + g).max() / terms)
+        return real_pcg(matvec, b, *args)
+
+    monkeypatch.setattr(solvers, "_pcg", pcg)
+    rng = np.random.default_rng(76)
+    line = crandn(rng, 8)
+    for t, rank in [*((demo, 3) for demo in demo_tensors(1)), (line, 2),
+                    (IncompleteTensor(line, rng.random(8) < 0.7), 2)]:
+        assert sum(t.shape) * rank <= solvers.EXPLICIT_GN_MAX_PARAMS
+        events.clear()
+        rhs_errors.clear()
+        cpd_nls(t, CpdOptions(rank=rank, algorithm="gauss_newton", init=3))
+        names = [name for name, _ in events]
+        iterates = names.count("_gramian_products")
+        assert iterates > 1, t.shape
+        per_iterate = ["_gramian_products", "_newton_matrices"] + (["_mttkrps"] if t.ndim == 1 else [])
+        assert names == per_iterate * iterates, (t.shape, names)
+        assert rhs_errors and max(rhs_errors) <= 1e-13, (t.shape, max(rhs_errors))
 
 
 def large_scene_tensors(seed):

@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
 """Solver parity check: 396 seeded in-memory solves, 300 on the 0 dB demo
-scene, 60 on a larger 0 dB array and 36 in a noiseless swamp.
+scene, 60 on a larger 0 dB array and 36 in a noiseless swamp; with --seeds N
+the 120 dense and masked demo solves of 20 seeds become 6 N.
 
     python3 tools/solver_parity.py > parent.jsonl            # on one checkout
     python3 tools/solver_parity.py --against parent.jsonl    # on another
+    python3 tools/solver_parity.py --seeds 200 > census.jsonl  # a wider census
 
-Seeds 0-19 of configs/demo_scene.json, each under two conditions ("dense",
-and "masked_residuals": under the config's masks, fitted on the masked
-objective as every incomplete tensor is) and the three algorithms, with
-the noise and solver seeds the pipeline derives from the scene seed. The
+Seeds 0-19 of configs/demo_scene.json (0 to N-1 with --seeds N), each
+under two conditions ("dense", and "masked_residuals": under the config's
+masks, fitted on the masked objective as every incomplete tensor is) and
+the three algorithms, with the noise and solver seeds the pipeline
+derives from the scene seed. The
 "heavy_mask_<percent>" conditions fit seeds 0-9 of the same noisy tensors
 under random masks keeping 90, 70, 50 and 30 percent of the entries (one
 uniform draw per seed from default_rng(seed + HEAVY_MASK_SEED_OFFSET),
@@ -172,8 +175,9 @@ def _solve_all(timer, tensor, seed, condition, rank):
                "matvecs": matvecs, "dof": dof, "scaled_ms": round(ms, 3)}
 
 
-def solves():
-    """One record per (seed, condition, algorithm), in a fixed order."""
+def solves(seeds=SEEDS):
+    """One record per (seed, condition, algorithm), in a fixed order, with
+    the dense and masked_residuals demo conditions on seeds."""
     cfg = formats.load_config(os.path.join(ROOT, "configs", "demo_scene.json"))
     timer = _ScaledTimer()
 
@@ -185,7 +189,7 @@ def solves():
     def heavy_mask(seed, shape):
         return np.random.default_rng(seed + HEAVY_MASK_SEED_OFFSET).random(shape)
 
-    for seed in SEEDS:
+    for seed in seeds:
         demo = noisy(cfg.scene, seed)
         masked = scene.apply_mask(demo, cfg.masks)
         yield from _solve_all(timer, demo, seed, "dense", cfg.rank)
@@ -350,13 +354,23 @@ def differences(records, reference):
     return lines
 
 
+def _positive(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive count, got {text}")
+    return value
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", metavar="FILE",
                         help="JSON lines from an earlier run to compare with")
+    parser.add_argument("--seeds", metavar="N", type=_positive, default=len(SEEDS),
+                        help=f"run the dense and masked_residuals conditions on seeds 0..N-1 "
+                             f"(default {len(SEEDS)}); the other conditions keep their seeds")
     args = parser.parse_args(argv)
     records = []
-    for rec in solves():
+    for rec in solves(range(args.seeds)):
         print(json.dumps(rec), flush=True)
         records.append(rec)
     for line in cell_summaries(records) + unit_matches(records):
